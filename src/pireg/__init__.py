@@ -13,23 +13,19 @@ from .bench import (RunReport, SplitResult, SweepCell, SweepReport, emit_report,
 from .config import (CATALOG, DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
                      SplitPlan, config_from_dict, config_to_dict, default_config,
                      load_config_file, resolve_config)
-from .data import (Dataset, NormStats, SplitSpec, apply_normalize, denormalize,
-                   denormalize_targets, fit_normalize, gen_flat_skew, gen_sine,
-                   load_delimited, sample_skew_normal, save_delimited, split)
+from .data import (Dataset, NormStats, SplitSpec, apply_normalize, denormalize_targets,
+                   fit_normalize, gen_flat_skew, gen_sine, load_delimited,
+                   sample_skew_normal, save_delimited, split)
 from .ensemble import (EnsembleOutput, aggregate_gaussian, aggregate_pi,
                        normal_quantile, z_score)
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
-from .losses import (LossConfig, PIOutput, captured_mpiw, decoupled_loss, gaussian_link,
-                     gaussian_nll, hard_capture, head_loss, head_loss_and_grad,
-                     interval_loss, interval_only_loss, joint_loss, midpoint_loss,
-                     point_prediction, sigmoid, soft_capture, softplus, squash_mix,
-                     value_loss, value_prediction)
+from .losses import (LossConfig, PIOutput, captured_mpiw, gaussian_link, hard_capture,
+                     head_loss_and_grad, point_prediction, sigmoid, softplus, squash_mix,
+                     value_prediction)
 from .metrics import (MetricSummary, MetricsRecord, aggregate_splits, mae,
                       metrics_record, mpiw, picp, rmse)
-from .network import (FeedForwardModel, GradientSet, backward, central_difference,
-                      copy_model, finite_diff_grad, forward, forward_gaussian,
-                      forward_raw, init_mean_variance_model, init_model, loss_value,
-                      model_is_finite)
+from .network import (FeedForwardModel, GradientSet, backward, forward, forward_gaussian,
+                      forward_raw, init_mean_variance_model, init_model, loss_value)
 from .optim import AdamState, adam_step, decay_learning_rate, init_adam
 from .training import (TrainingHistory, build_model, carve_validation, train_ensemble,
                        train_single)

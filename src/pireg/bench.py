@@ -28,7 +28,7 @@ from .config import DataSpec, ExperimentConfig, config_to_dict
 from .data import (Dataset, SplitSpec, denormalize_targets, fit_normalize, gen_flat_skew,
                    gen_sine, apply_normalize, load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
-from .errors import ConfigError, DataError, PiregError, TrainingDiverged
+from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
 from .losses import point_prediction
 from .metrics import MetricSummary, MetricsRecord, aggregate_splits, metrics_record
 from .network import forward, forward_gaussian
@@ -191,6 +191,35 @@ def _mean_record(report: RunReport, mode: str) -> MetricsRecord:
                          rmse=agg["rmse"].mean, mae=agg["mae"].mean, n=total_n)
 
 
+def _run_grid(config: ExperimentConfig, kind: str, points) -> SweepReport:
+    """Benchmark one loss override per grid point, in order.
+
+    Each point is (cell params, loss overrides, series key, x): the key is a
+    format string completed with the metric name, and the cell's mean picp,
+    mpiw (normalized) and rmse (original units) are appended at x.
+    """
+    started = time.perf_counter()
+    cells: List[SweepCell] = []
+    series: Dict[str, List[List[float]]] = {}
+    for params, overrides, key, x in points:
+        cfg = dataclasses.replace(config, loss=dataclasses.replace(config.loss, **overrides))
+        report = run_benchmark(cfg)
+        norm = _mean_record(report, "normalized")
+        denorm = _mean_record(report, "denormalized")
+        cells.append(SweepCell(params=params, normalized=norm, denormalized=denorm))
+        for metric, value in (("picp", norm.picp), ("mpiw", norm.mpiw), ("rmse", denorm.rmse)):
+            series.setdefault(key.format(metric), []).append([x, value])
+    return SweepReport(
+        kind=kind,
+        version=REPORT_VERSION,
+        name=config.name,
+        config=config_to_dict(config),
+        cells=cells,
+        series=series,
+        total_seconds=time.perf_counter() - started,
+    )
+
+
 def run_alpha_sweep(config: ExperimentConfig, alphas: Sequence[float]) -> SweepReport:
     """Benchmark the joint and interval-only variants across miscoverage levels.
 
@@ -200,38 +229,17 @@ def run_alpha_sweep(config: ExperimentConfig, alphas: Sequence[float]) -> SweepR
     """
     if not alphas:
         raise ConfigError("alpha grid must be non-empty")
-    started = time.perf_counter()
-    cells: List[SweepCell] = []
-    series: Dict[str, List[List[float]]] = {}
+    points = []
     for alpha in alphas:
-        per_variant = {}
         for variant in ("joint", "interval_only"):
-            cfg = dataclasses.replace(
-                config,
-                loss=dataclasses.replace(config.loss, alpha=float(alpha), variant=variant),
-            )
-            report = run_benchmark(cfg)
-            norm = _mean_record(report, "normalized")
-            denorm = _mean_record(report, "denormalized")
-            cells.append(SweepCell(
-                params={"alpha": float(alpha), "variant": variant},
-                normalized=norm, denormalized=denorm))
-            per_variant[variant] = (norm, denorm)
-            series.setdefault(f"{variant}_picp", []).append([float(alpha), norm.picp])
-            series.setdefault(f"{variant}_mpiw", []).append([float(alpha), norm.mpiw])
-            series.setdefault(f"{variant}_rmse", []).append([float(alpha), denorm.rmse])
-        base = per_variant["interval_only"][0].mpiw
-        gain = (base - per_variant["joint"][0].mpiw) / base * 100.0 if base != 0.0 else 0.0
-        series.setdefault("mpiw_improvement_pct", []).append([float(alpha), gain])
-    return SweepReport(
-        kind="alpha_sweep",
-        version=REPORT_VERSION,
-        name=config.name,
-        config=config_to_dict(config),
-        cells=cells,
-        series=series,
-        total_seconds=time.perf_counter() - started,
-    )
+            params = {"alpha": float(alpha), "variant": variant}
+            points.append((params, params, variant + "_{}", float(alpha)))
+    report = _run_grid(config, "alpha_sweep", points)
+    report.series["mpiw_improvement_pct"] = [
+        [alpha, (base - joint) / base * 100.0 if base != 0.0 else 0.0]
+        for (alpha, joint), (_, base) in zip(report.series["joint_mpiw"],
+                                             report.series["interval_only_mpiw"])]
+    return report
 
 
 def run_hyperparam_sweep(config: ExperimentConfig, interval_weights: Sequence[float],
@@ -239,36 +247,13 @@ def run_hyperparam_sweep(config: ExperimentConfig, interval_weights: Sequence[fl
     """Grid sweep of the loss mixing weight and the coverage penalty."""
     if not interval_weights or not coverage_penalties:
         raise ConfigError("sweep grids must be non-empty")
-    started = time.perf_counter()
-    cells: List[SweepCell] = []
-    series: Dict[str, List[List[float]]] = {}
+    points = []
     for weight in interval_weights:
         for penalty in coverage_penalties:
-            cfg = dataclasses.replace(
-                config,
-                loss=dataclasses.replace(config.loss, interval_weight=float(weight),
-                                         coverage_penalty=float(penalty), variant="joint"),
-            )
-            report = run_benchmark(cfg)
-            norm = _mean_record(report, "normalized")
-            denorm = _mean_record(report, "denormalized")
-            cells.append(SweepCell(
-                params={"interval_weight": float(weight),
-                        "coverage_penalty": float(penalty)},
-                normalized=norm, denormalized=denorm))
-            tag = f"interval_weight={weight:g}"
-            series.setdefault(f"picp@{tag}", []).append([float(penalty), norm.picp])
-            series.setdefault(f"mpiw@{tag}", []).append([float(penalty), norm.mpiw])
-            series.setdefault(f"rmse@{tag}", []).append([float(penalty), denorm.rmse])
-    return SweepReport(
-        kind="hparam_sweep",
-        version=REPORT_VERSION,
-        name=config.name,
-        config=config_to_dict(config),
-        cells=cells,
-        series=series,
-        total_seconds=time.perf_counter() - started,
-    )
+            params = {"interval_weight": float(weight), "coverage_penalty": float(penalty)}
+            points.append((params, {**params, "variant": "joint"},
+                           "{}@interval_weight=" + f"{weight:g}", float(penalty)))
+    return _run_grid(config, "hparam_sweep", points)
 
 
 # --------------------------------------------------------------------------
@@ -367,17 +352,20 @@ def _emit_sweep_tables(report: SweepReport, base: str) -> List[str]:
     return written
 
 
-def _record_from(d: dict) -> MetricsRecord:
-    return MetricsRecord(picp=d["picp"], mpiw=d["mpiw"], rmse=d["rmse"],
-                         mae=d["mae"], n=d["n"])
+def _with_records(d: dict) -> dict:
+    return {**d, "normalized": MetricsRecord(**d["normalized"]),
+            "denormalized": MetricsRecord(**d["denormalized"])}
 
 
 def _summaries_from(d: dict) -> Dict[str, MetricSummary]:
-    return {k: MetricSummary(mean=v["mean"], stderr=v["stderr"]) for k, v in d.items()}
+    return {k: MetricSummary(**v) for k, v in d.items()}
 
 
 def load_report(path):
-    """Parse a report JSON back into its dataclass form."""
+    """Parse a report JSON back into its dataclass form.
+
+    Missing, mistyped or surplus fields are data errors located at the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -386,44 +374,23 @@ def load_report(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid report JSON ({exc})") from None
 
-    kind = raw.get("kind")
-    version = raw.get("version")
-    if version != REPORT_VERSION:
-        raise DataError(f"{path}: unsupported report version {version!r}")
-    if kind == "benchmark":
-        return RunReport(
-            kind=kind,
-            version=version,
-            name=raw["name"],
-            config=raw["config"],
-            splits=[SplitResult(
-                split_index=s["split_index"],
-                seconds=s["seconds"],
-                member_epochs=s["member_epochs"],
-                normalized=_record_from(s["normalized"]),
-                denormalized=_record_from(s["denormalized"]),
-                loss_curve=s["loss_curve"],
-                predictions=s["predictions"],
-            ) for s in raw["splits"]],
-            aggregate_normalized=_summaries_from(raw["aggregate_normalized"]),
-            aggregate_denormalized=_summaries_from(raw["aggregate_denormalized"]),
-            partial=raw["partial"],
-            errors=raw["errors"],
-            total_seconds=raw["total_seconds"],
-        )
-    if kind in ("alpha_sweep", "hparam_sweep"):
-        return SweepReport(
-            kind=kind,
-            version=version,
-            name=raw["name"],
-            config=raw["config"],
-            cells=[SweepCell(params=c["params"],
-                             normalized=_record_from(c["normalized"]),
-                             denormalized=_record_from(c["denormalized"]))
-                   for c in raw["cells"]],
-            series=raw["series"],
-            total_seconds=raw["total_seconds"],
-        )
+    try:
+        version = raw.get("version")
+        if version != REPORT_VERSION:
+            raise DataError(f"{path}: unsupported report version {version!r}")
+        kind = raw.get("kind")
+        if kind == "benchmark":
+            return RunReport(**{
+                **raw,
+                "splits": [SplitResult(**_with_records(s)) for s in raw["splits"]],
+                "aggregate_normalized": _summaries_from(raw["aggregate_normalized"]),
+                "aggregate_denormalized": _summaries_from(raw["aggregate_denormalized"]),
+            })
+        if kind in ("alpha_sweep", "hparam_sweep"):
+            return SweepReport(**{**raw, "cells": [SweepCell(**_with_records(c))
+                                                   for c in raw["cells"]]})
+    except (KeyError, TypeError, AttributeError, ShapeError) as exc:
+        raise DataError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
     raise DataError(f"{path}: unknown report kind {kind!r}")
 
 

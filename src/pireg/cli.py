@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
-from .bench import (emit_report, format_report, load_report, run_alpha_sweep,
+from .bench import (emit_report, format_report, load_dataset, load_report, run_alpha_sweep,
                     run_benchmark, run_hyperparam_sweep)
-from .config import resolve_config
-from .data import gen_flat_skew, gen_sine, save_delimited
+from .config import GENERATOR_KINDS, DataSpec, resolve_config
+from .data import save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 
 EXIT_OK = 0
@@ -140,14 +141,17 @@ def _resolve(args):
 
 
 def _out_base(args, config, suffix) -> str:
-    if args.out:
-        return args.out
-    out_dir = config.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    return os.path.join(out_dir, f"{config.name}_{suffix}")
+    """Output base path; its directory must exist before any training starts."""
+    base = args.out or os.path.join(
+        config.out_dir or os.environ.get(OUT_DIR_ENV) or ".", f"{config.name}_{suffix}")
+    directory = os.path.dirname(base) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
+    return base
 
 
-def _finish(report, args, config, suffix) -> int:
-    paths = emit_report(report, _out_base(args, config, suffix))
+def _finish(report, base) -> int:
+    paths = emit_report(report, base)
     print(format_report(report))
     for path in paths:
         print(f"wrote {path}")
@@ -158,36 +162,36 @@ def _cmd_train(args) -> int:
     config = _resolve(args)
     config = dataclasses.replace(
         config, splits=dataclasses.replace(config.splits, count=1))
-    return _finish(run_benchmark(config), args, config, "train")
+    base = _out_base(args, config, "train")
+    return _finish(run_benchmark(config), base)
 
 
 def _cmd_bench(args) -> int:
     config = _resolve(args)
-    return _finish(run_benchmark(config), args, config, "bench")
+    base = _out_base(args, config, "bench")
+    return _finish(run_benchmark(config), base)
 
 
 def _cmd_sweep_alpha(args) -> int:
     config = _resolve(args)
-    report = run_alpha_sweep(config, _floats(args.alphas))
-    return _finish(report, args, config, "alpha_sweep")
+    alphas = _floats(args.alphas)
+    base = _out_base(args, config, "alpha_sweep")
+    return _finish(run_alpha_sweep(config, alphas), base)
 
 
 def _cmd_sweep_hparam(args) -> int:
     config = _resolve(args)
-    report = run_hyperparam_sweep(config, _floats(args.interval_weights),
-                                  _floats(args.coverage_penalties))
-    return _finish(report, args, config, "hparam_sweep")
+    weights, penalties = _floats(args.interval_weights), _floats(args.coverage_penalties)
+    base = _out_base(args, config, "hparam_sweep")
+    return _finish(run_hyperparam_sweep(config, weights, penalties), base)
 
 
 def _cmd_gen_data(args) -> int:
-    if args.kind == "sine":
-        dataset = gen_sine(args.n, args.x_low, args.x_high, args.noise_scale,
-                           args.skew_alpha, args.seed)
-    elif args.kind == "flat_skew":
-        dataset = gen_flat_skew(args.n, args.x_low, args.x_high, args.noise_scale,
-                                args.skew_alpha, args.seed)
-    else:
+    if args.kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind {args.kind!r}")
+    spec = DataSpec(kind=args.kind, n=args.n, x_low=args.x_low, x_high=args.x_high,
+                    noise_scale=args.noise_scale, skew_alpha=args.skew_alpha)
+    dataset = load_dataset(spec, args.seed)
     save_delimited(dataset, args.out)
     print(f"wrote {args.out} ({dataset.n} rows)")
     return EXIT_OK

@@ -236,15 +236,6 @@ def apply_normalize(dataset: Dataset, stats: NormStats) -> Dataset:
     )
 
 
-def denormalize(dataset: Dataset, stats: NormStats) -> Dataset:
-    return Dataset(
-        dataset.features * stats.feature_std + stats.feature_mean,
-        dataset.targets * stats.target_std + stats.target_mean,
-        dataset.feature_names,
-        dataset.source_tag,
-    )
-
-
 def denormalize_targets(values, stats: NormStats):
     """Map target-scale quantities (targets, bounds, predictions) back to
     original units."""

@@ -6,14 +6,16 @@ penalises coverage falling short of the 1 - alpha target:
     width_term + sqrt(n) * coverage_penalty * max(0, (1 - alpha) - soft_picp)^2
 
 where the width term averages (upper - lower) over the hard capture set and
-soft_picp is the mean of the logistic capture relaxation.  The value loss
-scores the point prediction mix * upper + (1 - mix) * lower against targets,
-and the joint objective is a convex combination of the two.
+soft_picp is the mean of the logistic capture relaxation
+sigmoid(soften * (y - lower)) * sigmoid(soften * (upper - y)).  The value
+loss scores the point prediction mix * upper + (1 - mix) * lower against
+targets, and the joint objective is a convex combination of the two.
 
-Every public loss has a matching analytic head gradient (via
-``head_loss_and_grad``) so the network module never needs to know the loss
-internals.  Gradients treat the hard capture vector as locally constant; it
-is piecewise constant in the parameters, so this is exact almost everywhere.
+Every variant is computed in one place, ``head_loss_and_grad``, which returns
+the loss value together with its analytic gradient with respect to the raw
+head matrix; training, validation and the tests all read losses from it.
+Gradients treat the hard capture vector as locally constant; it is piecewise
+constant in the parameters, so this is exact almost everywhere.
 """
 
 from __future__ import annotations
@@ -153,18 +155,6 @@ def hard_capture(y, lower, upper):
     return ((lower <= y) & (y <= upper)).astype(float)
 
 
-def soft_capture(y, lower, upper, soften):
-    """Logistic relaxation of the capture indicator.
-
-    Elementwise product sigmoid(soften * (y - lower)) * sigmoid(soften * (upper - y));
-    approaches the hard indicator as soften grows.
-    """
-    if soften <= 0.0:
-        raise ConfigError(f"soften must be positive, got {soften}")
-    y, lower, upper = _aligned(y, lower, upper)
-    return sigmoid(soften * (y - lower)) * sigmoid(soften * (upper - y))
-
-
 def captured_mpiw(upper, lower, captured):
     """Mean interval width over captured samples; 0.0 when nothing is captured."""
     upper, lower, captured = _aligned(upper, lower, captured)
@@ -187,9 +177,7 @@ def value_prediction(mix, upper, lower):
 
 # ---------------------------------------------------------------------------
 # Loss terms with analytic head gradients.  Each _*_terms helper returns the
-# scalar loss followed by its partials with respect to the head columns; the
-# public loss functions reuse the same helpers so values agree bit-for-bit
-# with the gradient path.
+# scalar loss followed by its partials with respect to the head columns.
 # ---------------------------------------------------------------------------
 
 
@@ -233,62 +221,6 @@ def _value_terms(upper, lower, mix, y, cfg):
     return loss, w * mix, w * (1.0 - mix), w * (upper - lower)
 
 
-def interval_loss(output, y, cfg):
-    """Captured-width term plus the coverage-shortfall penalty."""
-    y = np.asarray(y, dtype=float)
-    return _interval_terms(output.upper, output.lower, y, cfg)[0]
-
-
-def value_loss(output, y, cfg):
-    """Mean point loss of the in-interval value prediction against targets."""
-    y = np.asarray(y, dtype=float)
-    return _value_terms(output.upper, output.lower, output.mix, y, cfg)[0]
-
-
-def joint_loss(output, y, cfg):
-    """interval_weight * interval_loss + (1 - interval_weight) * value_loss."""
-    return _compose(cfg, interval_loss(output, y, cfg), value_loss(output, y, cfg))
-
-
-def interval_only_loss(output, y, cfg):
-    """Interval loss alone; at inference this variant reports the interval midpoint."""
-    return interval_loss(output, y, cfg)
-
-
-def midpoint_loss(output, y, cfg):
-    """Joint loss with the mixing weight pinned at 0.5 (the head is ignored)."""
-    y = np.asarray(y, dtype=float)
-    half = np.full_like(output.upper, 0.5)
-    li = _interval_terms(output.upper, output.lower, y, cfg)[0]
-    lv = _value_terms(output.upper, output.lower, half, y, cfg)[0]
-    return _compose(cfg, li, lv)
-
-
-def decoupled_loss(output, y, cfg):
-    """Interval loss plus a point loss on the raw third head read as a value.
-
-    The raw head is used pre-logistic: a (0, 1)-bounded output cannot regress
-    standardized targets.  Requires ``output.mix_logit``.
-    """
-    if output.mix_logit is None:
-        raise ConfigError("decoupled loss needs the raw mixing head (mix_logit)")
-    y = np.asarray(y, dtype=float)
-    li = _interval_terms(output.upper, output.lower, y, cfg)[0]
-    per_sample, _ = _point_terms(np.asarray(output.mix_logit, dtype=float), y, cfg.point_loss)
-    return li + float(np.mean(per_sample))
-
-
-def gaussian_nll(mean, variance, y):
-    """Negative log likelihood of independent Gaussians, constants dropped.
-
-    Mean over the batch of 0.5 * log(variance) + (y - mean)^2 / (2 * variance).
-    """
-    mean, variance, y = _aligned(mean, variance, y)
-    if np.any(variance <= 0.0):
-        raise ValueError("variance must be strictly positive")
-    return float(np.mean(0.5 * np.log(variance) + (y - mean) ** 2 / (2.0 * variance)))
-
-
 def _compose(cfg, li, lv):
     return cfg.interval_weight * li + (1.0 - cfg.interval_weight) * lv
 
@@ -313,11 +245,6 @@ def gaussian_link(raw):
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ShapeError(f"expected an (n, 2) head matrix, got shape {raw.shape}")
     return raw[:, 0], softplus(raw[:, 1]) + VARIANCE_FLOOR
-
-
-def head_loss(raw, y, cfg):
-    """Loss value alone, through the same arithmetic path as the gradient."""
-    return head_loss_and_grad(raw, y, cfg)[0]
 
 
 def point_prediction(output, variant):

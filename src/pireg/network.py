@@ -28,8 +28,6 @@ class FeedForwardModel:
     layer_sizes: Tuple[int, ...]
     weights: List[np.ndarray]
     biases: List[np.ndarray]
-    hidden_activation: str = "relu"
-    head_bias_init: Tuple[float, float] = (3.0, -3.0)
 
     @property
     def input_dim(self) -> int:
@@ -100,7 +98,7 @@ def init_model(layer_sizes, seed, head_bias_init=(3.0, -3.0)):
     u0, l0 = float(head_bias_init[0]), float(head_bias_init[1])
     weights, biases = _init_layers(sizes, seed)
     biases[-1] = np.array([u0, l0, 0.0])
-    return FeedForwardModel(sizes, weights, biases, "relu", (u0, l0))
+    return FeedForwardModel(sizes, weights, biases)
 
 
 def init_mean_variance_model(layer_sizes, seed):
@@ -109,22 +107,7 @@ def init_mean_variance_model(layer_sizes, seed):
     if sizes[-1] != GAUSSIAN_HEAD:
         raise ConfigError(f"mean-variance models need a 2-unit output layer, got {sizes[-1]}")
     weights, biases = _init_layers(sizes, seed)
-    return FeedForwardModel(sizes, weights, biases, "relu", (0.0, 0.0))
-
-
-def copy_model(model):
-    """Independent deep copy of all parameters."""
-    return FeedForwardModel(
-        model.layer_sizes,
-        [w.copy() for w in model.weights],
-        [b.copy() for b in model.biases],
-        model.hidden_activation,
-        model.head_bias_init,
-    )
-
-
-def model_is_finite(model):
-    return all(np.all(np.isfinite(p)) for p in model.parameters())
+    return FeedForwardModel(sizes, weights, biases)
 
 
 def _check_features(model, features):
@@ -203,61 +186,3 @@ def backward(model, features, targets, cfg: LossConfig):
         if i > 0:
             delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
     return loss, GradientSet(grad_w, grad_b)
-
-
-def central_difference(f, x, h=1e-5):
-    """Central finite-difference derivative of a scalar function.
-
-    For array x, returns the elementwise partial derivatives of f at x,
-    perturbing one entry at a time.
-    """
-    if h <= 0.0:
-        raise ConfigError(f"step size must be positive, got {h}")
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return (f(float(x) + h) - f(float(x) - h)) / (2.0 * h)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        saved = x[idx]
-        x[idx] = saved + h
-        up = f(x)
-        x[idx] = saved - h
-        down = f(x)
-        x[idx] = saved
-        out[idx] = (up - down) / (2.0 * h)
-    return out
-
-
-def finite_diff_grad(model, features, targets, cfg: LossConfig, h=1e-5) -> GradientSet:
-    """Central-difference estimate of every parameter gradient.
-
-    Slow by construction; exists to cross-check :func:`backward`.  Perturbs
-    parameters in place and restores them, so the model is unchanged on
-    return.
-    """
-    if h <= 0.0:
-        raise ConfigError(f"step size must be positive, got {h}")
-    x = _check_features(model, features)
-    y = np.asarray(targets, dtype=float)
-
-    def loss_at_current():
-        return head_loss_and_grad(_forward_cached(model, x)[0], y, cfg)[0]
-
-    grads = GradientSet(
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
-    for param, slot in zip(model.parameters(), grads.parameters()):
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            saved = param[idx]
-            param[idx] = saved + h
-            up = loss_at_current()
-            param[idx] = saved - h
-            down = loss_at_current()
-            param[idx] = saved
-            slot[idx] = (up - down) / (2.0 * h)
-    return grads

@@ -429,9 +429,10 @@ def test_criterion_08_interval_weight_sweep():
            f"{'holds' if rmse_ok else 'fails'}, width direction "
            f"{'holds' if mpiw_ok else 'inverts at convergence'} "
            f"(value-loss gradients tighten bounds at low weight; the published "
-           f"width ordering appears only under noisy early stopping - see ledger)")
+           f"width ordering appears only under noisy early stopping - see README "
+           f"Testing and ROADMAP item 4)")
     pytest.xfail("width ordering inverts at convergence in this implementation; "
-                 "analysis recorded in the decisions ledger")
+                 "behaviour stated in README Testing, analysis open as ROADMAP item 4")
 
 
 # ---------------------------------------------------------------------------

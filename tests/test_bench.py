@@ -154,6 +154,25 @@ def test_load_report_rejects_bad_files(tiny_report, tmp_path):
     with pytest.raises(DataError, match="unknown report kind"):
         load_report(tmp_path / "v.json")
 
+    # Well-formed JSON with missing fields, the wrong shape, or an invalid
+    # record is a data error located at the file.
+    zero_n = json.loads(json.dumps(blob))
+    zero_n["kind"] = "benchmark"
+    zero_n["splits"][0]["normalized"]["n"] = 0
+    cell = {"params": {"alpha": 0.1}, "denormalized": blob["splits"][0]["denormalized"]}
+    malformed = {
+        "header_only.json": {"kind": "benchmark", "version": REPORT_VERSION},
+        "list.json": [1, 2],
+        "cell.json": {"kind": "alpha_sweep", "version": REPORT_VERSION, "name": "s",
+                      "config": {}, "cells": [cell], "series": {}, "total_seconds": 0.0},
+        "zero_n.json": zero_n,
+    }
+    for name, content in malformed.items():
+        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed report") as info:
+            load_report(tmp_path / name)
+        assert name in str(info.value)
+
 
 def test_format_report_mentions_the_essentials(tiny_report):
     text = format_report(tiny_report)

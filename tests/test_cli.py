@@ -108,6 +108,14 @@ def test_data_errors_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
     assert main(["report", str(bad)]) == EXIT_DATA
+    record = {"picp": 1.0, "mpiw": 1.0, "rmse": 0.0, "mae": 0.0, "n": 1}
+    cell_without_normalized = {"kind": "alpha_sweep", "version": 1, "name": "s", "config": {},
+                               "cells": [{"params": {}, "denormalized": record}],
+                               "series": {}, "total_seconds": 0.0}
+    for content in ({"kind": "benchmark", "version": 1}, [1, 2], cell_without_normalized):
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["report", str(bad)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
 
 def test_divergence_exits_four(tmp_path, capsys):
@@ -127,6 +135,20 @@ def test_write_failures_exit_five(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
     code = main(["gen-data", "--n", "5", "--out", str(tmp_path / "no_dir" / "g.csv")])
     assert code == EXIT_IO
+
+
+def test_missing_output_directory_fails_before_training(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("training started although the output directory is missing")
+
+    for name in ("run_benchmark", "run_alpha_sweep", "run_hyperparam_sweep"):
+        monkeypatch.setattr(f"pireg.cli.{name}", must_not_run)
+    missing = tmp_path / "no_dir"
+    for verb in ("train", "bench", "sweep-alpha", "sweep-hparam"):
+        assert main([verb, *FAST, "--out", str(missing / "base")]) == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+    monkeypatch.setenv(OUT_DIR_ENV, str(missing))
+    assert main(["bench", *FAST]) == EXIT_IO
 
 
 def test_gen_data_round_trip_and_determinism(tmp_path):

@@ -1,9 +1,11 @@
 """Loss-module tests.
 
-The expected values come from independent plain-Python oracles defined at
-the top of this file: stable scalar sigmoid, loop-based interval/value/
-gaussian losses, and entrywise central differences on the raw head matrix.
-They share no code with the package implementation.
+Every loss value is read from ``head_loss_and_grad``, the package's single
+loss path, on a raw head matrix (upper, lower, mix-logit); a logit of 0 is a
+mix of exactly 0.5.  The expected values come from independent plain-Python
+oracles defined at the top of this file: stable scalar sigmoid, loop-based
+interval/value/gaussian losses, and entrywise central differences on the raw
+head matrix.  They share no code with the package implementation.
 """
 
 import math
@@ -14,12 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from pireg.errors import ConfigError, ShapeError
 from pireg.losses import (CAPTURE_EPS, MIX_EPS, VARIANTS, LossConfig, PIOutput,
-                          captured_mpiw, decoupled_loss, gaussian_link,
-                          gaussian_nll, hard_capture, head_loss,
-                          head_loss_and_grad, interval_loss,
-                          interval_only_loss, joint_loss, midpoint_loss,
-                          pi_output, point_prediction, sigmoid, soft_capture,
-                          softplus, squash_mix, value_loss, value_prediction)
+                          captured_mpiw, gaussian_link, hard_capture,
+                          head_loss_and_grad, pi_output, point_prediction,
+                          sigmoid, softplus, squash_mix, value_prediction)
 
 # ---------------------------------------------------------------------------
 # Independent oracles: pure-Python loops, math-module arithmetic only.
@@ -60,6 +59,22 @@ def oracle_gaussian(mean, variance, y):
                for i in range(n)) / n
 
 
+def loss_of(raw, y, cfg):
+    """Loss value alone, read from the package's single loss path."""
+    return head_loss_and_grad(raw, y, cfg)[0]
+
+
+def head(upper, lower, logit=0.0):
+    """Raw (n, 3) head matrix; the default logit 0 is a mix of exactly 0.5."""
+    upper = np.asarray(upper, dtype=float)
+    return np.column_stack([upper, lower, np.broadcast_to(logit, upper.shape)])
+
+
+INTERVAL = LossConfig(variant="interval_only")
+VALUE = LossConfig(interval_weight=0.0)
+GAUSSIAN = LossConfig(variant="gaussian_nll")
+
+
 def head_fd(raw, y, cfg, h=1e-5):
     """Entrywise central differences of the head loss on the raw matrix."""
     g = np.zeros_like(raw)
@@ -67,9 +82,9 @@ def head_fd(raw, y, cfg, h=1e-5):
         for j in range(raw.shape[1]):
             saved = raw[i, j]
             raw[i, j] = saved + h
-            up = head_loss(raw, y, cfg)
+            up = loss_of(raw, y, cfg)
             raw[i, j] = saved - h
-            down = head_loss(raw, y, cfg)
+            down = loss_of(raw, y, cfg)
             raw[i, j] = saved
             g[i, j] = (up - down) / (2.0 * h)
     return g
@@ -123,38 +138,36 @@ def test_hard_capture_length_mismatch():
 
 
 def test_soft_capture_centered_saturates():
-    got = soft_capture([0.0], [-1.0], [1.0], 160.0)[0]
-    assert abs(got - 1.0) < 1e-10
+    # Soft coverage within 1e-10 of 1: even a 1 - 1e-10 coverage target
+    # leaves the penalty off, so the loss is the captured width alone.
+    cfg = LossConfig(alpha=1e-10, variant="interval_only")
+    assert loss_of(head([1.0], [-1.0]), np.array([0.0]), cfg) == 2.0
 
 
 def test_soft_capture_at_lower_bound_is_half():
+    # The penalty is off for a coverage target 1e-15 below the reference
+    # 0.5 * sigmoid(soften * (upper + 1)) (which is 0.5 in float64) and on
+    # for one 1e-15 above it, so soft coverage is within 1e-15 of it.
     upper, soften = 5.0, 160.0
-    got = soft_capture([-1.0], [-1.0], [upper], soften)[0]
-    assert abs(got - 0.5 * _sig(soften * (upper + 1.0))) < 1e-15
-    assert abs(got - 0.5) < 1e-12
+    want = 0.5 * _sig(soften * (upper + 1.0))
+    assert abs(want - 0.5) < 1e-12
+    raw, y = head([upper], [-1.0]), np.array([-1.0])
+
+    def loss_at_target(coverage):
+        return loss_of(raw, y, LossConfig(alpha=1.0 - coverage, coverage_penalty=1e30,
+                                          soften=soften, variant="interval_only"))
+
+    assert loss_at_target(want - 1e-15) == upper + 1.0
+    assert loss_at_target(want + 1e-15) > upper + 1.0
 
 
 def test_soft_capture_far_outside_vanishes():
-    got = soft_capture([-2.0], [-1.0], [1.0], 160.0)[0]
-    assert got < 1e-60
-
-
-def test_soft_capture_rejects_bad_soften():
-    with pytest.raises(ConfigError):
-        soft_capture([0.0], [-1.0], [1.0], 0.0)
-
-
-@pytest.mark.parametrize("soften", [10.0, 160.0, 1000.0])
-def test_soft_capture_converges_to_hard_off_boundary(soften):
-    # Interior and exterior points at least 1.5 units from any bound: the
-    # logistic relaxation must agree with the indicator ever more tightly
-    # as the softening factor grows.
-    y = np.array([0.0, 4.0, -4.0, 1.0])
-    lower = np.full(4, -2.0)
-    upper = np.full(4, 2.0)
-    hard = hard_capture(y, lower, upper)
-    soft = soft_capture(y, lower, upper, soften)
-    assert np.max(np.abs(soft - hard)) <= max(math.exp(-soften), 1e-300)
+    # d loss / d lower = 2 * coverage_penalty * hinge * soften * soft capture
+    # for one sample far below its bounds, so a gradient under 1e-60 means a
+    # soft capture under 1e-60; the hinge keeps its full 1 - alpha.
+    loss, grad = head_loss_and_grad(head([1.0], [-1.0]), np.array([-2.0]), INTERVAL)
+    assert np.max(np.abs(grad)) < 1e-60
+    assert loss == pytest.approx(15.0 * 0.95 ** 2, rel=1e-15)
 
 
 def test_captured_mpiw_examples():
@@ -241,45 +254,42 @@ def _random_case(seed, n=24):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_interval_loss_matches_oracle(seed):
-    _, out, y = _random_case(seed)
-    cfg = LossConfig()
-    want = oracle_interval(out.upper, out.lower, y, cfg)
-    assert interval_loss(out, y, cfg) == pytest.approx(want, rel=1e-12)
+    raw, out, y = _random_case(seed)
+    want = oracle_interval(out.upper, out.lower, y, INTERVAL)
+    assert loss_of(raw, y, INTERVAL) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("point_loss", ["squared", "absolute"])
 def test_value_loss_matches_oracle(seed, point_loss):
-    _, out, y = _random_case(seed)
-    cfg = LossConfig(point_loss=point_loss)
+    raw, out, y = _random_case(seed)
+    cfg = LossConfig(interval_weight=0.0, point_loss=point_loss)
     want = oracle_value(out.upper, out.lower, out.mix, y, cfg)
-    assert value_loss(out, y, cfg) == pytest.approx(want, rel=1e-12)
+    assert loss_of(raw, y, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_value_loss_examples():
-    out = PIOutput(upper=np.array([2.0, 4.0]), lower=np.array([0.0, 2.0]),
-                   mix=np.array([0.5, 0.5]))
-    assert out.value.tolist() == [1.0, 3.0]
-    assert value_loss(out, np.array([1.0, 3.0]), LossConfig()) == 0.0
-    assert value_loss(out, np.array([0.0, 0.0]), LossConfig()) == pytest.approx(5.0)
+    raw = head([2.0, 4.0], [0.0, 2.0])
+    assert pi_output(raw).value.tolist() == [1.0, 3.0]
+    assert loss_of(raw, np.array([1.0, 3.0]), VALUE) == 0.0
+    assert loss_of(raw, np.array([0.0, 0.0]), VALUE) == pytest.approx(5.0)
 
 
 def test_interval_loss_penalty_free_when_everything_captured():
-    out = PIOutput(upper=np.full(8, 10.0), lower=np.full(8, -10.0), mix=np.full(8, 0.5))
+    upper, lower = np.full(8, 10.0), np.full(8, -10.0)
     y = np.linspace(-1.0, 1.0, 8)
-    cfg = LossConfig()
-    k = hard_capture(y, out.lower, out.upper)
-    assert interval_loss(out, y, cfg) == captured_mpiw(out.upper, out.lower, k) == 20.0
+    k = hard_capture(y, lower, upper)
+    assert loss_of(head(upper, lower), y, INTERVAL) == captured_mpiw(upper, lower, k) == 20.0
 
 
 def test_interval_loss_penalty_scales_linearly_in_coverage_penalty():
-    _, out, y = _random_case(3)
-    base = LossConfig(coverage_penalty=5.0)
-    double = LossConfig(coverage_penalty=10.0)
+    raw, out, y = _random_case(3)
+    base = LossConfig(coverage_penalty=5.0, variant="interval_only")
+    double = LossConfig(coverage_penalty=10.0, variant="interval_only")
     k = hard_capture(y, out.lower, out.upper)
     width = captured_mpiw(out.upper, out.lower, k)
-    p1 = interval_loss(out, y, base) - width
-    p2 = interval_loss(out, y, double) - width
+    p1 = loss_of(raw, y, base) - width
+    p2 = loss_of(raw, y, double) - width
     assert p1 > 0.0  # random tight case generates shortfall
     assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
@@ -288,64 +298,62 @@ def test_interval_loss_hand_arithmetic():
     # One captured sample of width 2 and one far miss, n=4, soften high
     # enough that soft coverage is exactly the miss pattern: picp_soft=0.75,
     # hinge = 0.95 - 0.75 = 0.2, penalty = 2 * 15 * 0.04 = 1.2.
-    out = PIOutput(upper=np.array([1.0, 1.0, 1.0, 1.0]),
-                   lower=np.array([-1.0, -1.0, -1.0, -1.0]),
-                   mix=np.full(4, 0.5))
+    raw = head(np.full(4, 1.0), np.full(4, -1.0))
     y = np.array([0.0, 0.0, 0.0, 50.0])
-    cfg = LossConfig(alpha=0.05, coverage_penalty=15.0, soften=160.0)
+    cfg = LossConfig(alpha=0.05, coverage_penalty=15.0, soften=160.0, variant="interval_only")
     want = 2.0 + math.sqrt(4.0) * 15.0 * 0.2 * 0.2
-    assert interval_loss(out, y, cfg) == pytest.approx(want, rel=1e-9)
+    assert loss_of(raw, y, cfg) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_joint_loss_is_the_stated_convex_combination(seed):
-    _, out, y = _random_case(seed)
+    raw, _, y = _random_case(seed)
+    interval, value = loss_of(raw, y, INTERVAL), loss_of(raw, y, VALUE)
     for weight in (0.0, 0.25, 0.5, 0.99, 1.0):
-        cfg = LossConfig(interval_weight=weight)
-        want = weight * interval_loss(out, y, cfg) + (1.0 - weight) * value_loss(out, y, cfg)
-        assert joint_loss(out, y, cfg) == pytest.approx(want, rel=1e-12)
+        want = weight * interval + (1.0 - weight) * value
+        assert loss_of(raw, y, LossConfig(interval_weight=weight)) == \
+            pytest.approx(want, rel=1e-12)
 
 
 def test_joint_loss_endpoints():
-    _, out, y = _random_case(5)
-    assert joint_loss(out, y, LossConfig(interval_weight=1.0)) == \
-        interval_loss(out, y, LossConfig())
-    assert joint_loss(out, y, LossConfig(interval_weight=0.0)) == \
-        value_loss(out, y, LossConfig())
+    raw, out, y = _random_case(5)
+    assert loss_of(raw, y, LossConfig(interval_weight=1.0)) == loss_of(raw, y, INTERVAL)
+    # At weight 0 the interval settings drop out and the value loss is left.
+    value = loss_of(raw, y, VALUE)
+    assert loss_of(raw, y, LossConfig(interval_weight=0.0, alpha=0.3, coverage_penalty=99.0,
+                                      soften=3.0)) == value
+    assert value == pytest.approx(oracle_value(out.upper, out.lower, out.mix, y, VALUE),
+                                  rel=1e-12)
 
 
 def test_joint_loss_is_affine_in_interval_weight():
-    _, out, y = _random_case(7)
-    lo = joint_loss(out, y, LossConfig(interval_weight=0.2))
-    hi = joint_loss(out, y, LossConfig(interval_weight=0.8))
-    mid = joint_loss(out, y, LossConfig(interval_weight=0.5))
+    raw, _, y = _random_case(7)
+    lo = loss_of(raw, y, LossConfig(interval_weight=0.2))
+    hi = loss_of(raw, y, LossConfig(interval_weight=0.8))
+    mid = loss_of(raw, y, LossConfig(interval_weight=0.5))
     assert mid == pytest.approx(0.5 * (lo + hi), rel=1e-12)
 
 
 def test_interval_only_equals_full_weight_joint():
-    _, out, y = _random_case(9)
-    cfg = LossConfig(variant="interval_only")
-    assert interval_only_loss(out, y, cfg) == joint_loss(out, y, LossConfig(interval_weight=1.0))
+    raw, _, y = _random_case(9)
+    assert loss_of(raw, y, INTERVAL) == loss_of(raw, y, LossConfig(interval_weight=1.0))
 
 
 def test_midpoint_loss_pins_the_mix_at_half():
-    raw, out, y = _random_case(11)
+    raw, _, y = _random_case(11)
     cfg = LossConfig(variant="midpoint")
-    pinned = PIOutput(upper=out.upper, lower=out.lower, mix=np.full(len(out), 0.5))
-    assert midpoint_loss(out, y, cfg) == pytest.approx(
-        joint_loss(pinned, y, LossConfig()), rel=1e-12)
     # A network emitting logit 0 hits mix 0.5 exactly, so the variants agree.
     raw0 = raw.copy()
     raw0[:, 2] = 0.0
-    assert head_loss(raw0, y, cfg) == head_loss(raw0, y, LossConfig(variant="joint"))
+    assert loss_of(raw, y, cfg) == pytest.approx(loss_of(raw0, y, LossConfig()), rel=1e-12)
+    assert loss_of(raw0, y, cfg) == loss_of(raw0, y, LossConfig(variant="joint"))
 
 
 def test_midpoint_value_term_vanishes_for_symmetric_intervals():
     y = np.array([0.3, -1.2, 2.0])
-    out = PIOutput(upper=y + 1.0, lower=y - 1.0, mix=np.full(3, 0.9))
-    cfg = LossConfig(variant="midpoint")
-    assert midpoint_loss(out, y, cfg) == pytest.approx(
-        0.5 * interval_loss(out, y, cfg), rel=1e-12)
+    raw = head(y + 1.0, y - 1.0, logit=2.2)  # mix ~0.9, ignored by the variant
+    assert loss_of(raw, y, LossConfig(variant="midpoint")) == pytest.approx(
+        0.5 * loss_of(raw, y, INTERVAL), rel=1e-12)
 
 
 def test_decoupled_loss_reads_the_raw_head():
@@ -353,19 +361,16 @@ def test_decoupled_loss_reads_the_raw_head():
     cfg = LossConfig(variant="decoupled")
     want = oracle_interval(out.upper, out.lower, y, cfg) + \
         sum(oracle_point(raw[i, 2], y[i], "squared") for i in range(len(y))) / len(y)
-    assert decoupled_loss(out, y, cfg) == pytest.approx(want, rel=1e-12)
+    assert loss_of(raw, y, cfg) == pytest.approx(want, rel=1e-12)
     # Raw head equal to the targets: the point term vanishes entirely.
     raw_hit = raw.copy()
     raw_hit[:, 2] = y
-    out_hit = pi_output(raw_hit)
-    assert decoupled_loss(out_hit, y, cfg) == pytest.approx(
-        interval_loss(out_hit, y, cfg), rel=1e-12)
+    assert loss_of(raw_hit, y, cfg) == pytest.approx(loss_of(raw_hit, y, INTERVAL), rel=1e-12)
 
 
 def test_decoupled_loss_requires_the_raw_head():
-    out = PIOutput(upper=np.ones(3), lower=np.zeros(3), mix=np.full(3, 0.5))
-    with pytest.raises(ConfigError):
-        decoupled_loss(out, np.zeros(3), LossConfig(variant="decoupled"))
+    with pytest.raises(ShapeError):
+        head_loss_and_grad(np.ones((3, 2)), np.zeros(3), LossConfig(variant="decoupled"))
 
 
 def test_decoupled_point_term_never_touches_the_bounds():
@@ -379,21 +384,24 @@ def test_decoupled_point_term_never_touches_the_bounds():
 @pytest.mark.parametrize("seed", range(8))
 def test_gaussian_nll_matches_oracle(seed):
     rng = np.random.default_rng(seed)
-    mean = rng.normal(size=10)
-    variance = rng.uniform(0.1, 3.0, size=10)
+    raw = np.column_stack([rng.normal(size=10), rng.uniform(-2.0, 3.0, size=10)])
     y = rng.normal(size=10)
-    want = oracle_gaussian(mean, variance, y)
-    assert gaussian_nll(mean, variance, y) == pytest.approx(want, rel=1e-12)
+    want = oracle_gaussian(*gaussian_link(raw), y)
+    assert loss_of(raw, y, GAUSSIAN) == pytest.approx(want, rel=1e-12)
 
 
 def test_gaussian_nll_examples():
     y = np.array([1.0, -2.0])
-    assert gaussian_nll(y, np.ones(2), y) == 0.0
-    assert gaussian_nll(y - 2.0, np.ones(2), y) == pytest.approx(2.0)
-    base = gaussian_nll(y - 1.0, np.ones(2), y)
-    assert gaussian_nll(y - 2.0, np.ones(2), y) == pytest.approx(4.0 * base)
-    with pytest.raises(ValueError):
-        gaussian_nll(y, np.array([1.0, 0.0]), y)
+    vraw = np.full(2, 0.5)
+    variance = gaussian_link(np.column_stack([y, vraw]))[1]
+
+    def nll(mean):
+        return loss_of(np.column_stack([mean, vraw]), y, GAUSSIAN)
+
+    base = nll(y)  # zero residual leaves the log-variance term alone
+    assert base == float(np.mean(0.5 * np.log(variance)))
+    assert nll(y - 2.0) - base == pytest.approx(float(np.mean(2.0 / variance)))
+    assert nll(y - 2.0) - base == pytest.approx(4.0 * (nll(y - 1.0) - base))
 
 
 def test_gaussian_link_floors_the_variance():
@@ -465,20 +473,26 @@ def test_head_gradients_cover_both_point_losses(point_loss):
 
 
 def test_head_loss_equals_public_losses():
+    # Each variant's loss equals its stated objective, built from the loops.
     raw, out, y = _random_case(21)
-    pairs = [
-        ("joint", joint_loss), ("interval_only", interval_only_loss),
-        ("midpoint", midpoint_loss), ("decoupled", decoupled_loss),
-    ]
-    for variant, fn in pairs:
-        cfg = LossConfig(variant=variant)
-        assert head_loss(raw, y, cfg) == pytest.approx(fn(out, y, cfg), rel=1e-12)
+    interval = oracle_interval(out.upper, out.lower, y, LossConfig())
+    w = LossConfig().interval_weight
+    half = np.full(len(y), 0.5)
+    expected = {
+        "joint": w * interval + (1.0 - w) * oracle_value(out.upper, out.lower, out.mix, y,
+                                                         LossConfig()),
+        "interval_only": interval,
+        "midpoint": w * interval + (1.0 - w) * oracle_value(out.upper, out.lower, half, y,
+                                                            LossConfig()),
+        "decoupled": interval + sum(oracle_point(raw[i, 2], y[i], "squared")
+                                    for i in range(len(y))) / len(y),
+    }
+    for variant, want in expected.items():
+        assert loss_of(raw, y, LossConfig(variant=variant)) == pytest.approx(want, rel=1e-12)
     rng = np.random.default_rng(3)
     raw2 = random_head(rng, 12, cols=2)
-    cfg = LossConfig(variant="gaussian_nll")
-    mean, variance = gaussian_link(raw2)
-    assert head_loss(raw2, y[:12], cfg) == pytest.approx(
-        gaussian_nll(mean, variance, y[:12]), rel=1e-12)
+    assert loss_of(raw2, y[:12], GAUSSIAN) == pytest.approx(
+        oracle_gaussian(*gaussian_link(raw2), y[:12]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +538,12 @@ def test_penalty_active_exactly_when_soft_coverage_falls_short(pairs, alpha):
     # coverage misses the 1 - alpha target.
     y = np.array([a for (a, _) in pairs])
     centers = np.array([b for (_, b) in pairs])
-    out = PIOutput(upper=centers + 1.0, lower=centers - 1.0,
-                   mix=np.full(len(pairs), 0.5))
-    lo = LossConfig(alpha=alpha, coverage_penalty=2.0)
-    hi = LossConfig(alpha=alpha, coverage_penalty=20.0)
-    soft = float(np.mean(soft_capture(y, out.lower, out.upper, lo.soften)))
-    increased = interval_loss(out, y, hi) > interval_loss(out, y, lo)
+    upper, lower = centers + 1.0, centers - 1.0
+    lo = LossConfig(alpha=alpha, coverage_penalty=2.0, variant="interval_only")
+    hi = LossConfig(alpha=alpha, coverage_penalty=20.0, variant="interval_only")
+    soft = float(np.mean(sigmoid(lo.soften * (y - lower)) * sigmoid(lo.soften * (upper - y))))
+    raw = head(upper, lower)
+    increased = loss_of(raw, y, hi) > loss_of(raw, y, lo)
     assert increased == (soft < 1.0 - alpha)
 
 

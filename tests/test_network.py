@@ -1,9 +1,8 @@
 """Network-module tests.
 
 The gradient oracle here is an independent finite-difference loop written
-in this file (not the package's own finite_diff_grad, which is itself under
-test): it perturbs each parameter and calls only the public forward-loss
-path.
+in this file: it perturbs each parameter in place, restores it, and reads
+the loss only through the public forward-loss path (``loss_value``).
 """
 
 import math
@@ -13,11 +12,8 @@ import pytest
 
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
 from pireg.losses import VARIANTS, LossConfig
-from pireg.network import (FeedForwardModel, backward, central_difference,
-                           copy_model, finite_diff_grad, forward,
-                           forward_gaussian, forward_raw, init_model,
-                           init_mean_variance_model, loss_value,
-                           model_is_finite)
+from pireg.network import (backward, forward, forward_gaussian, forward_raw,
+                           init_mean_variance_model, init_model, loss_value)
 
 
 def independent_fd(model, x, y, cfg, h=1e-5):
@@ -124,16 +120,6 @@ def test_forward_gaussian_positive_variance():
     assert np.all(variance > 0.0)
 
 
-def test_copy_model_is_independent():
-    model = init_model([2, 4, 3], seed=3)
-    twin = copy_model(model)
-    twin.weights[0][0, 0] += 1.0
-    assert model.weights[0][0, 0] != twin.weights[0][0, 0]
-    assert model_is_finite(model)
-    twin.biases[1][0] = np.inf
-    assert not model_is_finite(twin)
-
-
 # ---------------------------------------------------------------------------
 # Gradients.
 # ---------------------------------------------------------------------------
@@ -219,45 +205,3 @@ def test_backward_raises_on_non_finite_loss():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingDiverged):
             backward(model, np.ones((2, 1)), np.zeros(2), LossConfig())
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference helpers.
-# ---------------------------------------------------------------------------
-
-
-def test_central_difference_quadratic():
-    got = central_difference(lambda w: w * w, 3.0, h=1e-5)
-    assert abs(got - 6.0) <= 1e-6
-
-
-def test_central_difference_array_argument():
-    x = np.array([1.0, -2.0, 0.5])
-    got = central_difference(lambda v: float(np.sum(v ** 3)), x)
-    np.testing.assert_allclose(got, 3.0 * x ** 2, atol=1e-8)
-    assert x.tolist() == [1.0, -2.0, 0.5]  # restored in place
-
-
-def test_central_difference_rejects_bad_step():
-    with pytest.raises(ConfigError):
-        central_difference(lambda w: w, 1.0, h=0.0)
-    with pytest.raises(ConfigError):
-        central_difference(lambda w: w, 1.0, h=-1e-5)
-
-
-def test_finite_diff_grad_matches_backward_and_restores_params():
-    model = init_model([2, 4, 3], seed=23)
-    rng = np.random.default_rng(6)
-    randomized_params(model, rng)
-    before = [p.copy() for p in model.parameters()]
-    x = rng.uniform(-1.0, 1.0, size=(16, 2))
-    y = rng.normal(size=16)
-    cfg = LossConfig()
-    fd = finite_diff_grad(model, x, y, cfg)
-    _, an = backward(model, x, y, cfg)
-    worst = max(rel_err(g, f) for g, f in zip(an.parameters(), fd.parameters()))
-    assert worst <= 1e-4
-    for p, saved in zip(model.parameters(), before):
-        assert np.array_equal(p, saved)
-    with pytest.raises(ConfigError):
-        finite_diff_grad(model, x, y, cfg, h=0.0)
