@@ -15,9 +15,11 @@ with per-split records, aggregate mean/stderr blocks, and for sweeps a
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -267,17 +269,37 @@ def _base_path(path) -> str:
     return text[:-5] if text.endswith(".json") else text
 
 
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """Write to a temp file beside ``path``, then rename it over ``path``.
+
+    Readers see the old file or the whole new one, never a partial one; on
+    any failure the temp file is removed and the error propagates.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def emit_report(report, path) -> List[str]:
     """Write the canonical JSON plus flat CSV tables; returns written paths.
 
-    Write failures propagate as OSError (an I/O category, not a data error)
-    with the offending path attached.
+    Each file is replaced whole, so a failed write leaves no partial or
+    temp file.  Write failures propagate as OSError (an I/O category, not a
+    data error) with the offending path attached.
     """
     base = _base_path(path)
     written = []
     payload = dataclasses.asdict(report)
     json_path = base + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with _replacing(json_path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
     written.append(json_path)
@@ -293,7 +315,7 @@ def emit_report(report, path) -> List[str]:
 def _emit_run_tables(report: RunReport, base: str) -> List[str]:
     written = []
     metrics_path = base + "_metrics.csv"
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(metrics_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["split_index", "mode", "picp", "mpiw", "rmse", "mae", "n"])
         for s in report.splits:
@@ -303,7 +325,7 @@ def _emit_run_tables(report: RunReport, base: str) -> List[str]:
     written.append(metrics_path)
 
     agg_path = base + "_aggregate.csv"
-    with open(agg_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(agg_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "metric", "mean", "stderr"])
         for mode, agg in (("normalized", report.aggregate_normalized),
@@ -315,7 +337,7 @@ def _emit_run_tables(report: RunReport, base: str) -> List[str]:
 
     if any(s.predictions for s in report.splits):
         pred_path = base + "_predictions.csv"
-        with open(pred_path, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(pred_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["split_index", "y", "lower", "upper", "value"])
             for s in report.splits:
@@ -329,7 +351,7 @@ def _emit_sweep_tables(report: SweepReport, base: str) -> List[str]:
     written = []
     param_names = sorted({k for cell in report.cells for k in cell.params})
     cells_path = base + "_cells.csv"
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(cells_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(param_names + ["mode", "picp", "mpiw", "rmse", "mae", "n"])
         for cell in report.cells:
@@ -343,7 +365,7 @@ def _emit_sweep_tables(report: SweepReport, base: str) -> List[str]:
     for name, points in report.series.items():
         safe = name.replace("@", "_at_").replace("=", "_")
         series_path = f"{base}_series_{safe}.csv"
-        with open(series_path, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(series_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
             for x, y in points:

@@ -4,7 +4,8 @@ Verbs: train (one split), bench (multi-split benchmark), sweep-alpha,
 sweep-hparam, gen-data, report.  Configuration resolves as defaults ->
 catalog entry (--name) -> config file (--config) -> flags.  Exit codes:
 0 success, 2 configuration error, 3 data error, 4 training divergence,
-5 I/O error.  PIREG_OUT_DIR sets the default output directory.
+5 I/O error, 141 (128 + SIGPIPE) when the reader of stdout closed it early.
+PIREG_OUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
+EXIT_BROKEN_PIPE = 141
 
 OUT_DIR_ENV = "PIREG_OUT_DIR"
 
@@ -253,7 +255,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -263,6 +267,14 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except BrokenPipeError:
+        # A pipeline reader that stops early (`pireg report r.json | head -1`)
+        # is not a filesystem error.  Stdout now points at devnull, so the
+        # interpreter's flush at exit has nowhere left to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

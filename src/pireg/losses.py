@@ -177,29 +177,34 @@ def value_prediction(mix, upper, lower):
 
 # ---------------------------------------------------------------------------
 # Loss terms with analytic head gradients.  Each _*_terms helper returns the
-# scalar loss followed by its partials with respect to the head columns.
+# loss followed by its partials with respect to the head columns; every
+# reduction runs over the last (sample) axis, so leading member axes give one
+# loss per member.
 # ---------------------------------------------------------------------------
 
 
 def _interval_terms(upper, lower, y, cfg):
-    n = y.shape[0]
+    n = y.shape[-1]
     k_hard = ((lower <= y) & (y <= upper)).astype(float)
-    denom = max(float(np.sum(k_hard)), CAPTURE_EPS)
-    width_term = float(np.sum((upper - lower) * k_hard) / denom)
+    denom = np.maximum(np.sum(k_hard, axis=-1), CAPTURE_EPS)
+    width_term = np.sum((upper - lower) * k_hard, axis=-1) / denom
 
     a = sigmoid(cfg.soften * (y - lower))
     b = sigmoid(cfg.soften * (upper - y))
-    picp_soft = float(np.mean(a * b))
+    picp_soft = np.mean(a * b, axis=-1)
     gap = (1.0 - cfg.alpha) - picp_soft
-    hinge = max(gap, 0.0)
+    hinge = np.maximum(gap, 0.0)
     loss = width_term + math.sqrt(n) * cfg.coverage_penalty * hinge * hinge
 
-    d_upper = k_hard / denom
-    d_lower = -k_hard / denom
-    if hinge > 0.0:
-        scale = -2.0 * math.sqrt(n) * cfg.coverage_penalty * hinge / n
-        d_upper = d_upper + scale * (a * b * (1.0 - b) * cfg.soften)
-        d_lower = d_lower + scale * (-a * (1.0 - a) * b * cfg.soften)
+    d_upper = k_hard / denom[..., None]
+    d_lower = -k_hard / denom[..., None]
+    active = (hinge > 0.0)[..., None]
+    if np.any(active):
+        # Only members whose hinge is active take the coverage term, so the
+        # others keep exactly the width gradient (signed zeros included).
+        scale = (-2.0 * math.sqrt(n) * cfg.coverage_penalty * hinge / n)[..., None]
+        d_upper = np.where(active, d_upper + scale * (a * b * (1.0 - b) * cfg.soften), d_upper)
+        d_lower = np.where(active, d_lower + scale * (-a * (1.0 - a) * b * cfg.soften), d_lower)
     return loss, d_upper, d_lower
 
 
@@ -213,10 +218,10 @@ def _point_terms(pred, y, kind):
 
 
 def _value_terms(upper, lower, mix, y, cfg):
-    n = y.shape[0]
+    n = y.shape[-1]
     pred = lower + mix * (upper - lower)
     per_sample, d_pred = _point_terms(pred, y, cfg.point_loss)
-    loss = float(np.mean(per_sample))
+    loss = np.mean(per_sample, axis=-1)
     w = d_pred / n
     return loss, w * mix, w * (1.0 - mix), w * (upper - lower)
 
@@ -226,16 +231,16 @@ def _compose(cfg, li, lv):
 
 
 def _gaussian_terms(raw, y):
-    n = y.shape[0]
-    mean = raw[:, 0]
-    vraw = raw[:, 1]
+    n = y.shape[-1]
+    mean = raw[..., 0]
+    vraw = raw[..., 1]
     variance = softplus(vraw) + VARIANCE_FLOOR
     resid = y - mean
-    loss = float(np.mean(0.5 * np.log(variance) + resid * resid / (2.0 * variance)))
+    loss = np.mean(0.5 * np.log(variance) + resid * resid / (2.0 * variance), axis=-1)
     d_mean = (mean - y) / variance / n
     d_var = (0.5 / variance - 0.5 * resid * resid / (variance * variance)) / n
     d_vraw = d_var * sigmoid(vraw)
-    grad = np.column_stack([d_mean, d_vraw])
+    grad = np.stack([d_mean, d_vraw], axis=-1)
     return loss, grad
 
 
@@ -270,23 +275,25 @@ def head_loss_and_grad(raw, y, cfg):
 
     ``raw`` has columns (upper, lower, mix-logit) for the interval variants
     and (mean, raw-variance) for gaussian_nll.  This is the single entry
-    point the network's backward pass uses.
+    point the network's backward pass uses.  Leading axes index stacked
+    members: a (..., n, k) head with (..., n) or shared (n,) targets gives a
+    (...)-shaped loss, one per member, and a gradient shaped like ``raw``.
     """
     raw = np.asarray(raw, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or raw.ndim != 2 or raw.shape[0] != y.shape[0]:
+    if raw.ndim < 2 or y.shape not in (raw.shape[:-1], raw.shape[-2:-1]):
         raise ShapeError(f"head matrix {raw.shape} does not match targets {y.shape}")
-    if y.shape[0] < 1:
+    if y.shape[-1] < 1:
         raise ShapeError("batch must be non-empty")
 
     if cfg.variant == "gaussian_nll":
-        if raw.shape[1] != 2:
+        if raw.shape[-1] != 2:
             raise ShapeError("gaussian_nll needs a 2-column head matrix")
         return _gaussian_terms(raw, y)
 
-    if raw.shape[1] != 3:
+    if raw.shape[-1] != 3:
         raise ShapeError("interval variants need a 3-column head matrix")
-    upper, lower, logit = raw[:, 0], raw[:, 1], raw[:, 2]
+    upper, lower, logit = raw[..., 0], raw[..., 1], raw[..., 2]
     mix = squash_mix(logit)
 
     li, di_u, di_l = _interval_terms(upper, lower, y, cfg)
@@ -294,28 +301,28 @@ def head_loss_and_grad(raw, y, cfg):
 
     if cfg.variant == "interval_only":
         loss = li
-        grad[:, 0] = di_u
-        grad[:, 1] = di_l
+        grad[..., 0] = di_u
+        grad[..., 1] = di_l
     elif cfg.variant == "joint":
         lv, dv_u, dv_l, dv_mix = _value_terms(upper, lower, mix, y, cfg)
         loss = _compose(cfg, li, lv)
         w = cfg.interval_weight
-        grad[:, 0] = w * di_u + (1.0 - w) * dv_u
-        grad[:, 1] = w * di_l + (1.0 - w) * dv_l
-        grad[:, 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
+        grad[..., 0] = w * di_u + (1.0 - w) * dv_u
+        grad[..., 1] = w * di_l + (1.0 - w) * dv_l
+        grad[..., 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
     elif cfg.variant == "midpoint":
         half = np.full_like(upper, 0.5)
         lv, dv_u, dv_l, _ = _value_terms(upper, lower, half, y, cfg)
         loss = _compose(cfg, li, lv)
         w = cfg.interval_weight
-        grad[:, 0] = w * di_u + (1.0 - w) * dv_u
-        grad[:, 1] = w * di_l + (1.0 - w) * dv_l
+        grad[..., 0] = w * di_u + (1.0 - w) * dv_u
+        grad[..., 1] = w * di_l + (1.0 - w) * dv_l
     elif cfg.variant == "decoupled":
         per_sample, d_pred = _point_terms(logit, y, cfg.point_loss)
-        loss = li + float(np.mean(per_sample))
-        grad[:, 0] = di_u
-        grad[:, 1] = di_l
-        grad[:, 2] = d_pred / y.shape[0]
+        loss = li + np.mean(per_sample, axis=-1)
+        grad[..., 0] = di_u
+        grad[..., 1] = di_l
+        grad[..., 2] = d_pred / y.shape[-1]
     else:  # pragma: no cover - guarded by LossConfig validation
         raise ConfigError(f"unknown variant {cfg.variant!r}")
     return loss, grad

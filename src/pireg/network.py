@@ -5,11 +5,19 @@ the hidden layers and an identity head.  Interval models end in a 3-unit
 head read as (upper, lower, mix-logit); mean-variance models end in a
 2-unit head read as (mean, raw-variance).  Everything is float64 numpy;
 no computation graph, just cached activations and explicit backprop.
+
+Parameters live in one flat buffer per model, ``flat``, whose last axis
+holds w0, b0, w1, b1, ... and whose leading axes, if any, index ensemble
+members trained as one stack; ``weights`` and ``biases`` are per-layer
+views into it.  Every pass is written over trailing axes, so the same
+arithmetic serves one model and a stack of M: a stack's weights are
+(M, fan_in, fan_out), its features (M, n, d) or one shared (n, d) matrix,
+and its loss a length-M vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -21,13 +29,37 @@ INTERVAL_HEAD = 3
 GAUSSIAN_HEAD = 2
 
 
+def _parameter_count(layer_sizes) -> int:
+    """Length of one member's flat parameter vector."""
+    return sum(a * b + b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 @dataclass
 class FeedForwardModel:
-    """Layered dense network: weights[i] is (fan_in, fan_out), biases[i] is (fan_out,)."""
+    """Layered dense network over one flat parameter buffer.
+
+    flat is (..., n_params); weights[i] is a (..., fan_in, fan_out) view
+    into it and biases[i] a (..., fan_out) view, so writing through either
+    changes the buffer.
+    """
 
     layer_sizes: Tuple[int, ...]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    flat: np.ndarray
+    weights: List[np.ndarray] = field(init=False, repr=False)
+    biases: List[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape[-1:] != (_parameter_count(self.layer_sizes),):
+            raise ShapeError(f"{self.flat.shape} parameter buffer does not fit "
+                             f"layers {self.layer_sizes}")
+        lead = self.flat.shape[:-1]
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = offset + fan_in * fan_out
+            self.weights.append(self.flat[..., offset:end].reshape(lead + (fan_in, fan_out)))
+            self.biases.append(self.flat[..., end:end + fan_out])
+            offset = end + fan_out
 
     @property
     def input_dim(self) -> int:
@@ -46,19 +78,8 @@ class FeedForwardModel:
         return out
 
 
-@dataclass
-class GradientSet:
-    """Partial derivatives of a scalar loss, shaped exactly like the model."""
-
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-
-    def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+class GradientSet(FeedForwardModel):
+    """Partial derivatives of a loss, laid out exactly like the model."""
 
 
 def _validate_sizes(layer_sizes):
@@ -76,12 +97,11 @@ def _init_layers(sizes, seed):
     # hidden biases start at zero so a zero input propagates to exactly the
     # head biases through rectifier layers.
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+    model = FeedForwardModel(sizes, np.zeros(_parameter_count(sizes)))
+    for w in model.weights:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def init_model(layer_sizes, seed, head_bias_init=(3.0, -3.0)):
@@ -96,9 +116,9 @@ def init_model(layer_sizes, seed, head_bias_init=(3.0, -3.0)):
     if sizes[-1] != INTERVAL_HEAD:
         raise ConfigError(f"interval models need a 3-unit output layer, got {sizes[-1]}")
     u0, l0 = float(head_bias_init[0]), float(head_bias_init[1])
-    weights, biases = _init_layers(sizes, seed)
-    biases[-1] = np.array([u0, l0, 0.0])
-    return FeedForwardModel(sizes, weights, biases)
+    model = _init_layers(sizes, seed)
+    model.biases[-1][...] = [u0, l0, 0.0]
+    return model
 
 
 def init_mean_variance_model(layer_sizes, seed):
@@ -106,36 +126,38 @@ def init_mean_variance_model(layer_sizes, seed):
     sizes = _validate_sizes(layer_sizes)
     if sizes[-1] != GAUSSIAN_HEAD:
         raise ConfigError(f"mean-variance models need a 2-unit output layer, got {sizes[-1]}")
-    weights, biases = _init_layers(sizes, seed)
-    return FeedForwardModel(sizes, weights, biases)
+    return _init_layers(sizes, seed)
 
 
 def _check_features(model, features):
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ShapeError(f"features must be an (n, d) matrix, got shape {x.shape}")
-    if x.shape[1] != model.input_dim:
-        raise ShapeError(f"model expects {model.input_dim} features, got {x.shape[1]}")
+    if x.shape[-1] != model.input_dim:
+        raise ShapeError(f"model expects {model.input_dim} features, got {x.shape[-1]}")
     return x
 
 
 def _forward_cached(model, x):
-    # Returns the raw head matrix plus per-layer (pre-activation, activation)
-    # caches; the final layer is identity so raw == its pre-activation.
+    # Returns the raw head matrix plus every layer's input activation; the
+    # final layer is identity.  Adds and rectifiers run in place: for a
+    # stack, each temporary is M times larger and costs more to allocate
+    # than to fill.  A rectified unit is active exactly where its
+    # pre-activation is positive, so the activations alone drive backward.
     activations = [x]
-    pre = []
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return a, pre, activations
+        a = a @ w
+        a += b[..., None, :]
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+            activations.append(a)
+    return a, activations
 
 
 def forward_raw(model, features):
-    """Raw head matrix (n, output_dim) with no link functions applied."""
+    """Raw head matrix (..., n, output_dim) with no link functions applied."""
     x = _check_features(model, features)
     return _forward_cached(model, x)[0]
 
@@ -154,35 +176,46 @@ def forward_gaussian(model, features):
     return gaussian_link(forward_raw(model, features))
 
 
-def loss_value(model, features, targets, cfg: LossConfig) -> float:
-    """Scalar loss of the configured variant on one batch; no gradients."""
+def loss_value(model, features, targets, cfg: LossConfig):
+    """Loss of the configured variant on one batch, one per member; no gradients."""
     raw = forward_raw(model, features)
     return head_loss_and_grad(raw, np.asarray(targets, dtype=float), cfg)[0]
+
+
+def _first_bad(finite):
+    # Stack position of the first member whose value is not finite; None for
+    # a single model.
+    return int(np.flatnonzero(~finite)[0]) if finite.ndim else None
 
 
 def backward(model, features, targets, cfg: LossConfig):
     """Loss plus exact analytic gradients for every weight and bias.
 
     Reverse-mode accumulation: the loss module supplies d(loss)/d(raw head)
-    and this routine chains it through the affine/rectifier stack.
+    and this routine chains it through the affine/rectifier stack.  A
+    non-finite loss raises with ``member`` set to the first such member's
+    position in a stack.
     """
     x = _check_features(model, features)
     y = np.asarray(targets, dtype=float)
-    if x.shape[0] < 1:
+    if x.shape[-2] < 1:
         raise ShapeError("batch must be non-empty")
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"{x.shape[0]} rows but {y.shape[0]} targets")
+    if x.shape[:-1] != y.shape:
+        raise ShapeError(f"{x.shape[:-1]} rows but {y.shape} targets")
 
-    raw, pre, activations = _forward_cached(model, x)
+    raw, activations = _forward_cached(model, x)
     loss, delta = head_loss_and_grad(raw, y, cfg)
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss {loss!r}")
+    finite = np.isfinite(loss)
+    if not np.all(finite):
+        k = _first_bad(finite)
+        value = loss if k is None else loss.flat[k]
+        raise TrainingDiverged(f"non-finite loss {float(value)!r}", member=k)
 
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
+    grads = GradientSet(model.layer_sizes, np.empty_like(model.flat))
     for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads.weights[i])
+        np.sum(delta, axis=-2, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
-    return loss, GradientSet(grad_w, grad_b)
+            delta = delta @ model.weights[i].swapaxes(-1, -2)
+            delta *= activations[i] > 0.0
+    return loss, grads

@@ -1,27 +1,31 @@
-"""Adam optimizer with an exponential per-epoch learning-rate decay."""
+"""Adam optimizer with an exponential per-epoch learning-rate decay.
+
+The moments are flat buffers shaped like the model's ``flat`` parameter
+buffer, leading member axes included, so one step is a single fused
+element-wise update over every parameter of every stacked member.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .network import FeedForwardModel, GradientSet
+from .network import FeedForwardModel, GradientSet, _first_bad
 
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus the step counter.
+    """Moment accumulators shaped like model.flat, plus the step counter.
 
-    Moment lists mirror model.parameters() order (weights and biases
-    interleaved per layer).  learning_rate is mutated by
-    :func:`decay_learning_rate` at epoch boundaries.
+    learning_rate is mutated by :func:`decay_learning_rate` at epoch
+    boundaries.  Stacked members share the step counter and the learning
+    rate, since they step in lock-step.
     """
 
-    first_moment: List[np.ndarray]
-    second_moment: List[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int
     learning_rate: float
     decay: float
@@ -38,10 +42,9 @@ def init_adam(model: FeedForwardModel, learning_rate=0.01, decay=0.999,
         raise ConfigError(f"decay must lie in (0, 1], got {decay}")
     if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
         raise ConfigError("moment factors must lie in [0, 1)")
-    params = model.parameters()
     return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=np.zeros_like(model.flat),
+        second_moment=np.zeros_like(model.flat),
         step=0,
         learning_rate=float(learning_rate),
         decay=float(decay),
@@ -56,28 +59,27 @@ def adam_step(state: AdamState, model: FeedForwardModel, grads: GradientSet):
 
     update = lr * m_hat / (sqrt(v_hat) + eps), with the usual 1 - beta^t
     corrections.  Raises on non-finite gradients rather than poisoning the
-    accumulators.
+    accumulators; in a stack, ``member`` names the first such member.
     """
-    params = model.parameters()
-    gs = grads.parameters()
-    if len(params) != len(state.first_moment) or len(params) != len(gs):
-        raise ShapeError("gradient/state tensor count does not match the model")
-    for p, g in zip(params, gs):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged("non-finite gradient")
+    p, g = model.flat, grads.flat
+    if grads.layer_sizes != model.layer_sizes or g.shape != p.shape \
+            or state.first_moment.shape != p.shape:
+        raise ShapeError(f"gradient {grads.layer_sizes} {g.shape} does not match "
+                         f"model {model.layer_sizes} {p.shape}")
+    finite = np.all(np.isfinite(g), axis=-1)
+    if not np.all(finite):
+        raise TrainingDiverged("non-finite gradient", member=_first_bad(finite))
 
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, gs, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return model, state
 
 

@@ -1,14 +1,24 @@
-"""Mini-batch training with early stopping on a validation split.
+"""Mini-batch training of an ensemble as one stack, with early stopping.
 
-Each epoch shuffles the training rows with its own seeded stream, walks the
-batches, then scores the validation set.  The best-validation parameters are
-kept and restored at the end, so the returned model is the early-stopping
-winner, not the last iterate.  Non-finite losses or gradients abort with the
-epoch/batch/member context attached.
+All M members train together: their parameters sit in one (M, n_params)
+buffer (see :mod:`pireg.network`), so each step is one stacked forward and
+backward pass and one fused Adam update, and a member that stops early
+leaves the stack.  Member j keeps everything it would have trained alone:
+its init seed base_seed + j, its own shuffle stream, its best-score
+snapshot, patience counter and history.  Every per-member quantity is
+computed by the same arithmetic as for a single model, so the result is
+bit-identical to training the members one after another.
+
+Each epoch shuffles every member's rows with its own seeded stream, walks
+the batches, then scores the validation set.  The best-validation
+parameters are kept and restored at the end, so each returned model is the
+early-stopping winner, not the last iterate.  Non-finite losses or
+gradients abort with the member/epoch/batch context attached.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -40,82 +50,116 @@ def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardMo
 
 def train_single(config: ExperimentConfig, train: Dataset,
                  valid: Optional[Dataset], seed) -> Tuple[FeedForwardModel, TrainingHistory]:
-    """Train one model; returns the best-validation parameters and history.
+    """Train one model: a one-member ensemble whose base seed is ``seed``."""
+    models, histories = train_ensemble(dataclasses.replace(config, ensemble_size=1),
+                                       train, valid, seed)
+    return models[0], histories[0]
 
-    With no validation set the epoch-mean training loss drives early
-    stopping instead.  patience=0 stops at the first epoch that fails to
-    improve.
-    """
-    opt = config.optimizer
-    model = build_model(config, train.dim, seed)
-    state = init_adam(model, opt.learning_rate, opt.decay)
-    shuffle_rng = np.random.default_rng([seed, 1])
 
-    x, y = train.features, train.targets
-    n = train.n
-    history = TrainingHistory()
-    best = np.inf
-    best_params = None
-    bad = 0
+def _diverged(member, message, cause, epoch, batch_index=None):
+    error = TrainingDiverged(f"member {member}: {message}", epoch=epoch,
+                             batch_index=batch_index, member=member)
+    error.__cause__ = cause
+    return error
 
-    for epoch in range(1, opt.max_epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        batch_losses = []
-        for batch_index, start in enumerate(range(0, n, opt.batch_size)):
-            idx = perm[start:start + opt.batch_size]
-            try:
-                loss, grads = backward(model, x[idx], y[idx], config.loss)
-                adam_step(state, model, grads)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(
-                    f"diverged at epoch {epoch}, batch {batch_index}: {exc}",
-                    epoch=epoch, batch_index=batch_index) from exc
-            batch_losses.append(loss)
-        epoch_loss = float(np.mean(batch_losses))
 
-        if valid is not None and valid.n > 0:
-            score = loss_value(model, valid.features, valid.targets, config.loss)
-        else:
-            score = epoch_loss
-        if not np.isfinite(score):
-            raise TrainingDiverged(
-                f"non-finite validation loss {score!r} at epoch {epoch}", epoch=epoch)
-
-        history.train_loss.append(epoch_loss)
-        history.val_loss.append(float(score))
-        history.epochs_run = epoch
-
-        if score < best:
-            best = score
-            best_params = ([w.copy() for w in model.weights],
-                           [b.copy() for b in model.biases])
-            history.best_epoch = epoch
-            bad = 0
-        else:
-            bad += 1
-            if bad > opt.patience:
-                break
-        decay_learning_rate(state)
-
-    if best_params is not None:
-        model.weights = best_params[0]
-        model.biases = best_params[1]
-    return model, history
+def _keep(stack, state, rows):
+    # The stack and its optimizer state restricted to the given member rows.
+    state.first_moment = state.first_moment[rows]
+    state.second_moment = state.second_moment[rows]
+    return FeedForwardModel(stack.layer_sizes, stack.flat[rows])
 
 
 def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dataset],
                    base_seed) -> Tuple[List[FeedForwardModel], List[TrainingHistory]]:
-    """Independently train ensemble_size members with seeds base_seed + j."""
-    models, histories = [], []
-    for j in range(config.ensemble_size):
-        try:
-            model, history = train_single(config, train, valid, base_seed + j)
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(f"member {j}: {exc}", epoch=exc.epoch,
-                                   batch_index=exc.batch_index, member=j) from exc
-        models.append(model)
-        histories.append(history)
-    return models, histories
+    """Train ensemble_size members with seeds base_seed + j, as one stack.
+
+    Returns each member's best-validation parameters and its history.  With
+    no validation set the epoch-mean training loss drives early stopping
+    instead.  patience=0 stops at the first epoch that fails to improve.
+
+    If member j diverges, members j and above leave the stack and the lower
+    ones train on; j's error is raised once they finish, unless a lower
+    member diverges too.  That is the error the members would raise trained
+    one after another.
+    """
+    opt = config.optimizer
+    seeds = [base_seed + j for j in range(config.ensemble_size)]
+    members = [build_model(config, train.dim, seed) for seed in seeds]
+    stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))
+    state = init_adam(stack, opt.learning_rate, opt.decay)
+    shuffles = [np.random.default_rng([seed, 1]) for seed in seeds]
+    histories = [TrainingHistory() for _ in seeds]
+    best_flat = stack.flat.copy()
+    best = [np.inf] * len(seeds)
+    bad = [0] * len(seeds)
+    active = list(range(len(seeds)))  # the member in each stack row
+    failure = None
+
+    x, y = train.features, train.targets
+    starts = range(0, train.n, opt.batch_size)
+    for epoch in range(1, opt.max_epochs + 1):
+        if not active:
+            break
+        perm = np.stack([shuffles[j].permutation(train.n) for j in active])
+        # One contiguous row of batch losses per member, so each member's
+        # epoch mean sums in the order a lone model's would.
+        losses = np.empty((len(active), len(starts)))
+        for batch_index, start in enumerate(starts):
+            while active:
+                idx = perm[:len(active), start:start + opt.batch_size]
+                try:
+                    loss, grads = backward(stack, x[idx], y[idx], config.loss)
+                    adam_step(state, stack, grads)
+                except TrainingDiverged as exc:
+                    k = exc.member
+                    failure = _diverged(active[k], f"diverged at epoch {epoch}, "
+                                        f"batch {batch_index}: {exc}", exc, epoch, batch_index)
+                    active = active[:k]
+                    stack = _keep(stack, state, slice(k))
+                    continue
+                losses[:len(active), batch_index] = loss
+                break
+        if not active:
+            break
+        epoch_loss = np.mean(losses[:len(active)], axis=-1)
+
+        if valid is not None and valid.n > 0:
+            score = loss_value(stack, valid.features, valid.targets, config.loss)
+        else:
+            score = epoch_loss
+        finite = np.isfinite(score)
+        if not np.all(finite):
+            k = int(np.flatnonzero(~finite)[0])
+            failure = _diverged(active[k], f"non-finite validation loss {float(score[k])!r} "
+                                f"at epoch {epoch}", None, epoch)
+            active = active[:k]
+            stack = _keep(stack, state, slice(k))
+
+        rows = []
+        for k, j in enumerate(active):
+            history = histories[j]
+            history.train_loss.append(float(epoch_loss[k]))
+            history.val_loss.append(float(score[k]))
+            history.epochs_run = epoch
+            if score[k] < best[j]:
+                best[j] = score[k]
+                best_flat[j] = stack.flat[k]
+                history.best_epoch = epoch
+                bad[j] = 0
+            else:
+                bad[j] += 1
+                if bad[j] > opt.patience:
+                    continue
+            rows.append(k)
+        if len(rows) < len(active):
+            active = [active[k] for k in rows]
+            stack = _keep(stack, state, rows)
+        decay_learning_rate(state)
+
+    if failure is not None:
+        raise failure
+    return [FeedForwardModel(stack.layer_sizes, row) for row in best_flat], histories
 
 
 def carve_validation(train: Dataset, fraction: float, seed, split_index: int

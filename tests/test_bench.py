@@ -2,6 +2,7 @@
 report emission/parsing round-trips, sweeps, and failure accounting."""
 
 import dataclasses
+import errno
 import json
 import statistics
 
@@ -322,3 +323,18 @@ def test_ensemble_predict_matches_member_forward():
                             member_values=[point_prediction(o, "joint") for o in outputs])
     assert np.array_equal(out.upper, expected.upper)
     assert np.array_equal(out.value, expected.value)
+
+
+def test_failed_emit_leaves_no_partial_or_temp_file(tiny_report, tmp_path, monkeypatch):
+    emit_report(tiny_report, tmp_path / "old.json")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"kind": ')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    for name in ("new.json", "old.json"):
+        with pytest.raises(OSError, match="No space left"):
+            emit_report(tiny_report, tmp_path / name)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

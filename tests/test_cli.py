@@ -1,7 +1,8 @@
 """CLI tests: exit codes per failure category, flag precedence, file outputs,
-and the report/gen-data verbs.  All in-process through main(argv) except two
-help checks that run the entry point declared in pyproject.toml out of process,
-the way the installed `pireg` console script would."""
+and the report/gen-data verbs.  All in-process through main(argv) except the
+help and closed-pipe checks, which run the entry point declared in
+pyproject.toml out of process, the way the installed `pireg` console script
+would."""
 
 import json
 import os
@@ -15,8 +16,8 @@ import pytest
 
 import pireg
 from pireg.bench import load_report
-from pireg.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO, EXIT_OK,
-                       OUT_DIR_ENV, main)
+from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO,
+                       EXIT_OK, OUT_DIR_ENV, main)
 from pireg.data import load_delimited
 
 FAST = ["--data-n", "40", "--hidden", "8", "--max-epochs", "8",
@@ -218,9 +219,10 @@ sys.exit(getattr(importlib.import_module(module), func)())
 """
 
 
-def run_pireg(*args):
+def run_pireg(*args, stdout=subprocess.PIPE, **env_vars):
     """Run the `pireg` entry point declared in pyproject.toml in a fresh
-    interpreter, against the same pireg package this session imported."""
+    interpreter, against the same pireg package this session imported, with
+    env_vars added to its environment."""
     text = PYPROJECT.read_text(encoding="utf-8")
     scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text,
                         re.MULTILINE | re.DOTALL)
@@ -228,11 +230,11 @@ def run_pireg(*args):
     entry = re.search(r'^pireg\s*=\s*"([^"]+)"', scripts.group(1), re.MULTILINE)
     assert entry, "pyproject.toml declares no pireg script"
     package_root = str(Path(pireg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", _WRAPPER, entry.group(1), *args],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_installed_entry_point_help():
@@ -247,3 +249,22 @@ def test_gen_data_help_lists_flags():
     proc = run_pireg("gen-data", "--help")
     assert proc.returncode == 0
     assert "--out" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_141_without_a_message(tmp_path, unbuffered):
+    # A pipe whose read end is already closed fails the first write every
+    # time, where `pireg report ... | head -1` would race head's exit.  A
+    # block-buffered stdout (PYTHONUNBUFFERED empty) first writes when it is
+    # flushed, an unbuffered one at the first print.
+    out = tmp_path / "r"
+    assert main(["train", *FAST, "--out", str(out)]) == EXIT_OK
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_pireg("report", f"{out}.json", stdout=write_end,
+                         PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

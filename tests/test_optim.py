@@ -14,18 +14,12 @@ from pireg.optim import adam_step, decay_learning_rate, init_adam
 
 
 def scalar_model(value):
-    return FeedForwardModel(
-        layer_sizes=(1, 1),
-        weights=[np.array([[float(value)]])],
-        biases=[np.array([0.0])],
-    )
+    # One weight, then one bias, in the flat buffer.
+    return FeedForwardModel(layer_sizes=(1, 1), flat=np.array([float(value), 0.0]))
 
 
 def grad_like(model, fill):
-    return GradientSet(
-        [np.full_like(w, fill) for w in model.weights],
-        [np.full_like(b, fill) for b in model.biases],
-    )
+    return GradientSet(model.layer_sizes, np.full_like(model.flat, fill))
 
 
 def hand_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -105,11 +99,10 @@ def test_adam_step_rejects_mismatched_shapes():
     model = init_model([2, 4, 3], seed=0)
     state = init_adam(model)
     other = init_model([2, 5, 3], seed=0)
-    bad = GradientSet([np.zeros_like(w) for w in other.weights],
-                      [np.zeros_like(b) for b in other.biases])
+    bad = GradientSet(other.layer_sizes, np.zeros_like(other.flat))
     with pytest.raises(ShapeError):
         adam_step(state, model, bad)
-    shorter = GradientSet([np.zeros((2, 4))], [np.zeros(4)])
+    shorter = GradientSet((2, 4), np.zeros(12))
     with pytest.raises(ShapeError):
         adam_step(state, model, shorter)
 

@@ -1,5 +1,10 @@
 """Tests for the mini-batch trainer: early stopping, determinism, divergence
-diagnostics, ensemble fan-out, and validation carving."""
+diagnostics, ensemble fan-out, and validation carving.
+
+The stacked trainer's oracle is ``sequential_ensemble`` below: it trains
+the members one after another, each alone through the single-model path of
+``backward``, ``adam_step`` and ``loss_value``, and must agree bit for bit.
+"""
 
 import numpy as np
 import pytest
@@ -8,9 +13,10 @@ from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
 from pireg.data import Dataset, apply_normalize, fit_normalize, gen_sine
 from pireg.errors import TrainingDiverged
 from pireg.losses import LossConfig, hard_capture
-from pireg.network import forward, loss_value
-from pireg.training import (build_model, carve_validation, train_ensemble,
-                            train_single)
+from pireg.network import FeedForwardModel, backward, forward, loss_value
+from pireg.optim import adam_step, decay_learning_rate, init_adam
+from pireg.training import (TrainingHistory, build_model, carve_validation,
+                            train_ensemble, train_single)
 
 
 def small_config(**optimizer_overrides):
@@ -228,3 +234,172 @@ def test_sine_smoke_reaches_high_train_coverage():
     coverage = float(np.mean(hard_capture(data.targets, out.lower, out.upper)))
     assert coverage >= 0.9
     assert hist.epochs_run <= 2000
+
+
+# ---------------------------------------------------------------------------
+# The stacked trainer against the per-member loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def sequential_member(config, train, valid, seed):
+    opt = config.optimizer
+    model = build_model(config, train.dim, seed)
+    state = init_adam(model, opt.learning_rate, opt.decay)
+    shuffle_rng = np.random.default_rng([seed, 1])
+
+    x, y = train.features, train.targets
+    n = train.n
+    history = TrainingHistory()
+    best = np.inf
+    best_flat = None
+    bad = 0
+
+    for epoch in range(1, opt.max_epochs + 1):
+        perm = shuffle_rng.permutation(n)
+        batch_losses = []
+        for batch_index, start in enumerate(range(0, n, opt.batch_size)):
+            idx = perm[start:start + opt.batch_size]
+            try:
+                loss, grads = backward(model, x[idx], y[idx], config.loss)
+                adam_step(state, model, grads)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(
+                    f"diverged at epoch {epoch}, batch {batch_index}: {exc}",
+                    epoch=epoch, batch_index=batch_index) from exc
+            batch_losses.append(loss)
+        epoch_loss = float(np.mean(batch_losses))
+
+        if valid is not None and valid.n > 0:
+            score = loss_value(model, valid.features, valid.targets, config.loss)
+        else:
+            score = epoch_loss
+        if not np.isfinite(score):
+            raise TrainingDiverged(
+                f"non-finite validation loss {float(score)!r} at epoch {epoch}", epoch=epoch)
+
+        history.train_loss.append(epoch_loss)
+        history.val_loss.append(float(score))
+        history.epochs_run = epoch
+
+        if score < best:
+            best = score
+            best_flat = model.flat.copy()
+            history.best_epoch = epoch
+            bad = 0
+        else:
+            bad += 1
+            if bad > opt.patience:
+                break
+        decay_learning_rate(state)
+
+    if best_flat is not None:
+        model = FeedForwardModel(model.layer_sizes, best_flat)
+    return model, history
+
+
+def sequential_ensemble(config, train, valid, base_seed):
+    models, histories = [], []
+    for j in range(config.ensemble_size):
+        try:
+            model, history = sequential_member(config, train, valid, base_seed + j)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"member {j}: {exc}", epoch=exc.epoch,
+                                   batch_index=exc.batch_index, member=j) from exc
+        models.append(model)
+        histories.append(history)
+    return models, histories
+
+
+def stack_config(variant="joint", hidden=(12,), members=4, **optimizer):
+    opt = dict(learning_rate=0.02, decay=0.999, batch_size=10, max_epochs=40,
+               patience=40, validation_fraction=0.0)
+    opt.update(optimizer)
+    return ExperimentConfig(name="stack", model=ModelSpec(hidden_sizes=hidden),
+                            loss=LossConfig(variant=variant),
+                            optimizer=OptimizerSpec(**opt), ensemble_size=members)
+
+
+def assert_same_training(config, train, valid, base_seed=11):
+    models, histories = train_ensemble(config, train, valid, base_seed)
+    want_models, want_histories = sequential_ensemble(config, train, valid, base_seed)
+    assert len(models) == len(histories) == config.ensemble_size
+    for model, want in zip(models, want_models):
+        assert model.layer_sizes == want.layer_sizes
+        for got_w, want_w in zip(model.weights, want.weights):
+            assert np.array_equal(got_w, want_w)
+        for got_b, want_b in zip(model.biases, want.biases):
+            assert np.array_equal(got_b, want_b)
+    for history, want in zip(histories, want_histories):
+        assert history.train_loss == want.train_loss
+        assert history.val_loss == want.val_loss
+        assert history.best_epoch == want.best_epoch
+        assert history.epochs_run == want.epochs_run
+    return histories
+
+
+def test_stacked_full_batch_joint_matches_sequential():
+    histories = assert_same_training(
+        stack_config(hidden=(32,), members=3, batch_size=40, max_epochs=80, patience=80),
+        sine_train(), None)
+    assert [h.epochs_run for h in histories] == [80, 80, 80]
+
+
+def test_stacked_members_stopping_at_different_epochs_match_sequential():
+    # 52 rows of batch 6: eight full batches and a partial one of 4.  Nine
+    # batch losses per epoch take numpy's unrolled pairwise summation, which
+    # a mean over anything but a contiguous row would reorder.
+    train, valid = carve_validation(sine_train(n=70), 0.25, seed=5, split_index=0)
+    assert train.n % 6 == 4
+    cfg = stack_config(hidden=(16, 8), members=5, batch_size=6, max_epochs=150,
+                       patience=3, learning_rate=0.05)
+    histories = assert_same_training(cfg, train, valid)
+    assert len({h.epochs_run for h in histories}) > 1
+    assert max(h.epochs_run for h in histories) < 150
+
+
+@pytest.mark.parametrize("variant", ["gaussian_nll", "decoupled", "midpoint", "interval_only"])
+def test_stacked_variants_match_sequential(variant):
+    data = sine_train(n=60)
+    rng = np.random.default_rng(2)
+    wide = Dataset(np.column_stack([data.features, rng.normal(size=(data.n, 2))]), data.targets)
+    train, valid = carve_validation(wide, 0.2, seed=5, split_index=1)
+    assert_same_training(stack_config(variant, members=3, batch_size=17, max_epochs=50,
+                                      patience=5), train, valid)
+
+
+def raised(train_fn, *args):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
+        train_fn(*args)
+    exc = err.value
+    return exc.member, exc.epoch, exc.batch_index, str(exc)
+
+
+@pytest.mark.parametrize("learning_rate", [8e52, 3.5e53])
+def test_stacked_divergence_raises_the_sequential_error(learning_rate):
+    # Steps this large overflow a member's network after a number of epochs
+    # that depends on its seed.  At 8e52 members 2, 3 and 4 diverge at epochs
+    # 8, 5 and 10, so the stack drops 3 and 4 first, then 2, and must still
+    # report member 2; at 3.5e53 the loss itself turns non-finite.
+    data = sine_train()
+    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
+                       learning_rate=learning_rate, decay=1.0)
+    epochs = set()
+    for j in range(cfg.ensemble_size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                sequential_member(cfg, data, None, 11 + j)
+            except TrainingDiverged as exc:
+                epochs.add(exc.epoch)
+    assert len(epochs) > 1
+    got = raised(train_ensemble, cfg, data, None, 11)
+    assert got == raised(sequential_ensemble, cfg, data, None, 11)
+
+
+def test_stacked_validation_divergence_raises_the_sequential_error():
+    data = sine_train()
+    valid = Dataset(data.features * 1e300, data.targets)
+    cfg = stack_config(members=3)
+    got = raised(train_ensemble, cfg, data, valid, 11)
+    assert got == raised(sequential_ensemble, cfg, data, valid, 11)
+    assert got[0] == 0 and got[2] is None
+    assert "non-finite validation loss" in got[3]
