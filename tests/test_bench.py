@@ -4,6 +4,7 @@ report emission/parsing round-trips, sweeps, and failure accounting."""
 import dataclasses
 import errno
 import json
+import math
 import statistics
 
 import numpy as np
@@ -25,8 +26,9 @@ from pireg.bench import (
 )
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
                           SplitPlan, config_to_dict)
+from pireg.ensemble import z_score
 from pireg.errors import ConfigError, DataError, TrainingDiverged
-from pireg.losses import LossConfig
+from pireg.losses import MIX_EPS, VARIANCE_FLOOR, LossConfig
 from pireg.metrics import METRIC_NAMES, aggregate_splits
 
 
@@ -310,19 +312,74 @@ def test_sweeps_reject_empty_grids():
         run_hyperparam_sweep(cfg, [0.5], [])
 
 
-def test_ensemble_predict_matches_member_forward():
-    from pireg.network import forward, init_model
-    from pireg.losses import point_prediction
-    from pireg.ensemble import aggregate_pi
+def _member_head(model, x):
+    # One member's raw head: affine layers, rectifier on the hidden ones.
+    a = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w + b
+        if i < len(model.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a
 
-    models = [init_model([1, 4, 3], seed=s) for s in (0, 1, 2)]
-    x = np.linspace(-1, 1, 7).reshape(-1, 1)
-    out = ensemble_predict(models, x, "joint", alpha=0.05)
-    outputs = [forward(m, x) for m in models]
-    expected = aggregate_pi(outputs, 0.05,
-                            member_values=[point_prediction(o, "joint") for o in outputs])
-    assert np.array_equal(out.upper, expected.upper)
-    assert np.array_equal(out.value, expected.value)
+
+def _mean(values):
+    return sum(values) / len(values)
+
+
+def _std(values):
+    # Sample std across members; one member carries no spread.
+    if len(values) == 1:
+        return 0.0
+    m = _mean(values)
+    return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+
+
+def _oracle_row(heads, variant, alpha):
+    """(upper, lower, value, sigma_upper, sigma_lower) for one sample's member heads."""
+    z = z_score(alpha)
+    if variant == "gaussian_nll":
+        means = [h[0] for h in heads]
+        variances = [math.log1p(math.exp(-abs(h[1]))) + max(h[1], 0.0) + VARIANCE_FLOOR
+                     for h in heads]
+        mu = _mean(means)
+        sigma = math.sqrt(_mean(variances) + _mean([(m - mu) ** 2 for m in means]))
+        return mu + z * sigma, mu - z * sigma, mu, sigma, sigma
+    uppers = [h[0] for h in heads]
+    lowers = [h[1] for h in heads]
+    if variant == "joint":
+        mixes = [min(max(1.0 / (1.0 + math.exp(-h[2])), MIX_EPS), 1.0 - MIX_EPS) for h in heads]
+        values = [lo + m * (up - lo) for up, lo, m in zip(uppers, lowers, mixes)]
+    elif variant in ("interval_only", "midpoint"):
+        values = [lo + 0.5 * (up - lo) for up, lo in zip(uppers, lowers)]
+    else:
+        assert variant == "decoupled"
+        values = [h[2] for h in heads]
+    s_u, s_l = _std(uppers), _std(lowers)
+    return _mean(uppers) + z * s_u, _mean(lowers) - z * s_l, _mean(values), s_u, s_l
+
+
+def test_ensemble_predict_matches_member_forward():
+    from pireg.network import init_mean_variance_model, init_model
+
+    x = np.random.default_rng(3).normal(size=(7, 2))
+    alpha = 0.1
+    for variant in ("joint", "interval_only", "midpoint", "decoupled", "gaussian_nll"):
+        for size in (1, 3):
+            if variant == "gaussian_nll":
+                models = [init_mean_variance_model([2, 5, 2], seed=s) for s in range(size)]
+            else:
+                models = [init_model([2, 5, 3], seed=s) for s in range(size)]
+                for s, model in enumerate(models):
+                    # Spread the head so bounds and mixing weights differ by member.
+                    model.biases[-1][...] += np.random.default_rng(10 + s).normal(size=3)
+            heads = [_member_head(m, x) for m in models]
+            want = np.array([_oracle_row([h[i] for h in heads], variant, alpha)
+                             for i in range(x.shape[0])])
+            out = ensemble_predict(models, x, variant, alpha)
+            got = np.column_stack([out.upper, out.lower, out.value,
+                                   out.sigma_upper, out.sigma_lower])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{variant}, {size} member(s)")
 
 
 def test_failed_emit_leaves_no_partial_or_temp_file(tiny_report, tmp_path, monkeypatch):
