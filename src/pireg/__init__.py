@@ -19,15 +19,13 @@ from .data import (Dataset, NormStats, SplitSpec, apply_normalize, denormalize_t
 from .ensemble import (EnsembleOutput, aggregate_gaussian, aggregate_pi,
                        normal_quantile, z_score)
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
-from .losses import (LossConfig, PIOutput, captured_mpiw, gaussian_link, hard_capture,
-                     head_loss_and_grad, point_prediction, sigmoid, softplus, squash_mix,
-                     value_prediction)
+from .losses import (LossConfig, captured_mpiw, gaussian_link, hard_capture,
+                     head_loss_and_grad, interval_link, sigmoid, softplus, squash_mix)
 from .metrics import (MetricSummary, MetricsRecord, aggregate_splits, mae,
                       metrics_record, mpiw, picp, rmse)
-from .network import (FeedForwardModel, GradientSet, backward, forward, forward_gaussian,
-                      forward_raw, init_mean_variance_model, init_model, loss_value)
+from .network import (FeedForwardModel, GradientSet, backward, forward,
+                      init_mean_variance_model, init_model, loss_value)
 from .optim import AdamState, adam_step, decay_learning_rate, init_adam
-from .training import (TrainingHistory, build_model, carve_validation, train_ensemble,
-                       train_single)
+from .training import TrainingHistory, build_model, carve_validation, train_ensemble
 
 __version__ = "0.1.0"

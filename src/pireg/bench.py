@@ -31,9 +31,9 @@ from .data import (Dataset, SplitSpec, denormalize_targets, fit_normalize, gen_f
                    gen_sine, apply_normalize, load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
-from .losses import point_prediction
+from .losses import gaussian_link, interval_link
 from .metrics import MetricSummary, MetricsRecord, aggregate_splits, metrics_record
-from .network import forward, forward_gaussian
+from .network import forward
 from .training import carve_validation, train_ensemble
 
 REPORT_VERSION = 1
@@ -97,17 +97,16 @@ def load_dataset(spec: DataSpec, seed) -> Dataset:
 
 
 def ensemble_predict(models, features, variant: str, alpha: float) -> EnsembleOutput:
-    """Aggregate member predictions on a feature matrix."""
+    """Aggregate member predictions on a feature matrix.
+
+    Members are forwarded one at a time, so only one member's activations
+    are alive at once; their raw heads are stacked into one (M, n, k) array
+    that one reader and one aggregator consume.
+    """
+    heads = np.stack([forward(model, features) for model in models])
     if variant == "gaussian_nll":
-        means, variances = [], []
-        for model in models:
-            m, v = forward_gaussian(model, features)
-            means.append(m)
-            variances.append(v)
-        return aggregate_gaussian(np.stack(means), np.stack(variances), alpha)
-    outputs = [forward(model, features) for model in models]
-    values = [point_prediction(o, variant) for o in outputs]
-    return aggregate_pi(outputs, alpha, member_values=values)
+        return aggregate_gaussian(*gaussian_link(heads), alpha)
+    return aggregate_pi(*interval_link(heads, variant), alpha)
 
 
 def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
@@ -312,65 +311,51 @@ def emit_report(report, path) -> List[str]:
     return written
 
 
+def _write_csv(path, header, rows) -> str:
+    with _replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+_RECORD_HEADER = ["mode", "picp", "mpiw", "rmse", "mae", "n"]
+
+
+def _record_rows(normalized: MetricsRecord, denormalized: MetricsRecord):
+    for mode, rec in (("normalized", normalized), ("denormalized", denormalized)):
+        yield [mode, repr(rec.picp), repr(rec.mpiw), repr(rec.rmse), repr(rec.mae), rec.n]
+
+
 def _emit_run_tables(report: RunReport, base: str) -> List[str]:
-    written = []
-    metrics_path = base + "_metrics.csv"
-    with _replacing(metrics_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split_index", "mode", "picp", "mpiw", "rmse", "mae", "n"])
-        for s in report.splits:
-            for mode, rec in (("normalized", s.normalized), ("denormalized", s.denormalized)):
-                writer.writerow([s.split_index, mode, repr(rec.picp), repr(rec.mpiw),
-                                 repr(rec.rmse), repr(rec.mae), rec.n])
-    written.append(metrics_path)
-
-    agg_path = base + "_aggregate.csv"
-    with _replacing(agg_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "metric", "mean", "stderr"])
-        for mode, agg in (("normalized", report.aggregate_normalized),
-                          ("denormalized", report.aggregate_denormalized)):
-            for metric, summary in agg.items():
-                err = "" if summary.stderr is None else repr(summary.stderr)
-                writer.writerow([mode, metric, repr(summary.mean), err])
-    written.append(agg_path)
-
+    records = [[s.split_index] + row for s in report.splits
+               for row in _record_rows(s.normalized, s.denormalized)]
+    summaries = [[mode, metric, repr(summary.mean),
+                  "" if summary.stderr is None else repr(summary.stderr)]
+                 for mode, agg in (("normalized", report.aggregate_normalized),
+                                   ("denormalized", report.aggregate_denormalized))
+                 for metric, summary in agg.items()]
+    written = [_write_csv(base + "_metrics.csv", ["split_index"] + _RECORD_HEADER, records),
+               _write_csv(base + "_aggregate.csv", ["mode", "metric", "mean", "stderr"],
+                          summaries)]
     if any(s.predictions for s in report.splits):
-        pred_path = base + "_predictions.csv"
-        with _replacing(pred_path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["split_index", "y", "lower", "upper", "value"])
-            for s in report.splits:
-                for row in s.predictions or []:
-                    writer.writerow([s.split_index] + [repr(v) for v in row])
-        written.append(pred_path)
+        predictions = [[s.split_index] + [repr(v) for v in row]
+                       for s in report.splits for row in s.predictions or []]
+        written.append(_write_csv(base + "_predictions.csv",
+                                  ["split_index", "y", "lower", "upper", "value"],
+                                  predictions))
     return written
 
 
 def _emit_sweep_tables(report: SweepReport, base: str) -> List[str]:
-    written = []
     param_names = sorted({k for cell in report.cells for k in cell.params})
-    cells_path = base + "_cells.csv"
-    with _replacing(cells_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(param_names + ["mode", "picp", "mpiw", "rmse", "mae", "n"])
-        for cell in report.cells:
-            head = [cell.params.get(k, "") for k in param_names]
-            for mode, rec in (("normalized", cell.normalized),
-                              ("denormalized", cell.denormalized)):
-                writer.writerow(head + [mode, repr(rec.picp), repr(rec.mpiw),
-                                        repr(rec.rmse), repr(rec.mae), rec.n])
-    written.append(cells_path)
-
+    cells = [[cell.params.get(k, "") for k in param_names] + row for cell in report.cells
+             for row in _record_rows(cell.normalized, cell.denormalized)]
+    written = [_write_csv(base + "_cells.csv", param_names + _RECORD_HEADER, cells)]
     for name, points in report.series.items():
         safe = name.replace("@", "_at_").replace("=", "_")
-        series_path = f"{base}_series_{safe}.csv"
-        with _replacing(series_path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in points:
-                writer.writerow([repr(x), repr(y)])
-        written.append(series_path)
+        written.append(_write_csv(f"{base}_series_{safe}.csv", ["x", "y"],
+                                  [[repr(x), repr(y)] for x, y in points]))
     return written
 
 

@@ -18,7 +18,7 @@ import sys
 
 from .bench import (emit_report, format_report, load_dataset, load_report, run_alpha_sweep,
                     run_benchmark, run_hyperparam_sweep)
-from .config import GENERATOR_KINDS, DataSpec, resolve_config
+from .config import GENERATOR_KINDS, DataSpec, check_seed, resolve_config
 from .data import save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 
@@ -191,6 +191,7 @@ def _cmd_sweep_hparam(args) -> int:
 def _cmd_gen_data(args) -> int:
     if args.kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind {args.kind!r}")
+    check_seed(args.seed)
     spec = DataSpec(kind=args.kind, n=args.n, x_low=args.x_low, x_high=args.x_high,
                     noise_scale=args.noise_scale, skew_alpha=args.skew_alpha)
     dataset = load_dataset(spec, args.seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -18,6 +19,12 @@ from .losses import LossConfig
 
 GENERATOR_KINDS = ("sine", "flat_skew")
 DATA_KINDS = GENERATOR_KINDS + ("file",)
+
+
+def check_seed(seed):
+    """Reject a seed numpy's generators would refuse: anything but an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,8 @@ class DataSpec:
             raise ConfigError("data kind 'file' needs a path")
         if self.kind in GENERATOR_KINDS and self.n < 1:
             raise ConfigError(f"generator size must be at least 1, got {self.n}")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be exactly one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ensemble_size < 1:
             raise ConfigError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
+        check_seed(self.seed)
 
 
 # Per-dataset overrides for the bundled benchmark tasks.  UCI-style tables

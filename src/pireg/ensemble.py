@@ -1,22 +1,23 @@
 """Aggregation of independently trained members into one widened interval.
 
-Interval members are combined by averaging bounds and widening each side by
-z * (across-member standard deviation of that bound), which treats the M
-bound estimates as a small sample and stretches the interval to cover their
-uncertainty.  Mean-variance members are combined as an equal-weight Gaussian
-mixture whose moments give a single predictive normal.
+Both aggregators take (M, n) arrays, one row per member, as read from the
+members' stacked raw heads by :func:`pireg.losses.interval_link` or
+:func:`pireg.losses.gaussian_link`.  Interval members are combined by
+averaging bounds and widening each side by z * (across-member standard
+deviation of that bound), which treats the M bound estimates as a small
+sample and stretches the interval to cover their uncertainty.  Mean-variance
+members are combined as an equal-weight Gaussian mixture whose moments give
+a single predictive normal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .losses import PIOutput
 
 
 @dataclass
@@ -82,16 +83,15 @@ def z_score(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def _stack(member_outputs: Sequence[PIOutput]):
-    if len(member_outputs) < 1:
+def _members(*arrays):
+    # Per-member arrays as (M, n) floats of one shape, with M >= 1.
+    out = [np.atleast_2d(np.asarray(a, dtype=float)) for a in arrays]
+    if any(a.shape != out[0].shape for a in out):
+        raise ShapeError("member arrays disagree in shape: "
+                         + ", ".join(str(a.shape) for a in out))
+    if out[0].shape[0] < 1:
         raise ShapeError("need at least one member")
-    n = len(member_outputs[0])
-    for out in member_outputs:
-        if len(out) != n:
-            raise ShapeError("members disagree on sample count")
-    uppers = np.stack([o.upper for o in member_outputs])
-    lowers = np.stack([o.lower for o in member_outputs])
-    return uppers, lowers
+    return out
 
 
 def _spread(stacked):
@@ -102,21 +102,13 @@ def _spread(stacked):
     return np.std(stacked, axis=0, ddof=1)
 
 
-def aggregate_pi(member_outputs: Sequence[PIOutput], alpha: float,
-                 member_values: Optional[Sequence[np.ndarray]] = None) -> EnsembleOutput:
+def aggregate_pi(member_uppers, member_lowers, member_values, alpha: float) -> EnsembleOutput:
     """Combine interval members: average bounds, widen each by z * spread.
 
-    member_values overrides the per-member value predictions entering the
-    average (used by variants that report something other than the learned
-    combination); defaults to each member's own value field.
+    Each argument is (M, n), one row per member; the value prediction is the
+    plain member average.
     """
-    uppers, lowers = _stack(member_outputs)
-    if member_values is None:
-        values = np.stack([o.value for o in member_outputs])
-    else:
-        values = np.stack([np.asarray(v, dtype=float) for v in member_values])
-        if values.shape != uppers.shape:
-            raise ShapeError("member_values shape does not match member outputs")
+    uppers, lowers, values = _members(member_uppers, member_lowers, member_values)
     z = z_score(alpha)
     sigma_u = _spread(uppers)
     sigma_l = _spread(lowers)
@@ -136,10 +128,7 @@ def aggregate_gaussian(member_means, member_variances, alpha: float) -> Ensemble
     sigma*^2 = mean(variance_j) + mean((mu_j - mu*)^2), written in the
     cancellation-free form; the interval is mu* +- z * sigma*.
     """
-    means = np.atleast_2d(np.asarray(member_means, dtype=float))
-    variances = np.atleast_2d(np.asarray(member_variances, dtype=float))
-    if means.shape != variances.shape:
-        raise ShapeError(f"means {means.shape} and variances {variances.shape} disagree")
+    means, variances = _members(member_means, member_variances)
     if np.any(variances <= 0.0):
         raise ValueError("member variances must be strictly positive")
     mu = np.mean(means, axis=0)

@@ -11,9 +11,15 @@ sigmoid(soften * (y - lower)) * sigmoid(soften * (upper - y)).  The value
 loss scores the point prediction mix * upper + (1 - mix) * lower against
 targets, and the joint objective is a convex combination of the two.
 
-Every variant is computed in one place, ``head_loss_and_grad``, which returns
-the loss value together with its analytic gradient with respect to the raw
-head matrix; training, validation and the tests all read losses from it.
+This module is the only one that knows the head's column layout.  Between
+the network and the aggregators a prediction stays a raw (..., n, k) head
+array, leading axes indexing ensemble members.  Two readers map it to
+quantities over trailing axes: ``interval_link`` gives (upper, lower,
+value) under each interval variant's value rule, and ``gaussian_link``
+gives (mean, variance).  Every loss is computed in one place,
+``head_loss_and_grad``, which returns the loss value together with its
+analytic gradient with respect to the raw head; training, validation and
+the tests all read losses from it.
 Gradients treat the hard capture vector as locally constant; it is piecewise
 constant in the parameters, so this is exact almost everywhere.
 """
@@ -21,8 +27,7 @@ constant in the parameters, so this is exact almost everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +35,11 @@ from .errors import ConfigError, ShapeError
 
 VARIANTS = ("joint", "interval_only", "midpoint", "decoupled", "gaussian_nll")
 POINT_LOSSES = ("squared", "absolute")
+
+# Head widths: interval heads are (upper, lower, mix-logit), gaussian heads
+# (mean, raw-variance).
+INTERVAL_HEAD = 3
+GAUSSIAN_HEAD = 2
 
 # Guards the captured-width denominator when no sample is captured: the
 # numerator is identically zero there, so the term contributes 0 and the
@@ -92,49 +102,6 @@ class LossConfig:
             raise ConfigError(f"unknown point_loss {self.point_loss!r}; expected one of {POINT_LOSSES}")
 
 
-@dataclass
-class PIOutput:
-    """Per-sample interval bounds plus the derived point prediction.
-
-    ``mix`` is the weight placed on the upper bound; the point prediction is
-    lower + mix * (upper - lower), so it always lies inside the interval.
-    ``mix_logit`` keeps the raw head (pre-logistic); the decoupled variant
-    reads it as a direct value output.
-    """
-
-    upper: np.ndarray
-    lower: np.ndarray
-    mix: np.ndarray
-    value: np.ndarray = field(default=None)  # type: ignore[assignment]
-    mix_logit: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.mix = np.asarray(self.mix, dtype=float)
-        if not self.upper.shape == self.lower.shape == self.mix.shape:
-            raise ShapeError("upper, lower, and mix must have identical shapes")
-        if self.value is None:
-            self.value = value_prediction(self.mix, self.upper, self.lower)
-
-    def __len__(self):
-        return self.upper.shape[0]
-
-
-def pi_output(raw):
-    """Interpret an (n, 3) raw head matrix as a :class:`PIOutput`.
-
-    Columns are (upper, lower, mix-logit) in that order; the logit is pushed
-    through the logistic function and clipped to stay strictly inside (0, 1).
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 3:
-        raise ShapeError(f"expected an (n, 3) head matrix, got shape {raw.shape}")
-    upper, lower, logit = raw[:, 0], raw[:, 1], raw[:, 2]
-    mix = squash_mix(logit)
-    return PIOutput(upper=upper, lower=lower, mix=mix, mix_logit=logit)
-
-
 def squash_mix(logit):
     """Map the raw mixing head into (0, 1), never touching the endpoints."""
     return np.clip(sigmoid(logit), MIX_EPS, 1.0 - MIX_EPS)
@@ -162,17 +129,48 @@ def captured_mpiw(upper, lower, captured):
     return float(np.sum((upper - lower) * captured) / denom)
 
 
-def value_prediction(mix, upper, lower):
-    """Point prediction lower + mix * (upper - lower).
-
-    Written in this form so the result is exactly the common bound when
-    upper == lower, and never escapes [min(lower, upper), max(lower, upper)]
-    for mix in (0, 1).
-    """
-    mix, upper, lower = _aligned(mix, upper, lower)
-    if np.any(mix <= 0.0) or np.any(mix >= 1.0):
-        raise ConfigError("mix weights must lie strictly inside (0, 1)")
+def _mixed(upper, lower, mix):
+    # The point prediction lower + mix * (upper - lower): exactly the common
+    # bound when upper == lower, and never outside the interval for mix in
+    # [0, 1].
     return lower + mix * (upper - lower)
+
+
+def _interval_columns(raw):
+    if raw.ndim < 2 or raw.shape[-1] != INTERVAL_HEAD:
+        raise ShapeError(f"interval variants need an (..., n, {INTERVAL_HEAD}) head, "
+                         f"got shape {raw.shape}")
+    return raw[..., 0], raw[..., 1], raw[..., 2]
+
+
+def interval_link(raw, variant):
+    """(upper, lower, value) per row of a raw (..., n, 3) interval head.
+
+    Columns are (upper, lower, mix-logit).  The value is the one the
+    variant reports at inference: the joint objective reports the learned
+    in-interval combination, with the logit pushed through the clipped
+    logistic; the interval-only and pinned-midpoint variants report the
+    interval midpoint; the decoupled variant reports its raw third head.
+    """
+    upper, lower, logit = _interval_columns(np.asarray(raw, dtype=float))
+    if variant == "joint":
+        return upper, lower, _mixed(upper, lower, squash_mix(logit))
+    if variant in ("interval_only", "midpoint"):
+        return upper, lower, _mixed(upper, lower, 0.5)
+    if variant == "decoupled":
+        return upper, lower, logit
+    raise ConfigError(f"no interval value rule for variant {variant!r}")
+
+
+def gaussian_link(raw):
+    """(mean, variance) per row of a raw (..., n, 2) mean-variance head.
+
+    The variance is the softplus of the raw-variance column plus a floor.
+    """
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim < 2 or raw.shape[-1] != GAUSSIAN_HEAD:
+        raise ShapeError(f"expected an (..., n, {GAUSSIAN_HEAD}) head, got shape {raw.shape}")
+    return raw[..., 0], softplus(raw[..., 1]) + VARIANCE_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def _point_terms(pred, y, kind):
 
 def _value_terms(upper, lower, mix, y, cfg):
     n = y.shape[-1]
-    pred = lower + mix * (upper - lower)
+    pred = _mixed(upper, lower, mix)
     per_sample, d_pred = _point_terms(pred, y, cfg.point_loss)
     loss = np.mean(per_sample, axis=-1)
     w = d_pred / n
@@ -232,9 +230,8 @@ def _compose(cfg, li, lv):
 
 def _gaussian_terms(raw, y):
     n = y.shape[-1]
-    mean = raw[..., 0]
+    mean, variance = gaussian_link(raw)
     vraw = raw[..., 1]
-    variance = softplus(vraw) + VARIANCE_FLOOR
     resid = y - mean
     loss = np.mean(0.5 * np.log(variance) + resid * resid / (2.0 * variance), axis=-1)
     d_mean = (mean - y) / variance / n
@@ -242,32 +239,6 @@ def _gaussian_terms(raw, y):
     d_vraw = d_var * sigmoid(vraw)
     grad = np.stack([d_mean, d_vraw], axis=-1)
     return loss, grad
-
-
-def gaussian_link(raw):
-    """Map a raw (n, 2) head matrix to (mean, variance) with a softplus link."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ShapeError(f"expected an (n, 2) head matrix, got shape {raw.shape}")
-    return raw[:, 0], softplus(raw[:, 1]) + VARIANCE_FLOOR
-
-
-def point_prediction(output, variant):
-    """The value prediction a given training variant reports at inference.
-
-    The joint objective reports the learned in-interval combination; the
-    interval-only and pinned-midpoint variants report the interval midpoint;
-    the decoupled variant reports its raw third head directly.
-    """
-    if variant in ("joint",):
-        return output.value
-    if variant in ("interval_only", "midpoint"):
-        return output.lower + 0.5 * (output.upper - output.lower)
-    if variant == "decoupled":
-        if output.mix_logit is None:
-            raise ConfigError("decoupled reporting needs the raw mixing head (mix_logit)")
-        return np.asarray(output.mix_logit, dtype=float)
-    raise ConfigError(f"no point prediction rule for variant {variant!r}")
 
 
 def head_loss_and_grad(raw, y, cfg):
@@ -287,13 +258,9 @@ def head_loss_and_grad(raw, y, cfg):
         raise ShapeError("batch must be non-empty")
 
     if cfg.variant == "gaussian_nll":
-        if raw.shape[-1] != 2:
-            raise ShapeError("gaussian_nll needs a 2-column head matrix")
         return _gaussian_terms(raw, y)
 
-    if raw.shape[-1] != 3:
-        raise ShapeError("interval variants need a 3-column head matrix")
-    upper, lower, logit = raw[..., 0], raw[..., 1], raw[..., 2]
+    upper, lower, logit = _interval_columns(raw)
     mix = squash_mix(logit)
 
     li, di_u, di_l = _interval_terms(upper, lower, y, cfg)
@@ -311,8 +278,7 @@ def head_loss_and_grad(raw, y, cfg):
         grad[..., 1] = w * di_l + (1.0 - w) * dv_l
         grad[..., 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
     elif cfg.variant == "midpoint":
-        half = np.full_like(upper, 0.5)
-        lv, dv_u, dv_l, _ = _value_terms(upper, lower, half, y, cfg)
+        lv, dv_u, dv_l, _ = _value_terms(upper, lower, 0.5, y, cfg)
         loss = _compose(cfg, li, lv)
         w = cfg.interval_weight
         grad[..., 0] = w * di_u + (1.0 - w) * dv_u

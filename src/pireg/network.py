@@ -2,9 +2,11 @@
 
 The model is a plain stack of affine layers with rectifier activations on
 the hidden layers and an identity head.  Interval models end in a 3-unit
-head read as (upper, lower, mix-logit); mean-variance models end in a
-2-unit head read as (mean, raw-variance).  Everything is float64 numpy;
-no computation graph, just cached activations and explicit backprop.
+head, mean-variance models in a 2-unit head.  ``forward`` returns that head
+raw, as a (..., n, k) array; :mod:`pireg.losses` alone reads its columns,
+for the loss and its head gradient during training and for the bounds and
+value at inference.  Everything is float64 numpy; no computation graph,
+just cached activations and explicit backprop.
 
 Parameters live in one flat buffer per model, ``flat``, whose last axis
 holds w0, b0, w1, b1, ... and whose leading axes, if any, index ensemble
@@ -23,10 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .losses import LossConfig, PIOutput, gaussian_link, head_loss_and_grad, pi_output
-
-INTERVAL_HEAD = 3
-GAUSSIAN_HEAD = 2
+from .losses import GAUSSIAN_HEAD, INTERVAL_HEAD, LossConfig, head_loss_and_grad
 
 
 def _parameter_count(layer_sizes) -> int:
@@ -156,29 +155,15 @@ def _forward_cached(model, x):
     return a, activations
 
 
-def forward_raw(model, features):
-    """Raw head matrix (..., n, output_dim) with no link functions applied."""
+def forward(model, features):
+    """Raw head (..., n, output_dim) with no link functions applied."""
     x = _check_features(model, features)
     return _forward_cached(model, x)[0]
 
 
-def forward(model, features) -> PIOutput:
-    """Interval prediction for every row: upper, lower, mixing weight, value."""
-    if model.output_dim != INTERVAL_HEAD:
-        raise ShapeError(f"interval forward needs a 3-unit head, model has {model.output_dim}")
-    return pi_output(forward_raw(model, features))
-
-
-def forward_gaussian(model, features):
-    """(mean, variance) per row for a mean-variance model."""
-    if model.output_dim != GAUSSIAN_HEAD:
-        raise ShapeError(f"gaussian forward needs a 2-unit head, model has {model.output_dim}")
-    return gaussian_link(forward_raw(model, features))
-
-
 def loss_value(model, features, targets, cfg: LossConfig):
     """Loss of the configured variant on one batch, one per member; no gradients."""
-    raw = forward_raw(model, features)
+    raw = forward(model, features)
     return head_loss_and_grad(raw, np.asarray(targets, dtype=float), cfg)[0]
 
 

@@ -18,7 +18,6 @@ gradients abort with the member/epoch/batch context attached.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -46,14 +45,6 @@ def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardMo
     if config.loss.variant == "gaussian_nll":
         return init_mean_variance_model([input_dim] + hidden + [2], seed)
     return init_model([input_dim] + hidden + [3], seed, config.model.head_bias)
-
-
-def train_single(config: ExperimentConfig, train: Dataset,
-                 valid: Optional[Dataset], seed) -> Tuple[FeedForwardModel, TrainingHistory]:
-    """Train one model: a one-member ensemble whose base seed is ``seed``."""
-    models, histories = train_ensemble(dataclasses.replace(config, ensemble_size=1),
-                                       train, valid, seed)
-    return models[0], histories[0]
 
 
 def _diverged(member, message, cause, epoch, batch_index=None):

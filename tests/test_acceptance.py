@@ -21,7 +21,7 @@ from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
 from pireg.data import (Dataset, apply_normalize, fit_normalize, gen_sine,
                         sample_skew_normal)
 from pireg.ensemble import aggregate_pi, z_score
-from pireg.losses import LossConfig, captured_mpiw, hard_capture, pi_output
+from pireg.losses import LossConfig, captured_mpiw, hard_capture, interval_link
 from pireg.metrics import metrics_record, mpiw, picp
 from pireg.network import backward, forward, init_mean_variance_model, init_model, loss_value
 from pireg.training import train_ensemble
@@ -92,9 +92,8 @@ def _smooth_within_step(model, x, y):
     if float(np.min(np.abs(z))) < KINK_MARGIN:
         return False
     if model.output_dim == 3:
-        out = forward(model, x)
-        cap = min(float(np.min(np.abs(y - out.lower))),
-                  float(np.min(np.abs(y - out.upper))))
+        upper, lower, _ = interval_link(forward(model, x), "joint")
+        cap = min(float(np.min(np.abs(y - lower))), float(np.min(np.abs(y - upper))))
         if cap < KINK_MARGIN:
             return False
     return True
@@ -168,10 +167,10 @@ def test_criterion_02_containment():
         for b in model.biases:
             b[:] = rng.uniform(-scale, scale, size=b.shape)
         x = rng.uniform(-5.0, 5.0, size=(rows_per_net, d_in))
-        out = forward(model, x)
-        low = np.minimum(out.lower, out.upper)
-        high = np.maximum(out.lower, out.upper)
-        violations += int(np.sum((out.value < low) | (out.value > high)))
+        upper, lower, value = interval_link(forward(model, x), "joint")
+        low = np.minimum(lower, upper)
+        high = np.maximum(lower, upper)
+        violations += int(np.sum((value < low) | (value > high)))
         total += rows_per_net
     ok = violations == 0 and total == 10_000
     record(f"criterion 2: {'PASS' if ok else 'FAIL'} - {violations} containment "
@@ -255,11 +254,11 @@ def _bisect_quantile(p, iterations=200):
 def test_criterion_04_ensemble_identities():
     rng = np.random.default_rng(404)
     raw = rng.normal(0.0, 2.0, size=(25, 3))
-    member = pi_output(raw)
-    out = aggregate_pi([member] * 7, alpha=0.05)
-    np.testing.assert_allclose(out.upper, member.upper, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(out.lower, member.lower, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(out.value, member.value, rtol=1e-12, atol=1e-14)
+    upper, lower, value = interval_link(raw, "joint")
+    out = aggregate_pi(*interval_link(np.stack([raw] * 7), "joint"), alpha=0.05)
+    np.testing.assert_allclose(out.upper, upper, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out.lower, lower, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out.value, value, rtol=1e-12, atol=1e-14)
     assert np.all(np.abs(out.sigma_upper) <= 1e-12)
     assert np.all(np.abs(out.sigma_lower) <= 1e-12)
 

@@ -100,6 +100,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["sweep-alpha", *FAST, "--alphas", "a,b"]) == EXIT_CONFIG
     assert main(["gen-data", "--kind", "mystery", "--out", str(tmp_path / "g.csv")]) \
         == EXIT_CONFIG
+    # Bad seeds and delimiters are configuration errors, caught before any
+    # data is read: the data file below does not exist.
+    missing = ["--data-path", str(tmp_path / "missing.csv")]
+    for verb in ("train", "bench", "sweep-alpha", "sweep-hparam"):
+        assert main([verb, *FAST, *missing, "--seed", "-1"]) == EXIT_CONFIG
+    assert main(["gen-data", "--seed", "-2", "--out", str(tmp_path / "g.csv")]) == EXIT_CONFIG
+    assert not (tmp_path / "g.csv").exists()
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": 1.5}), encoding="utf-8")
+    assert main(["bench", *FAST, *missing, "--config", str(config)]) == EXIT_CONFIG
+    table = tmp_path / "d.csv"
+    table.write_text("1,2\n3,4\n", encoding="utf-8")
+    assert main(["bench", *FAST, "--data-path", str(table), "--delimiter", ";;"]) == EXIT_CONFIG
+    assert "delimiter" in capsys.readouterr().err
 
 
 def test_data_errors_exit_three(tmp_path, capsys):

@@ -101,6 +101,12 @@ def test_validation_errors():
         SplitPlan(test_fraction=1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(ensemble_size=0)
+    for delimiter in ("", ";;"):
+        with pytest.raises(ConfigError):
+            DataSpec(delimiter=delimiter)
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=seed)
 
 
 def test_config_from_dict_overrides_field_by_field():

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from pireg.ensemble import (EnsembleOutput, aggregate_gaussian, aggregate_pi,
                             normal_quantile, z_score)
 from pireg.errors import ConfigError, ShapeError
-from pireg.losses import PIOutput
 
 
 def phi(x):
@@ -32,12 +31,11 @@ def bisect_quantile(p, lo=-40.0, hi=40.0):
 
 
 def members_from(uppers, lowers, mixes=None):
-    m, n = np.asarray(uppers).shape
-    if mixes is None:
-        mixes = np.full((m, n), 0.5)
-    return [PIOutput(upper=np.asarray(uppers[j], dtype=float),
-                     lower=np.asarray(lowers[j], dtype=float),
-                     mix=np.asarray(mixes[j], dtype=float)) for j in range(m)]
+    """(M, n) uppers, lowers and in-interval values, the value at the given mix."""
+    uppers = np.asarray(uppers, dtype=float)
+    lowers = np.asarray(lowers, dtype=float)
+    mixes = np.full(uppers.shape, 0.5) if mixes is None else np.asarray(mixes, dtype=float)
+    return uppers, lowers, lowers + mixes * (uppers - lowers)
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +83,17 @@ def test_quantile_argument_validation():
 
 
 def test_identical_members_reproduce_the_member():
-    member = members_from([[1.0, 2.0, 3.0]], [[-1.0, 0.0, 1.0]], [[0.3, 0.5, 0.7]])[0]
-    out = aggregate_pi([member, member, member], alpha=0.05)
-    assert np.array_equal(out.upper, member.upper)
-    assert np.array_equal(out.lower, member.lower)
+    upper, lower, value = members_from([[1.0, 2.0, 3.0]], [[-1.0, 0.0, 1.0]], [[0.3, 0.5, 0.7]])
+    out = aggregate_pi(*(np.repeat(a, 3, axis=0) for a in (upper, lower, value)), alpha=0.05)
+    assert np.array_equal(out.upper, upper[0])
+    assert np.array_equal(out.lower, lower[0])
     # mean of M identical floats is exact only up to summation rounding (1 ulp)
-    np.testing.assert_allclose(out.value, member.value, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(out.value, value[0], rtol=1e-15, atol=0.0)
     assert np.all(out.sigma_upper == 0.0) and np.all(out.sigma_lower == 0.0)
 
 
 def test_two_member_hand_arithmetic():
-    out = aggregate_pi(members_from([[1.0], [3.0]], [[0.0], [0.0]]), alpha=0.05)
+    out = aggregate_pi(*members_from([[1.0], [3.0]], [[0.0], [0.0]]), alpha=0.05)
     z = bisect_quantile(0.975)
     assert out.sigma_upper[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert out.upper[0] == pytest.approx(2.0 + z * math.sqrt(2.0), rel=1e-8)
@@ -104,30 +102,31 @@ def test_two_member_hand_arithmetic():
 
 
 def test_single_member_is_identity():
-    member = members_from([[2.0, 4.0]], [[1.0, 2.0]], [[0.25, 0.75]])[0]
-    out = aggregate_pi([member], alpha=0.05)
-    assert np.array_equal(out.upper, member.upper)
-    assert np.array_equal(out.lower, member.lower)
-    assert np.array_equal(out.value, member.value)
+    upper, lower, value = members_from([[2.0, 4.0]], [[1.0, 2.0]], [[0.25, 0.75]])
+    out = aggregate_pi(upper, lower, value, alpha=0.05)
+    assert np.array_equal(out.upper, upper[0])
+    assert np.array_equal(out.lower, lower[0])
+    assert np.array_equal(out.value, value[0])
     assert np.all(out.sigma_upper == 0.0)
 
 
 def test_member_values_override_the_value_average():
-    members = members_from([[4.0], [4.0]], [[2.0], [2.0]], [[0.9], [0.9]])
-    out = aggregate_pi(members, 0.05, member_values=[np.array([3.0]), np.array([3.0])])
+    # The value average reads the member values alone, whatever the bounds.
+    upper, lower, _ = members_from([[4.0], [4.0]], [[2.0], [2.0]], [[0.9], [0.9]])
+    out = aggregate_pi(upper, lower, [[3.0], [3.0]], 0.05)
     assert out.value[0] == 3.0
     with pytest.raises(ShapeError):
-        aggregate_pi(members, 0.05, member_values=[np.array([3.0])])
+        aggregate_pi(upper, lower, [[3.0]], 0.05)
     with pytest.raises(ShapeError):
-        aggregate_pi(members, 0.05, member_values=[np.array([3.0, 1.0])] * 2)
+        aggregate_pi(upper, lower, [[3.0, 1.0]] * 2, 0.05)
 
 
 def test_aggregate_pi_input_validation():
+    empty = np.empty((0, 2))
     with pytest.raises(ShapeError):
-        aggregate_pi([], alpha=0.05)
-    uneven = members_from([[1.0, 2.0]], [[0.0, 0.0]]) + members_from([[1.0]], [[0.0]])
+        aggregate_pi(empty, empty, empty, alpha=0.05)
     with pytest.raises(ShapeError):
-        aggregate_pi(uneven, alpha=0.05)
+        aggregate_pi([[1.0, 2.0]], [[0.0]], [[0.5, 1.0]], alpha=0.05)
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,7 +136,7 @@ def test_widened_bounds_bracket_the_member_means(m, n, seed):
     uppers = rng.normal(1.0, 2.0, size=(m, n))
     lowers = uppers - rng.uniform(0.0, 3.0, size=(m, n))
     mixes = rng.uniform(0.05, 0.95, size=(m, n))
-    out = aggregate_pi(members_from(uppers, lowers, mixes), alpha=0.05)
+    out = aggregate_pi(*members_from(uppers, lowers, mixes), alpha=0.05)
     mean_u, mean_l = np.mean(uppers, axis=0), np.mean(lowers, axis=0)
     assert np.all(out.upper >= mean_u - 1e-12)
     assert np.all(out.lower <= mean_l + 1e-12)
@@ -157,9 +156,9 @@ def test_member_order_does_not_matter(m, n, seed):
     uppers = rng.normal(size=(m, n))
     lowers = uppers - rng.uniform(0.1, 2.0, size=(m, n))
     members = members_from(uppers, lowers)
-    out = aggregate_pi(members, alpha=0.1)
+    out = aggregate_pi(*members, alpha=0.1)
     perm = rng.permutation(m)
-    out_p = aggregate_pi([members[j] for j in perm], alpha=0.1)
+    out_p = aggregate_pi(*(a[perm] for a in members), alpha=0.1)
     np.testing.assert_allclose(out_p.upper, out.upper, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out_p.lower, out.lower, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out_p.value, out.value, rtol=1e-12, atol=1e-12)

@@ -9,16 +9,16 @@ head matrix.  They share no code with the package implementation.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pireg.errors import ConfigError, ShapeError
-from pireg.losses import (CAPTURE_EPS, MIX_EPS, VARIANTS, LossConfig, PIOutput,
-                          captured_mpiw, gaussian_link, hard_capture,
-                          head_loss_and_grad, pi_output, point_prediction,
-                          sigmoid, softplus, squash_mix, value_prediction)
+from pireg.losses import (CAPTURE_EPS, MIX_EPS, VARIANTS, LossConfig, captured_mpiw,
+                          gaussian_link, hard_capture, head_loss_and_grad,
+                          interval_link, sigmoid, softplus, squash_mix)
 
 # ---------------------------------------------------------------------------
 # Independent oracles: pure-Python loops, math-module arithmetic only.
@@ -176,18 +176,24 @@ def test_captured_mpiw_examples():
     assert captured_mpiw([1.0, 3.0], [0.0, 1.0], [0.0, 0.0]) == 0.0
 
 
+def joint_value(upper, lower, logit):
+    return interval_link(head(upper, lower, logit), "joint")[2]
+
+
 def test_value_prediction_examples():
-    assert value_prediction([0.5], [4.0], [2.0])[0] == pytest.approx(3.0)
-    assert value_prediction([0.25], [2.0], [-2.0])[0] == pytest.approx(-1.0)
-    near_one = 1.0 - 1e-12
-    assert abs(value_prediction([near_one], [4.0], [2.0])[0] - 4.0) < 1e-11
+    assert joint_value([4.0], [2.0], 0.0)[0] == pytest.approx(3.0)
+    # mix 0.25 is logit log(1/3)
+    assert joint_value([2.0], [-2.0], math.log(1.0 / 3.0))[0] == pytest.approx(-1.0)
+    near_one = math.log((1.0 - 1e-12) / 1e-12)
+    assert abs(joint_value([4.0], [2.0], near_one)[0] - 4.0) < 1e-11
 
 
 def test_value_prediction_rejects_degenerate_mix():
-    with pytest.raises(ConfigError):
-        value_prediction([0.0], [4.0], [2.0])
-    with pytest.raises(ConfigError):
-        value_prediction([1.0], [4.0], [2.0])
+    # Saturated logits are clipped MIX_EPS short of 0 and 1, so the joint
+    # value never collapses onto a bound of a non-degenerate interval.
+    value = joint_value([4.0, 4.0], [2.0, 2.0], [-1e6, 1e6])
+    assert 2.0 < value[0] < 2.0 + 1e-11
+    assert 4.0 - 1e-11 < value[1] < 4.0
 
 
 def test_squash_mix_stays_strictly_interior():
@@ -198,21 +204,22 @@ def test_squash_mix_stays_strictly_interior():
     assert mix[2] == 0.5
 
 
-def test_pi_output_shapes_and_derived_value():
+def test_interval_link_shapes_and_derived_value():
     raw = np.array([[4.0, 2.0, 0.0], [1.0, -1.0, 40.0]])
-    out = pi_output(raw)
-    assert out.value[0] == pytest.approx(3.0)
-    assert abs(out.value[1] - 1.0) < 1e-9
-    assert out.mix_logit is not None and out.mix_logit.tolist() == [0.0, 40.0]
+    upper, lower, value = interval_link(raw, "joint")
+    assert upper.tolist() == [4.0, 1.0] and lower.tolist() == [2.0, -1.0]
+    assert value[0] == pytest.approx(3.0)
+    assert abs(value[1] - 1.0) < 1e-9
+    # Leading axes index members; each member reads exactly as it would alone.
+    stacked = np.stack([raw, raw[::-1]])
+    for part, a, b in zip(interval_link(stacked, "joint"), interval_link(raw, "joint"),
+                          interval_link(raw[::-1], "joint")):
+        assert part.shape == (2, 2)
+        assert np.array_equal(part, np.stack([a, b]))
     with pytest.raises(ShapeError):
-        pi_output(np.zeros((3, 2)))
+        interval_link(np.zeros((3, 2)), "joint")
     with pytest.raises(ShapeError):
-        pi_output(np.zeros(3))
-
-
-def test_pi_output_rejects_mismatched_fields():
-    with pytest.raises(ShapeError):
-        PIOutput(upper=np.zeros(3), lower=np.zeros(2), mix=np.full(3, 0.5))
+        interval_link(np.zeros(3), "joint")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +256,8 @@ def _random_case(seed, n=24):
     rng = np.random.default_rng(seed)
     raw = random_head(rng, n)
     y = rng.normal(0.0, 1.2, size=n)
-    return raw, pi_output(raw), y
+    out = SimpleNamespace(upper=raw[:, 0], lower=raw[:, 1], mix=squash_mix(raw[:, 2]))
+    return raw, out, y
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -270,7 +278,7 @@ def test_value_loss_matches_oracle(seed, point_loss):
 
 def test_value_loss_examples():
     raw = head([2.0, 4.0], [0.0, 2.0])
-    assert pi_output(raw).value.tolist() == [1.0, 3.0]
+    assert interval_link(raw, "joint")[2].tolist() == [1.0, 3.0]
     assert loss_of(raw, np.array([1.0, 3.0]), VALUE) == 0.0
     assert loss_of(raw, np.array([0.0, 0.0]), VALUE) == pytest.approx(5.0)
 
@@ -412,20 +420,24 @@ def test_gaussian_link_floors_the_variance():
     assert variance[1] == pytest.approx(math.log(2.0) + 1e-6)
     with pytest.raises(ShapeError):
         gaussian_link(np.zeros((2, 3)))
+    # Leading axes index members.
+    stacked_mean, stacked_variance = gaussian_link(np.stack([raw, raw[::-1]]))
+    assert np.array_equal(stacked_mean, np.stack([mean, mean[::-1]]))
+    assert np.array_equal(stacked_variance, np.stack([variance, variance[::-1]]))
 
 
-def test_point_prediction_per_variant():
+def test_interval_link_value_per_variant():
     raw = np.array([[4.0, 2.0, 1.3], [0.0, -2.0, -0.4]])
-    out = pi_output(raw)
-    assert np.array_equal(point_prediction(out, "joint"), out.value)
-    assert point_prediction(out, "interval_only").tolist() == [3.0, -1.0]
-    assert point_prediction(out, "midpoint").tolist() == [3.0, -1.0]
-    assert point_prediction(out, "decoupled").tolist() == [1.3, -0.4]
+    value = {variant: interval_link(raw, variant)[2]
+             for variant in ("joint", "interval_only", "midpoint", "decoupled")}
+    mix = [_sig(1.3), _sig(-0.4)]
+    assert value["joint"].tolist() == pytest.approx([2.0 + 2.0 * mix[0], -2.0 + 2.0 * mix[1]],
+                                                    rel=1e-15)
+    assert value["interval_only"].tolist() == [3.0, -1.0]
+    assert value["midpoint"].tolist() == [3.0, -1.0]
+    assert value["decoupled"].tolist() == [1.3, -0.4]
     with pytest.raises(ConfigError):
-        point_prediction(out, "gaussian_nll")
-    bare = PIOutput(upper=out.upper, lower=out.lower, mix=out.mix)
-    with pytest.raises(ConfigError):
-        point_prediction(bare, "decoupled")
+        interval_link(raw, "gaussian_nll")
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +536,8 @@ def test_losses_are_permutation_invariant_and_finite(rows, variant, perm_seed):
 def test_value_prediction_is_always_contained(rows):
     upper = np.array([u for (u, _, _) in rows])
     lower = np.array([l for (_, l, _) in rows])
-    mix = squash_mix(np.array([m for (_, _, m) in rows]))
-    value = value_prediction(mix, upper, lower)
+    logit = np.array([m for (_, _, m) in rows])
+    value = interval_link(np.column_stack([upper, lower, logit]), "joint")[2]
     assert np.all(value >= np.minimum(lower, upper) - 1e-12)
     assert np.all(value <= np.maximum(lower, upper) + 1e-12)
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
-from pireg.losses import VARIANTS, LossConfig
-from pireg.network import (backward, forward, forward_gaussian, forward_raw,
-                           init_mean_variance_model, init_model, loss_value)
+from pireg.losses import VARIANTS, LossConfig, gaussian_link, interval_link, squash_mix
+from pireg.network import (backward, forward, init_mean_variance_model, init_model,
+                           loss_value)
 
 
 def independent_fd(model, x, y, cfg, h=1e-5):
@@ -61,7 +61,7 @@ def test_init_model_head_biases_and_shapes():
 
 def test_init_model_zero_input_lands_on_head_biases():
     model = init_model([3, 8, 5, 3], seed=4, head_bias_init=(2.0, -1.5))
-    raw = forward_raw(model, np.zeros((1, 3)))
+    raw = forward(model, np.zeros((1, 3)))
     assert raw[0].tolist() == [2.0, -1.5, 0.0]
 
 
@@ -89,14 +89,14 @@ def test_init_is_seed_deterministic():
 def test_forward_emits_one_triple_per_row_with_interior_mix():
     model = init_model([2, 5, 3], seed=1)
     x = np.random.default_rng(0).normal(size=(100, 2))
-    out = forward(model, x)
-    assert len(out) == 100
-    assert out.upper.shape == out.lower.shape == out.mix.shape == (100,)
-    assert np.all(out.mix > 0.0) and np.all(out.mix < 1.0)
+    raw = forward(model, x)
+    assert raw.shape == (100, 3)
+    mix = squash_mix(raw[:, 2])
+    assert np.all(mix > 0.0) and np.all(mix < 1.0)
     # Wild parameters saturate the logistic; the mix must stay interior.
     randomized_params(model, np.random.default_rng(5), scale=80.0)
-    out = forward(model, x)
-    assert np.all(out.mix > 0.0) and np.all(out.mix < 1.0)
+    mix = squash_mix(forward(model, x)[:, 2])
+    assert np.all(mix > 0.0) and np.all(mix < 1.0)
 
 
 def test_forward_shape_policing():
@@ -105,17 +105,18 @@ def test_forward_shape_policing():
         forward(model, np.zeros((5, 3)))
     with pytest.raises(ShapeError):
         forward(model, np.zeros(5))
+    # A head read under the other model kind's layout is refused.
     gauss = init_mean_variance_model([2, 4, 2], seed=0)
     with pytest.raises(ShapeError):
-        forward(gauss, np.zeros((5, 2)))
+        interval_link(forward(gauss, np.zeros((5, 2))), "joint")
     with pytest.raises(ShapeError):
-        forward_gaussian(model, np.zeros((5, 2)))
+        gaussian_link(forward(model, np.zeros((5, 2))))
 
 
 def test_forward_gaussian_positive_variance():
     model = init_mean_variance_model([3, 6, 2], seed=2)
     randomized_params(model, np.random.default_rng(9), scale=5.0)
-    mean, variance = forward_gaussian(model, np.random.default_rng(1).normal(size=(40, 3)))
+    mean, variance = gaussian_link(forward(model, np.random.default_rng(1).normal(size=(40, 3))))
     assert mean.shape == variance.shape == (40,)
     assert np.all(variance > 0.0)
 

@@ -6,17 +6,25 @@ the members one after another, each alone through the single-model path of
 ``backward``, ``adam_step`` and ``loss_value``, and must agree bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
 from pireg.data import Dataset, apply_normalize, fit_normalize, gen_sine
 from pireg.errors import TrainingDiverged
-from pireg.losses import LossConfig, hard_capture
+from pireg.losses import LossConfig, hard_capture, interval_link
 from pireg.network import FeedForwardModel, backward, forward, loss_value
 from pireg.optim import adam_step, decay_learning_rate, init_adam
-from pireg.training import (TrainingHistory, build_model, carve_validation,
-                            train_ensemble, train_single)
+from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
+
+
+def train_single(config, train, valid, seed):
+    """Train one model: a one-member ensemble whose base seed is ``seed``."""
+    models, histories = train_ensemble(dataclasses.replace(config, ensemble_size=1),
+                                       train, valid, seed)
+    return models[0], histories[0]
 
 
 def small_config(**optimizer_overrides):
@@ -230,8 +238,8 @@ def test_sine_smoke_reaches_high_train_coverage():
                                 max_epochs=2000, patience=2000, validation_fraction=0.0),
     )
     model, hist = train_single(cfg, data, None, seed=1)
-    out = forward(model, data.features)
-    coverage = float(np.mean(hard_capture(data.targets, out.lower, out.upper)))
+    upper, lower, _ = interval_link(forward(model, data.features), "joint")
+    coverage = float(np.mean(hard_capture(data.targets, lower, upper)))
     assert coverage >= 0.9
     assert hist.epochs_run <= 2000
 
