@@ -18,7 +18,7 @@ import sys
 
 from .bench import (emit_report, format_report, load_dataset, load_report, run_alpha_sweep,
                     run_benchmark, run_hyperparam_sweep)
-from .config import GENERATOR_KINDS, DataSpec, check_seed, resolve_config
+from .config import GENERATOR_KINDS, DataSpec, check_int, resolve_config
 from .data import save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 
@@ -106,10 +106,7 @@ def _overrides_from(args) -> dict:
     if args.hidden is not None:
         over.setdefault("model", {})["hidden_sizes"] = _ints(args.hidden)
     if args.head_bias is not None:
-        pair = _floats(args.head_bias)
-        if len(pair) != 2:
-            raise ConfigError(f"--head-bias needs two numbers, got {args.head_bias!r}")
-        over.setdefault("model", {})["head_bias"] = pair
+        over.setdefault("model", {})["head_bias"] = _floats(args.head_bias)
     put("loss", "alpha", args.alpha)
     put("loss", "coverage_penalty", args.coverage_penalty)
     put("loss", "soften", args.soften)
@@ -191,7 +188,7 @@ def _cmd_sweep_hparam(args) -> int:
 def _cmd_gen_data(args) -> int:
     if args.kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind {args.kind!r}")
-    check_seed(args.seed)
+    check_int("seed", args.seed, 0)
     spec = DataSpec(kind=args.kind, n=args.n, x_low=args.x_low, x_high=args.x_high,
                     noise_scale=args.noise_scale, skew_alpha=args.skew_alpha)
     dataset = load_dataset(spec, args.seed)

@@ -3,17 +3,20 @@
 Configuration resolves in three layers: built-in defaults, then a named
 catalog entry (per-dataset overrides), then a user config file, then CLI
 flags.  Every field is validated at construction so bad configs fail before
-any training starts.
+any data is read or training starts; a value of the wrong type, such as a
+float where an integer belongs, is a configuration error too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from .data import check_generator
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -21,10 +24,13 @@ GENERATOR_KINDS = ("sine", "flat_skew")
 DATA_KINDS = GENERATOR_KINDS + ("file",)
 
 
-def check_seed(seed):
-    """Reject a seed numpy's generators would refuse: anything but an integer >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+def check_int(name, value, minimum):
+    """Reject ``value`` for field ``name`` unless it is an integer >= minimum.
+
+    Bools are refused although Python counts them as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,8 @@ class DataSpec:
             raise ConfigError(f"unknown data kind {self.kind!r}; expected one of {DATA_KINDS}")
         if self.kind == "file" and not self.path:
             raise ConfigError("data kind 'file' needs a path")
-        if self.kind in GENERATOR_KINDS and self.n < 1:
-            raise ConfigError(f"generator size must be at least 1, got {self.n}")
+        check_int("data.n", self.n, 1)
+        check_generator(self.n, self.x_low, self.x_high, self.noise_scale)
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be exactly one character, got {self.delimiter!r}")
 
@@ -61,8 +67,11 @@ class ModelSpec:
         if len(self.hidden_sizes) < 1:
             raise ConfigError("need at least one hidden layer")
         for h in self.hidden_sizes:
-            if h < 1:
-                raise ConfigError(f"hidden sizes must be positive, got {self.hidden_sizes}")
+            check_int("model.hidden_sizes", h, 1)
+        if not (isinstance(self.head_bias, (list, tuple)) and len(self.head_bias) == 2
+                and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                        and math.isfinite(b) for b in self.head_bias)):
+            raise ConfigError(f"head_bias must be two finite numbers, got {self.head_bias!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +88,9 @@ class OptimizerSpec:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be non-negative, got {self.patience}")
+        check_int("optimizer.batch_size", self.batch_size, 1)
+        check_int("optimizer.max_epochs", self.max_epochs, 1)
+        check_int("optimizer.patience", self.patience, 0)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
@@ -96,8 +102,7 @@ class SplitPlan:
     test_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"split count must be at least 1, got {self.count}")
+        check_int("splits.count", self.count, 1)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
 
@@ -116,9 +121,8 @@ class ExperimentConfig:
     store_predictions: bool = True
 
     def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise ConfigError(f"ensemble_size must be at least 1, got {self.ensemble_size}")
-        check_seed(self.seed)
+        check_int("ensemble_size", self.ensemble_size, 1)
+        check_int("seed", self.seed, 0)
 
 
 # Per-dataset overrides for the bundled benchmark tasks.  UCI-style tables
@@ -207,7 +211,12 @@ def config_from_dict(raw: dict, base: Optional[ExperimentConfig] = None) -> Expe
             cls = _SECTION_TYPES[key]
             current = dataclasses.asdict(getattr(base, key))
             current.update(_coerce(cls, val))
-            top[key] = cls(**_coerce(cls, current))
+            try:
+                top[key] = cls(**_coerce(cls, current))
+            except TypeError as exc:
+                # A value of the wrong type, such as a string where a
+                # number belongs, fails a comparison in validation.
+                raise ConfigError(f"config section {key!r}: {exc}") from None
         else:
             top[key] = val
     merged = _coerce(ExperimentConfig, top)

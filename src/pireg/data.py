@@ -76,12 +76,12 @@ class SplitSpec:
             raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
 
 
-def sample_skew_normal(skew_alpha, rng, size=None):
-    """Draw from the skew-normal density 2 * phi(x) * Phi(skew_alpha * x).
+def sample_skew_normal(skew_alpha, rng, size):
+    """Draw ``size`` skew-normal samples, density 2 * phi(x) * Phi(skew_alpha * x).
 
     Uses the two-Gaussian construction: with delta = a / sqrt(1 + a^2),
     the draw is delta * |z0| + sqrt(1 - delta^2) * z1 for independent
-    standard normals z0, z1.  size=None returns a scalar.
+    standard normals z0, z1, the whole z0 batch drawn before z1.
     """
     skew_alpha = float(skew_alpha)
     if not math.isfinite(skew_alpha):
@@ -89,8 +89,7 @@ def sample_skew_normal(skew_alpha, rng, size=None):
     delta = skew_alpha / math.sqrt(1.0 + skew_alpha * skew_alpha)
     z0 = rng.standard_normal(size)
     z1 = rng.standard_normal(size)
-    draw = delta * np.abs(z0) + math.sqrt(1.0 - delta * delta) * z1
-    return float(draw) if size is None else draw
+    return delta * np.abs(z0) + math.sqrt(1.0 - delta * delta) * z1
 
 
 def _skew_normal_mean_std(skew_alpha):
@@ -101,6 +100,16 @@ def _skew_normal_mean_std(skew_alpha):
     return mean, std
 
 
+def check_generator(n, x_low, x_high, noise_scale):
+    """Reject generator settings that would not give a well-formed table."""
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    if not x_low < x_high:
+        raise ConfigError(f"need x_low < x_high, got [{x_low}, {x_high}]")
+    if not math.isfinite(noise_scale) or noise_scale < 0.0:
+        raise ConfigError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+
+
 def gen_sine(n=100, x_low=-2.0, x_high=2.0, noise_scale=0.3, skew_alpha=100.0, seed=0):
     """Noisy sine curve: y = 1.5 sin(x) + noise_scale * standardized skew draw.
 
@@ -108,10 +117,7 @@ def gen_sine(n=100, x_low=-2.0, x_high=2.0, noise_scale=0.3, skew_alpha=100.0, s
     zero mean and unit variance before noise_scale is applied, so
     noise_scale=0 yields the pure curve.
     """
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    if not x_low < x_high:
-        raise ConfigError(f"need x_low < x_high, got [{x_low}, {x_high}]")
+    check_generator(n, x_low, x_high, noise_scale)
     rng = np.random.default_rng(seed)
     x = rng.uniform(x_low, x_high, size=n)
     y = 1.5 * np.sin(x)
@@ -124,15 +130,11 @@ def gen_sine(n=100, x_low=-2.0, x_high=2.0, noise_scale=0.3, skew_alpha=100.0, s
 
 def gen_flat_skew(n=100, x_low=-2.0, x_high=2.0, noise_scale=1.0, skew_alpha=100.0, seed=0):
     """Skew-normal scatter around a flat zero mean over the same x range."""
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    if not x_low < x_high:
-        raise ConfigError(f"need x_low < x_high, got [{x_low}, {x_high}]")
+    check_generator(n, x_low, x_high, noise_scale)
     rng = np.random.default_rng(seed)
     x = rng.uniform(x_low, x_high, size=n)
     y = noise_scale * sample_skew_normal(skew_alpha, rng, size=n)
-    return Dataset(x.reshape(-1, 1), np.asarray(y), feature_names=["x"],
-                   source_tag="flat_skew")
+    return Dataset(x.reshape(-1, 1), y, feature_names=["x"], source_tag="flat_skew")
 
 
 def _parse_cell(text, row, col, path):

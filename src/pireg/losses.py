@@ -107,26 +107,14 @@ def squash_mix(logit):
     return np.clip(sigmoid(logit), MIX_EPS, 1.0 - MIX_EPS)
 
 
-def _aligned(*arrays):
-    out = [np.asarray(a, dtype=float) for a in arrays]
-    first = out[0].shape
-    for a in out[1:]:
-        if a.shape != first:
-            raise ShapeError(f"length mismatch: {first} vs {a.shape}")
-    return out
-
-
 def hard_capture(y, lower, upper):
-    """Indicator vector: 1.0 where lower <= y <= upper (inclusive), else 0.0."""
-    y, lower, upper = _aligned(y, lower, upper)
+    """Indicator: 1.0 where lower <= y <= upper (inclusive), else 0.0.
+
+    The only place the capture test is written.  Inputs broadcast like
+    numpy arrays; callers check shapes.
+    """
+    y, lower, upper = (np.asarray(a, dtype=float) for a in (y, lower, upper))
     return ((lower <= y) & (y <= upper)).astype(float)
-
-
-def captured_mpiw(upper, lower, captured):
-    """Mean interval width over captured samples; 0.0 when nothing is captured."""
-    upper, lower, captured = _aligned(upper, lower, captured)
-    denom = max(float(np.sum(captured)), CAPTURE_EPS)
-    return float(np.sum((upper - lower) * captured) / denom)
 
 
 def _mixed(upper, lower, mix):
@@ -183,7 +171,7 @@ def gaussian_link(raw):
 
 def _interval_terms(upper, lower, y, cfg):
     n = y.shape[-1]
-    k_hard = ((lower <= y) & (y <= upper)).astype(float)
+    k_hard = hard_capture(y, lower, upper)
     denom = np.maximum(np.sum(k_hard, axis=-1), CAPTURE_EPS)
     width_term = np.sum((upper - lower) * k_hard, axis=-1) / denom
 

@@ -11,7 +11,9 @@ just cached activations and explicit backprop.
 Parameters live in one flat buffer per model, ``flat``, whose last axis
 holds w0, b0, w1, b1, ... and whose leading axes, if any, index ensemble
 members trained as one stack; ``weights`` and ``biases`` are per-layer
-views into it.  Every pass is written over trailing axes, so the same
+views into it.  ``backward`` returns the gradients as a FeedForwardModel
+too, over a buffer of the same layout, so gradient and parameter line up
+entry for entry.  Every pass is written over trailing axes, so the same
 arithmetic serves one model and a stack of M: a stack's weights are
 (M, fan_in, fan_out), its features (M, n, d) or one shared (n, d) matrix,
 and its loss a length-M vector.
@@ -63,22 +65,6 @@ class FeedForwardModel:
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    def parameters(self):
-        """Weights and biases interleaved per layer, in a fixed order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-class GradientSet(FeedForwardModel):
-    """Partial derivatives of a loss, laid out exactly like the model."""
 
 
 def _validate_sizes(layer_sizes):
@@ -156,7 +142,7 @@ def _forward_cached(model, x):
 
 
 def forward(model, features):
-    """Raw head (..., n, output_dim) with no link functions applied."""
+    """Raw head (..., n, k) with no link functions applied; k = layer_sizes[-1]."""
     x = _check_features(model, features)
     return _forward_cached(model, x)[0]
 
@@ -196,7 +182,7 @@ def backward(model, features, targets, cfg: LossConfig):
         value = loss if k is None else loss.flat[k]
         raise TrainingDiverged(f"non-finite loss {float(value)!r}", member=k)
 
-    grads = GradientSet(model.layer_sizes, np.empty_like(model.flat))
+    grads = FeedForwardModel(model.layer_sizes, np.empty_like(model.flat))
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads.weights[i])
         np.sum(delta, axis=-2, out=grads.biases[i])

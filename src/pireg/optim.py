@@ -2,7 +2,10 @@
 
 The moments are flat buffers shaped like the model's ``flat`` parameter
 buffer, leading member axes included, so one step is a single fused
-element-wise update over every parameter of every stacked member.
+element-wise update over every parameter of every stacked member.  The
+moment factors and the denominator guard are the usual Adam constants
+``BETA1``, ``BETA2`` and ``EPS``; only the learning rate and its decay are
+configurable.
 """
 
 from __future__ import annotations
@@ -12,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .network import FeedForwardModel, GradientSet, _first_bad
+from .network import FeedForwardModel, _first_bad
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -29,32 +36,23 @@ class AdamState:
     step: int
     learning_rate: float
     decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(model: FeedForwardModel, learning_rate=0.01, decay=0.999,
-              beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+def init_adam(model: FeedForwardModel, learning_rate=0.01, decay=0.999) -> AdamState:
     if learning_rate <= 0.0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     if not 0.0 < decay <= 1.0:
         raise ConfigError(f"decay must lie in (0, 1], got {decay}")
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise ConfigError("moment factors must lie in [0, 1)")
     return AdamState(
         first_moment=np.zeros_like(model.flat),
         second_moment=np.zeros_like(model.flat),
         step=0,
         learning_rate=float(learning_rate),
         decay=float(decay),
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
-def adam_step(state: AdamState, model: FeedForwardModel, grads: GradientSet):
+def adam_step(state: AdamState, model: FeedForwardModel, grads: FeedForwardModel):
     """One bias-corrected Adam update, in place; returns (model, state).
 
     update = lr * m_hat / (sqrt(v_hat) + eps), with the usual 1 - beta^t
@@ -72,14 +70,14 @@ def adam_step(state: AdamState, model: FeedForwardModel, grads: GradientSet):
 
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
     return model, state
 
 

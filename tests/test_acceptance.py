@@ -21,7 +21,7 @@ from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
 from pireg.data import (Dataset, apply_normalize, fit_normalize, gen_sine,
                         sample_skew_normal)
 from pireg.ensemble import aggregate_pi, z_score
-from pireg.losses import LossConfig, captured_mpiw, hard_capture, interval_link
+from pireg.losses import LossConfig, head_loss_and_grad, interval_link
 from pireg.metrics import metrics_record, mpiw, picp
 from pireg.network import backward, forward, init_mean_variance_model, init_model, loss_value
 from pireg.training import train_ensemble
@@ -91,7 +91,7 @@ def _smooth_within_step(model, x, y):
     z = x @ model.weights[0] + model.biases[0]
     if float(np.min(np.abs(z))) < KINK_MARGIN:
         return False
-    if model.output_dim == 3:
+    if model.layer_sizes[-1] == 3:
         upper, lower, _ = interval_link(forward(model, x), "joint")
         cap = min(float(np.min(np.abs(y - lower))), float(np.min(np.abs(y - upper))))
         if cap < KINK_MARGIN:
@@ -198,13 +198,19 @@ def _loop_mpiw(lower, upper):
     return total / len(lower)
 
 
-def _loop_captured_mpiw(upper, lower, captured):
+def _loop_captured_mpiw(y, lower, upper):
     num = 0.0
-    cnt = 0.0
-    for ui, li, ki in zip(upper, lower, captured):
-        num += (ui - li) * ki
-        cnt += ki
+    cnt = 0
+    for yi, li, ui in zip(y, lower, upper):
+        if li <= yi <= ui:
+            num += ui - li
+            cnt += 1
     return num / max(cnt, 1e-7)
+
+
+# With the coverage penalty at 1e-300 the interval loss is its captured-width
+# term plus at most sqrt(50) * 1e-300.
+WIDTH_ONLY = LossConfig(variant="interval_only", coverage_penalty=1e-300)
 
 
 def test_criterion_03_metric_oracles():
@@ -216,12 +222,12 @@ def test_criterion_03_metric_oracles():
         center = rng.normal(0.0, 3.0, size=n)
         half = rng.uniform(0.0, 4.0, size=n)
         lower, upper = center - half, center + half
-        cap = hard_capture(y, lower, upper)
+        head = np.column_stack([upper, lower, np.zeros(n)])
         triples = (
             (picp(y, lower, upper), _loop_picp(y, lower, upper)),
             (mpiw(lower, upper), _loop_mpiw(lower, upper)),
-            (captured_mpiw(upper, lower, cap),
-             _loop_captured_mpiw(upper, lower, cap)),
+            (float(head_loss_and_grad(head, y, WIDTH_ONLY)[0]),
+             _loop_captured_mpiw(y, lower, upper)),
         )
         for got, want in triples:
             denom = max(abs(got), abs(want), 1.0)

@@ -2,7 +2,8 @@
 and the report/gen-data verbs.  All in-process through main(argv) except the
 help and closed-pipe checks, which run the entry point declared in
 pyproject.toml out of process, the way the installed `pireg` console script
-would."""
+would, and the smoke runs of the README quick start and scripts/sine_demo.py,
+also out of process."""
 
 import json
 import os
@@ -19,6 +20,7 @@ from pireg.bench import load_report
 from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO,
                        EXIT_OK, OUT_DIR_ENV, main)
 from pireg.data import load_delimited
+from pireg.losses import VARIANTS
 
 FAST = ["--data-n", "40", "--hidden", "8", "--max-epochs", "8",
         "--batch-size", "10", "--ensemble-size", "1", "--lr", "0.02"]
@@ -110,6 +112,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
     config = tmp_path / "seed.json"
     config.write_text(json.dumps({"seed": 1.5}), encoding="utf-8")
     assert main(["bench", *FAST, *missing, "--config", str(config)]) == EXIT_CONFIG
+    # Mistyped config-file values: each would crash or be silently truncated
+    # if it reached the model, the loss or the generator.
+    for content in ({"model": {"head_bias": [1.0]}}, {"model": {"head_bias": ["a", 1]}},
+                    {"ensemble_size": 1.5}, {"data": {"n": 50.5}}, {"loss": {"alpha": "0.1"}},
+                    {"model": {"hidden_sizes": [8.7]}}):
+        config.write_text(json.dumps(content), encoding="utf-8")
+        assert main(["train", "--name", "sine", *missing, "--config", str(config)]) \
+            == EXIT_CONFIG, content
+    # A negative or non-finite noise scale would mirror or blow up the noise.
+    for scale in ("-1", "nan"):
+        assert main(["gen-data", "--n", "5", "--noise-scale", scale,
+                     "--out", str(tmp_path / "g.csv")]) == EXIT_CONFIG
+    assert not (tmp_path / "g.csv").exists()
     table = tmp_path / "d.csv"
     table.write_text("1,2\n3,4\n", encoding="utf-8")
     assert main(["bench", *FAST, "--data-path", str(table), "--delimiter", ";;"]) == EXIT_CONFIG
@@ -221,7 +236,8 @@ def test_sweep_hparam_verb(tmp_path):
     assert len(report.cells) == 2
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
 
 # What pip's console-script wrapper does: import the target, call it with
 # argv[0] set to the script name, exit with its return value.
@@ -233,22 +249,28 @@ sys.exit(getattr(importlib.import_module(module), func)())
 """
 
 
+def child_env(**env_vars):
+    """Environment for a fresh interpreter that imports the same pireg
+    package this session imported, with env_vars added."""
+    package_root = str(Path(pireg.__file__).resolve().parent.parent)
+    env = {**os.environ, **env_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def run_pireg(*args, stdout=subprocess.PIPE, **env_vars):
     """Run the `pireg` entry point declared in pyproject.toml in a fresh
-    interpreter, against the same pireg package this session imported, with
-    env_vars added to its environment."""
+    interpreter (see child_env)."""
     text = PYPROJECT.read_text(encoding="utf-8")
     scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text,
                         re.MULTILINE | re.DOTALL)
     assert scripts, "pyproject.toml declares no [project.scripts]"
     entry = re.search(r'^pireg\s*=\s*"([^"]+)"', scripts.group(1), re.MULTILINE)
     assert entry, "pyproject.toml declares no pireg script"
-    package_root = str(Path(pireg.__file__).resolve().parent.parent)
-    env = {**os.environ, **env_vars}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", _WRAPPER, entry.group(1), *args],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=child_env(**env_vars))
 
 
 def test_installed_entry_point_help():
@@ -282,3 +304,26 @@ def test_closed_stdout_pipe_exits_141_without_a_message(tmp_path, unbuffered):
         os.close(write_end)
     assert proc.returncode == EXIT_BROKEN_PIPE == 141
     assert proc.stderr == ""
+
+
+# The documented entry points, run the way a reader would run them.
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert block, "README.md has no python block"
+    proc = subprocess.run([sys.executable, "-c", block.group(1)], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "MetricsRecord(" in proc.stdout
+
+
+def test_sine_demo_script_runs(tmp_path):
+    out = tmp_path / "demo"
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "sine_demo.py"),
+                           "--epochs", "5", "--ensemble-size", "2", "--out", str(out)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted(f"predictions_{variant}.csv" for variant in VARIANTS)

@@ -107,6 +107,19 @@ def test_validation_errors():
     for seed in (-1, 1.5, True, "3"):
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=seed)
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            DataSpec(noise_scale=scale)
+    # Integer fields refuse floats and bools, not just values below range.
+    for spec in (lambda: DataSpec(n=50.5), lambda: ModelSpec(hidden_sizes=(8.7,)),
+                 lambda: OptimizerSpec(batch_size=2.0), lambda: OptimizerSpec(max_epochs=1.5),
+                 lambda: OptimizerSpec(patience=True), lambda: SplitPlan(count=1.5),
+                 lambda: ExperimentConfig(ensemble_size=1.5)):
+        with pytest.raises(ConfigError):
+            spec()
+    for head_bias in ((1.0,), (1.0, 2.0, 3.0), ("a", 1.0), (1.0, float("inf")), 3.0):
+        with pytest.raises(ConfigError, match="head_bias"):
+            ModelSpec(head_bias=head_bias)
 
 
 def test_config_from_dict_overrides_field_by_field():
@@ -140,6 +153,11 @@ def test_config_from_dict_coerces_tuple_fields():
 def test_config_from_dict_validates_merged_values():
     with pytest.raises(ConfigError):
         config_from_dict({"optimizer": {"learning_rate": -1.0}})
+    # A mistyped value fails a comparison; the error names its section.
+    with pytest.raises(ConfigError, match="'loss'"):
+        config_from_dict({"loss": {"alpha": "0.1"}})
+    with pytest.raises(ConfigError, match="'optimizer'"):
+        config_from_dict({"optimizer": {"decay": None}})
 
 
 def test_resolve_precedence_defaults_catalog_file_overrides(tmp_path):

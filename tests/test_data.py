@@ -104,13 +104,11 @@ def test_skew_sign_flip_mirrors_the_distribution():
     assert sample_skewness(neg) == pytest.approx(-sample_skewness(pos), abs=0.05)
 
 
-def test_skew_scalar_default_and_validation():
-    value = sample_skew_normal(2.0, np.random.default_rng(0))
-    assert isinstance(value, float)
+def test_skew_rejects_non_finite_alpha():
     with pytest.raises(ConfigError):
-        sample_skew_normal(float("nan"), np.random.default_rng(0))
+        sample_skew_normal(float("nan"), np.random.default_rng(0), size=3)
     with pytest.raises(ConfigError):
-        sample_skew_normal(float("inf"), np.random.default_rng(0))
+        sample_skew_normal(float("inf"), np.random.default_rng(0), size=3)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +150,10 @@ def test_gen_sine_determinism_and_validation():
         gen_sine(n=0)
     with pytest.raises(ConfigError):
         gen_sine(x_low=1.0, x_high=1.0)
+    # A negative scale would mirror the skewed noise.
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            gen_sine(n=5, noise_scale=scale)
 
 
 def test_gen_flat_skew_is_scaled_raw_draws():
@@ -163,6 +165,9 @@ def test_gen_flat_skew_is_scaled_raw_draws():
     assert np.array_equal(data.targets, again.targets)
     with pytest.raises(ConfigError):
         gen_flat_skew(n=-1)
+    for scale in (-0.5, float("nan")):
+        with pytest.raises(ConfigError):
+            gen_flat_skew(n=5, noise_scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every loss value is read from ``head_loss_and_grad``, the package's single
 loss path, on a raw head matrix (upper, lower, mix-logit); a logit of 0 is a
 mix of exactly 0.5.  The expected values come from independent plain-Python
 oracles defined at the top of this file: stable scalar sigmoid, loop-based
-interval/value/gaussian losses, and entrywise central differences on the raw
-head matrix.  They share no code with the package implementation.
+interval/value/gaussian losses and captured width, and entrywise central
+differences on the raw head matrix.  They share no code with the package implementation.
 """
 
 import math
@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pireg.errors import ConfigError, ShapeError
-from pireg.losses import (CAPTURE_EPS, MIX_EPS, VARIANTS, LossConfig, captured_mpiw,
-                          gaussian_link, hard_capture, head_loss_and_grad,
-                          interval_link, sigmoid, softplus, squash_mix)
+from pireg.losses import (CAPTURE_EPS, MIX_EPS, VARIANTS, LossConfig, gaussian_link,
+                          hard_capture, head_loss_and_grad, interval_link, sigmoid,
+                          softplus, squash_mix)
+from pireg.metrics import picp
 
 # ---------------------------------------------------------------------------
 # Independent oracles: pure-Python loops, math-module arithmetic only.
@@ -40,6 +41,12 @@ def oracle_interval(upper, lower, y, cfg):
                for i in range(n)) / n
     hinge = max((1.0 - cfg.alpha) - picp, 0.0)
     return width + math.sqrt(n) * cfg.coverage_penalty * hinge * hinge
+
+
+def captured_mpiw(upper, lower, captured):
+    """Mean width over captured samples; 0.0 when nothing is captured."""
+    width = sum((upper[i] - lower[i]) * captured[i] for i in range(len(captured)))
+    return width / max(sum(captured), CAPTURE_EPS)
 
 
 def oracle_point(pred, target, kind):
@@ -133,8 +140,9 @@ def test_hard_capture_boundaries_inclusive():
 
 
 def test_hard_capture_length_mismatch():
+    # hard_capture broadcasts; coverage, its reader, checks the shapes.
     with pytest.raises(ShapeError):
-        hard_capture([0.0, 1.0], [-1.0], [1.0])
+        picp([0.0, 1.0], [-1.0], [1.0])
 
 
 def test_soft_capture_centered_saturates():
@@ -171,9 +179,16 @@ def test_soft_capture_far_outside_vanishes():
 
 
 def test_captured_mpiw_examples():
-    assert captured_mpiw([1.0, 3.0], [0.0, 1.0], [1.0, 1.0]) == pytest.approx(1.5)
-    assert captured_mpiw([1.0, 3.0], [0.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert captured_mpiw([1.0, 3.0], [0.0, 1.0], [0.0, 0.0]) == 0.0
+    # A 1e-10 coverage target leaves the penalty off as soon as one sample
+    # is captured, so the interval loss is the captured width alone.
+    cfg = LossConfig(alpha=1.0 - 1e-10, variant="interval_only")
+    raw = head([1.0, 3.0], [0.0, 1.0])
+    assert loss_of(raw, np.array([0.5, 2.0]), cfg) == 1.5
+    assert loss_of(raw, np.array([0.5, 9.0]), cfg) == 1.0
+    # Nothing captured: the width term is 0, the loss the penalty alone.
+    gap = 1.0 - cfg.alpha
+    assert loss_of(raw, np.array([9.0, 9.0]), cfg) == \
+        math.sqrt(2.0) * cfg.coverage_penalty * gap * gap
 
 
 def joint_value(upper, lower, logit):
@@ -547,12 +562,14 @@ def test_value_prediction_is_always_contained(rows):
        st.floats(0.01, 0.4, allow_nan=False))
 def test_penalty_active_exactly_when_soft_coverage_falls_short(pairs, alpha):
     # The interval loss must move with the penalty weight iff the soft
-    # coverage misses the 1 - alpha target.
+    # coverage misses the 1 - alpha target.  A shortfall can be one ulp
+    # (1.1e-16), so the high weight must lift its square above the width's
+    # rounding: 1e300 does, where 20 would add 4e-31 to a width of 2.
     y = np.array([a for (a, _) in pairs])
     centers = np.array([b for (_, b) in pairs])
     upper, lower = centers + 1.0, centers - 1.0
     lo = LossConfig(alpha=alpha, coverage_penalty=2.0, variant="interval_only")
-    hi = LossConfig(alpha=alpha, coverage_penalty=20.0, variant="interval_only")
+    hi = LossConfig(alpha=alpha, coverage_penalty=1e300, variant="interval_only")
     soft = float(np.mean(sigmoid(lo.soften * (y - lower)) * sigmoid(lo.soften * (upper - y))))
     raw = head(upper, lower)
     increased = loss_of(raw, y, hi) > loss_of(raw, y, lo)

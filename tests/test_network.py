@@ -16,10 +16,15 @@ from pireg.network import (backward, forward, init_mean_variance_model, init_mod
                            loss_value)
 
 
+def parameters(model):
+    """Weights and biases interleaved per layer: w0, b0, w1, b1, ..."""
+    return [p for wb in zip(model.weights, model.biases) for p in wb]
+
+
 def independent_fd(model, x, y, cfg, h=1e-5):
     """Entrywise central differences through the public loss path."""
     grads = []
-    for param in model.parameters():
+    for param in parameters(model):
         g = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
@@ -40,7 +45,7 @@ def rel_err(a, b, floor=1e-4):
 
 
 def randomized_params(model, rng, scale=1.0):
-    for p in model.parameters():
+    for p in parameters(model):
         p[...] = rng.uniform(-scale, scale, size=p.shape)
 
 
@@ -56,7 +61,7 @@ def test_init_model_head_biases_and_shapes():
     assert [b.shape for b in model.biases] == [(4,), (3,)]
     assert model.biases[0].tolist() == [0.0] * 4
     assert model.biases[1].tolist() == [3.0, -3.0, 0.0]
-    assert len(model.parameters()) == 4
+    assert len(parameters(model)) == 4
 
 
 def test_init_model_zero_input_lands_on_head_biases():
@@ -80,10 +85,10 @@ def test_init_is_seed_deterministic():
     a = init_model([2, 6, 3], seed=11)
     b = init_model([2, 6, 3], seed=11)
     c = init_model([2, 6, 3], seed=12)
-    for pa, pb in zip(a.parameters(), b.parameters()):
+    for pa, pb in zip(parameters(a), parameters(b)):
         assert np.array_equal(pa, pb)
     assert any(not np.array_equal(pa, pc)
-               for pa, pc in zip(a.parameters(), c.parameters()))
+               for pa, pc in zip(parameters(a), parameters(c)))
 
 
 def test_forward_emits_one_triple_per_row_with_interior_mix():
@@ -140,7 +145,7 @@ def test_backward_matches_independent_finite_differences(variant):
     loss, grads = backward(model, x, y, cfg)
     assert math.isfinite(loss)
     fd = independent_fd(model, x, y, cfg)
-    worst = max(rel_err(g, f) for g, f in zip(grads.parameters(), fd))
+    worst = max(rel_err(g, f) for g, f in zip(parameters(grads), fd))
     assert worst <= 1e-4
 
 
@@ -150,7 +155,7 @@ def test_backward_gradient_shapes_close_over_parameters():
     x = rng.normal(size=(9, 3))
     y = rng.normal(size=9)
     _, grads = backward(model, x, y, LossConfig())
-    for p, g in zip(model.parameters(), grads.parameters()):
+    for p, g in zip(parameters(model), parameters(grads)):
         assert p.shape == g.shape
 
 
@@ -188,7 +193,7 @@ def test_duplicating_rows_preserves_gradients_when_coverage_is_met():
     loss1, g1 = backward(model, x, y, cfg)
     loss2, g2 = backward(model, np.vstack([x, x]), np.concatenate([y, y]), cfg)
     assert loss2 == pytest.approx(loss1, rel=1e-12)
-    for a, b in zip(g1.parameters(), g2.parameters()):
+    for a, b in zip(parameters(g1), parameters(g2)):
         np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-15)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
 from pireg.losses import LossConfig
-from pireg.network import FeedForwardModel, GradientSet, backward, init_model
+from pireg.network import FeedForwardModel, backward, init_model
 from pireg.optim import adam_step, decay_learning_rate, init_adam
 
 
@@ -19,7 +19,7 @@ def scalar_model(value):
 
 
 def grad_like(model, fill):
-    return GradientSet(model.layer_sizes, np.full_like(model.flat, fill))
+    return FeedForwardModel(model.layer_sizes, np.full_like(model.flat, fill))
 
 
 def hand_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -36,11 +36,10 @@ def hand_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_zero_gradients_leave_parameters_unchanged():
     model = init_model([2, 4, 3], seed=0)
-    before = [p.copy() for p in model.parameters()]
+    before = model.flat.copy()
     state = init_adam(model, learning_rate=0.05)
     adam_step(state, model, grad_like(model, 0.0))
-    for p, saved in zip(model.parameters(), before):
-        assert np.array_equal(p, saved)
+    assert np.array_equal(model.flat, before)
     assert state.step == 1
 
 
@@ -81,10 +80,6 @@ def test_init_adam_validation():
         init_adam(model, decay=0.0)
     with pytest.raises(ConfigError):
         init_adam(model, decay=1.5)
-    with pytest.raises(ConfigError):
-        init_adam(model, beta1=1.0)
-    with pytest.raises(ConfigError):
-        init_adam(model, beta2=-0.1)
 
 
 def test_adam_step_rejects_non_finite_gradients():
@@ -99,10 +94,10 @@ def test_adam_step_rejects_mismatched_shapes():
     model = init_model([2, 4, 3], seed=0)
     state = init_adam(model)
     other = init_model([2, 5, 3], seed=0)
-    bad = GradientSet(other.layer_sizes, np.zeros_like(other.flat))
+    bad = FeedForwardModel(other.layer_sizes, np.zeros_like(other.flat))
     with pytest.raises(ShapeError):
         adam_step(state, model, bad)
-    shorter = GradientSet((2, 4), np.zeros(12))
+    shorter = FeedForwardModel((2, 4), np.zeros(12))
     with pytest.raises(ShapeError):
         adam_step(state, model, shorter)
 
@@ -123,5 +118,4 @@ def test_identical_runs_are_bit_identical():
         return model
 
     a, b = run(), run()
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.flat, b.flat)
