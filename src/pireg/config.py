@@ -33,6 +33,12 @@ def check_int(name, value, minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _is_finite_real(value):
+    """True for a finite int or float; bools and strings are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Either a synthetic generator (kind + its parameters) or a file path."""
@@ -53,6 +59,14 @@ class DataSpec:
         if self.kind == "file" and not self.path:
             raise ConfigError("data kind 'file' needs a path")
         check_int("data.n", self.n, 1)
+        for name in ("x_low", "x_high", "noise_scale", "skew_alpha"):
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ConfigError(f"data.{name} must be a finite number, got {value!r}")
+        column = self.target_column
+        if isinstance(column, bool) or not isinstance(column, (numbers.Integral, str)):
+            raise ConfigError(
+                f"data.target_column must be an integer or a column name, got {column!r}")
         check_generator(self.n, self.x_low, self.x_high, self.noise_scale)
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be exactly one character, got {self.delimiter!r}")
@@ -69,8 +83,7 @@ class ModelSpec:
         for h in self.hidden_sizes:
             check_int("model.hidden_sizes", h, 1)
         if not (isinstance(self.head_bias, (list, tuple)) and len(self.head_bias) == 2
-                and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
-                        and math.isfinite(b) for b in self.head_bias)):
+                and all(_is_finite_real(b) for b in self.head_bias)):
             raise ConfigError(f"head_bias must be two finite numbers, got {self.head_bias!r}")
 
 

@@ -5,13 +5,17 @@ Synthetic tasks follow the classic noisy-sine setup: targets are
 prediction does not sit at the center of the optimal interval.  Tabular
 ingestion reads plain delimited numeric text (one row per sample, optional
 header) which covers the usual regression benchmark files once exported to
-CSV.
+CSV.  A clean numeric table is parsed by one vectorized ``np.loadtxt``
+read; input that read refuses (quoted cells, all-empty rows, ``float``-only
+spellings such as ``1_0``, or any faulty cell) takes a cell-by-cell csv
+parse that accepts it or raises a located error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -156,41 +160,98 @@ def _is_numeric_row(cells):
     return True
 
 
+def _header(path, delimiter):
+    """The first csv record, stripped, when it is non-blank and not numeric."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [c.strip() for c in next(csv.reader(fh, delimiter=delimiter), [])]
+    if any(cells) and not _is_numeric_row(cells):
+        return cells
+    return None
+
+
+def _vectorized_read(path, delimiter, skiprows):
+    """The whole table parsed by numpy, or None when numpy refuses it.
+
+    A refusal (a cell numpy cannot convert, ragged or blank-but-not-empty
+    lines, no rows, a non-finite value, or a newline delimiter, which numpy
+    rejects with a TypeError) sends the caller to the cell-by-cell
+    parse, which either locates the fault or accepts what only ``float``
+    reads.  Undecodable text is an error on both paths, so it is raised here.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            matrix = np.loadtxt(path, delimiter=delimiter, comments=None, encoding="utf-8",
+                                ndmin=2, skiprows=skiprows, dtype=float)
+    except UnicodeDecodeError:
+        raise
+    except (ValueError, TypeError):
+        return None
+    if matrix.shape[0] == 0 or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
+def _check_width(path, width):
+    if width < 2:
+        raise DataError(f"{path}: need at least two columns, got {width}")
+
+
+def _read_records(path, delimiter, skip):
+    """Cell-by-cell read of the records after the first ``skip``, blank ones
+    dropped: (record number, stripped cells) pairs, all of one width."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+            cells = [c.strip() for c in cells]
+            if line_no > skip and any(cells):
+                rows.append((line_no, cells))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    _check_width(path, width)
+    for line_no, cells in rows:
+        if len(cells) != width:
+            raise DataError(f"{path}: row {line_no} has {len(cells)} cells, expected {width}")
+    return rows
+
+
 def load_delimited(path, target_column=-1, delimiter=","):
     """Load a delimited numeric table as (features, target) columns.
 
     The target column is selected by integer index (negative allowed) or by
     name when a header is present.  A header line is auto-detected when the
-    first row has any non-numeric cell.  Ragged rows, non-numeric data
-    cells, and non-finite values are rejected with located errors.
+    first row has any non-numeric cell, and must have one name per column.
+
+    A clean numeric table (plain ASCII numbers, blank lines allowed) is
+    parsed by one ``np.loadtxt`` call.  Anything numpy refuses, or that
+    gives no rows or a non-finite value, is parsed again cell by cell with
+    ``csv`` and ``float``: that path accepts quoted cells, all-empty rows
+    and ``float`` spellings such as ``1_0``, and rejects ragged rows,
+    non-numeric cells and non-finite values with located errors.
     """
-    rows = []
-    header = None
+    rows = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            for line_no, cells in enumerate(reader, start=1):
-                cells = [c.strip() for c in cells if c is not None]
-                if not cells or all(c == "" for c in cells):
-                    continue
-                if line_no == 1 and not _is_numeric_row(cells):
-                    header = cells
-                    continue
-                rows.append((line_no, cells))
+        header = _header(path, delimiter)
+        skip = int(header is not None)
+        matrix = _vectorized_read(path, delimiter, skip)
+        if matrix is None:
+            rows = _read_records(path, delimiter, skip)
     except FileNotFoundError:
         raise DataError(f"no such data file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                        f"{exc.reason})") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    if width < 2:
-        raise DataError(f"{path}: need at least two columns, got {width}")
-    for line_no, cells in rows:
-        if len(cells) != width:
-            raise DataError(f"{path}: row {line_no} has {len(cells)} cells, expected {width}")
-
+    if rows is None:
+        width = matrix.shape[1]
+        _check_width(path, width)
+    else:
+        width = len(rows[0][1])
+    if header is not None and len(header) != width:
+        raise DataError(f"{path}: header has {len(header)} names, rows have {width} cells")
     if isinstance(target_column, str):
         if header is None:
             raise DataError(f"{path}: target column {target_column!r} needs a header line")
@@ -204,11 +265,10 @@ def load_delimited(path, target_column=-1, delimiter=","):
             target_idx += width
         if not 0 <= target_idx < width:
             raise DataError(f"{path}: target column {target_column} out of range for width {width}")
-
-    matrix = np.empty((len(rows), width))
-    for i, (line_no, cells) in enumerate(rows):
-        for j, cell in enumerate(cells):
-            matrix[i, j] = _parse_cell(cell, line_no, j, path)
+    if rows is not None:
+        # Parsed only now, so that a bad target is reported before a bad cell.
+        matrix = np.array([[_parse_cell(cell, line_no, j, path)
+                            for j, cell in enumerate(cells)] for line_no, cells in rows])
 
     keep = [j for j in range(width) if j != target_idx]
     names = None

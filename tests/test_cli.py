@@ -116,7 +116,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
     # if it reached the model, the loss or the generator.
     for content in ({"model": {"head_bias": [1.0]}}, {"model": {"head_bias": ["a", 1]}},
                     {"ensemble_size": 1.5}, {"data": {"n": 50.5}}, {"loss": {"alpha": "0.1"}},
-                    {"model": {"hidden_sizes": [8.7]}}):
+                    {"model": {"hidden_sizes": [8.7]}}, {"data": {"skew_alpha": "a"}},
+                    {"data": {"x_low": "a", "x_high": "b"}}, {"data": {"target_column": 1.5}},
+                    {"data": {"target_column": True}}, {"data": {"x_high": float("nan")}}):
         config.write_text(json.dumps(content), encoding="utf-8")
         assert main(["train", "--name", "sine", *missing, "--config", str(config)]) \
             == EXIT_CONFIG, content
@@ -135,6 +137,14 @@ def test_data_errors_exit_three(tmp_path, capsys):
     assert main(["train", *FAST, "--data-path", "/nonexistent/x.csv"]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
     assert main(["report", str(tmp_path / "missing.json")]) == EXIT_DATA
+    # A file that is not UTF-8 text, and a header narrower than its rows.
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"1,2\n3,\xff\n")
+    narrow_header = tmp_path / "narrow.csv"
+    narrow_header.write_text("a,b\n1,2,3\n", encoding="utf-8")
+    for table, message in ((not_utf8, "not UTF-8 text"), (narrow_header, "header has 2 names")):
+        assert main(["bench", *FAST, "--data-path", str(table)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
     assert main(["report", str(bad)]) == EXIT_DATA

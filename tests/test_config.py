@@ -110,6 +110,16 @@ def test_validation_errors():
     for scale in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             DataSpec(noise_scale=scale)
+    # Generator ranges and skew are finite numbers, and a target column is an
+    # index or a name: strings, bools and non-integral indices are refused.
+    for spec in (lambda: DataSpec(skew_alpha="a"), lambda: DataSpec(x_low="a", x_high="b"),
+                 lambda: DataSpec(x_low=True), lambda: DataSpec(x_high=float("inf")),
+                 lambda: DataSpec(skew_alpha=float("nan")), lambda: DataSpec(noise_scale="0.3"),
+                 lambda: DataSpec(target_column=1.5), lambda: DataSpec(target_column=False)):
+        with pytest.raises(ConfigError):
+            spec()
+    assert DataSpec(target_column="y").target_column == "y"
+    assert DataSpec(x_low=-1, x_high=3, skew_alpha=0).x_high == 3
     # Integer fields refuse floats and bools, not just values below range.
     for spec in (lambda: DataSpec(n=50.5), lambda: ModelSpec(hidden_sizes=(8.7,)),
                  lambda: OptimizerSpec(batch_size=2.0), lambda: OptimizerSpec(max_epochs=1.5),

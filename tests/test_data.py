@@ -1,16 +1,20 @@
 """Tests for synthetic generators, delimited ingestion, standardization, splits.
 
 Oracles here are independent of the implementation: the normal CDF comes from
-math.erfc, skew-normal moments from their closed forms, and normalization
-statistics from the stdlib statistics module.
+math.erfc, skew-normal moments from their closed forms, normalization
+statistics from the stdlib statistics module, and delimited tables from a
+cell-by-cell csv parse kept here as it was before the vectorized loader.
 """
 
+import csv
 import math
 import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import pireg.data
 
 from pireg.data import (
     Dataset,
@@ -279,6 +283,216 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.features, original.features)  # repr round-trips
     assert np.array_equal(loaded.targets, original.targets)
     assert loaded.feature_names == ["u", "v", "w"]
+
+
+def test_load_rejects_header_width_that_differs_from_rows(tmp_path):
+    # Each of these once died with an IndexError or named 2 of 3 columns.
+    narrow = _write(tmp_path, "a,b\n1,2,3\n4,5,6\n")
+    for target in ("b", 0, -1):
+        with pytest.raises(DataError, match="header has 2 names, rows have 3 cells"):
+            load_delimited(narrow, target_column=target)
+    wide = _write(tmp_path, "a,b,c,d\n1,2,3\n", "wide.csv")
+    with pytest.raises(DataError, match="header has 4 names, rows have 3 cells"):
+        load_delimited(wide, target_column="d")
+    # The cell-by-cell path applies the same check.
+    quoted = _write(tmp_path, 'a,b\n"1",2,3\n', "quoted.csv")
+    with pytest.raises(DataError, match="header has 2 names, rows have 3 cells"):
+        load_delimited(quoted)
+
+
+def test_load_non_utf8_file_is_a_data_error(tmp_path):
+    for name, content in (("early.csv", b"1,2\n3,\xff\n"),
+                          ("late.csv", b"1,2\n" * 20_000 + b"3,\xfe\n")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=rf"{name}: not UTF-8 text"):
+            load_delimited(path)
+
+
+# ---------------------------------------------------------------------------
+# load_delimited against the cell-by-cell oracle
+
+
+def _oracle_cell(text, row, col, path):
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"{path}: non-numeric cell {text!r} at row {row}, column {col}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: non-finite value {text!r} at row {row}, column {col}")
+    return value
+
+
+def _oracle_numeric_row(cells):
+    for cell in cells:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+    return True
+
+
+def cell_by_cell_load(path, target_column=-1, delimiter=","):
+    """The loader as it was before the vectorized read: csv records, one
+    ``float`` per cell, every check in its original order."""
+    rows = []
+    header = None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            for line_no, cells in enumerate(reader, start=1):
+                cells = [c.strip() for c in cells if c is not None]
+                if not cells or all(c == "" for c in cells):
+                    continue
+                if line_no == 1 and not _oracle_numeric_row(cells):
+                    header = cells
+                    continue
+                rows.append((line_no, cells))
+    except FileNotFoundError:
+        raise DataError(f"no such data file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    if width < 2:
+        raise DataError(f"{path}: need at least two columns, got {width}")
+    for line_no, cells in rows:
+        if len(cells) != width:
+            raise DataError(f"{path}: row {line_no} has {len(cells)} cells, expected {width}")
+
+    if isinstance(target_column, str):
+        if header is None:
+            raise DataError(f"{path}: target column {target_column!r} needs a header line")
+        try:
+            target_idx = header.index(target_column)
+        except ValueError:
+            raise DataError(f"{path}: no column named {target_column!r} in header {header}") from None
+    else:
+        target_idx = int(target_column)
+        if target_idx < 0:
+            target_idx += width
+        if not 0 <= target_idx < width:
+            raise DataError(f"{path}: target column {target_column} out of range for width {width}")
+
+    matrix = np.empty((len(rows), width))
+    for i, (line_no, cells) in enumerate(rows):
+        for j, cell in enumerate(cells):
+            matrix[i, j] = _oracle_cell(cell, line_no, j, path)
+
+    keep = [j for j in range(width) if j != target_idx]
+    names = None
+    if header is not None:
+        names = [header[j] for j in keep]
+    return Dataset(matrix[:, keep], matrix[:, target_idx], feature_names=names,
+                   source_tag=str(path))
+
+
+def _msd_shaped_text(rows):
+    # 90 features printed with 5 decimals and an integer year last, as the
+    # msd export is.
+    rng = np.random.default_rng(91)
+    features = rng.normal(size=(rows, 90)) * np.geomspace(0.5, 500.0, 90)
+    year = rng.integers(1922, 2012, size=rows)
+    lines = [",".join([*(f"{v:.5f}" for v in row), str(y)]) for row, y in zip(features, year)]
+    return "\n".join(lines) + "\n"
+
+
+def _saved_table_text(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "saved_for_corpus.csv"
+    save_delimited(Dataset(rng.normal(size=(30, 3)), rng.normal(size=30),
+                           feature_names=["u", "v", "w"]), path)
+    return path.read_text(encoding="utf-8")
+
+
+# (case id, file text, delimiter, target column)
+LOADER_CORPUS = [
+    ("plain", "1,2,3\n4,5,6\n", ",", -1),
+    ("padded cells", " 1 , 2\t,3 \n 4,5 , 6\n", ",", 0),
+    ("crlf", "x,y\r\n1,2\r\n3,4\r\n", ",", "y"),
+    ("cr only", "1,2\r3,4\r", ",", -1),
+    ("no final eol", "1,2\n3,4", ",", -1),
+    ("bom on numeric first row", "\ufeff1,2\n3,4\n", ",", -1),
+    ("bom on header", "\ufeffa,b\n1,2\n", ",", "b"),
+    ("quoted numbers", '"1","2"\n"3","4"\n', ",", -1),
+    ("quoted decimal comma", '1,"2,5"\n3,4\n', ",", -1),
+    ("underscore digits", "1_0,2\n3,4\n", ",", -1),
+    ("hex cell", "1,2\n0x10,4\n", ",", -1),
+    ("unicode-digit first row", "\u0661,\u0662\n3,4\n", ",", -1),
+    ("comma-only row", "1,2\n,\n3,4\n", ",", -1),
+    ("whitespace-only line", "1,2\n   \n3,4\n", ",", -1),
+    ("blank line before header", "\na,b\n1,2\n", ",", -1),
+    ("space delimiter", "1 2\n3 4\n", " ", -1),
+    ("double space", "1  2\n3  4\n", " ", -1),
+    ("tab delimiter", "a\tb\n1\t2\n3\t4\n", "\t", "a"),
+    ("semicolon delimiter", "1;2\n3;4\n", ";", -1),
+    ("newline delimiter", "1,2\n3,4\n", "\n", -1),
+    ("quote delimiter", '1"2\n3"4\n', '"', -1),
+    ("hash at line start", "#1,2\n3,4\n", ",", -1),
+    ("hash mid-cell", "1,2\n3,4#5\n", ",", -1),
+    ("hash header", "#a,b\n1,2\n", ",", -1),
+    ("nan", "1,2\n3,nan\n", ",", -1),
+    ("minus infinity", "-Infinity,2\n3,4\n", ",", -1),
+    ("overflow", "1,2\n1e400,4\n", ",", -1),
+    ("trailing delimiter", "1,2,\n3,4,\n", ",", -1),
+    ("ragged rows", "1,2,3\n4,5\n", ",", -1),
+    ("one column", "1\n2\n", ",", -1),
+    ("one column then bad cell", "1\nx\n", ",", -1),
+    ("single cell first row then ragged", "1\n2,3\n", ",", -1),
+    ("bad target before bad cell", "1,2\n3,oops\n", ",", 7),
+    ("target name without header", "1,2\n3,4\n", ",", "y"),
+    ("unknown target name", "a,b\n1,2\n", ",", "z"),
+    ("header only", "a,b\n", ",", -1),
+    ("empty", "", ",", -1),
+    ("blank lines only", "\n \n\n", ",", -1),
+    ("signed and bare-point numbers", "+1,-2\n.5,5.\n-0,1e-320\n", ",", 1),
+    ("msd-shaped 2000 x 91", _msd_shaped_text(2000), ",", -1),
+]
+
+
+def _outcome(loader, path, delimiter, target):
+    try:
+        data = loader(path, target_column=target, delimiter=delimiter)
+    except Exception as exc:  # the oracle's exceptions are part of its contract
+        return ("error", type(exc), str(exc))
+    return ("loaded", data.features.shape, data.features.tobytes(), data.targets.tobytes(),
+            data.feature_names)
+
+
+@pytest.mark.parametrize("case, text, delimiter, target", LOADER_CORPUS,
+                         ids=[case[0] for case in LOADER_CORPUS])
+def test_load_matches_cell_by_cell_oracle(tmp_path, case, text, delimiter, target):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_delimited, path, delimiter, target) == \
+        _outcome(cell_by_cell_load, path, delimiter, target)
+
+
+def test_load_saved_table_matches_cell_by_cell_oracle(tmp_path):
+    path = _write(tmp_path, _saved_table_text(tmp_path))
+    expected = _outcome(cell_by_cell_load, path, ",", "y")
+    assert expected[0] == "loaded"
+    assert _outcome(load_delimited, path, ",", "y") == expected
+
+
+def test_clean_numeric_table_skips_the_cell_by_cell_parse(tmp_path, monkeypatch):
+    # A vectorized path that silently never runs would still pass the oracle
+    # comparison; here the per-cell parser is not available at all.
+    msd = _write(tmp_path, _msd_shaped_text(50), "msd.csv")
+    saved = _write(tmp_path, _saved_table_text(tmp_path), "saved.csv")
+    expected = [cell_by_cell_load(msd), cell_by_cell_load(saved, target_column="y")]
+
+    def refuse(*args):
+        raise AssertionError("a clean numeric table was parsed cell by cell")
+
+    monkeypatch.setattr(pireg.data, "_parse_cell", refuse)
+    got = [load_delimited(msd), load_delimited(saved, target_column="y")]
+    for loaded, oracle in zip(got, expected):
+        assert loaded.features.tobytes() == oracle.features.tobytes()
+        assert loaded.targets.tobytes() == oracle.targets.tobytes()
+        assert loaded.feature_names == oracle.feature_names
 
 
 # ---------------------------------------------------------------------------
