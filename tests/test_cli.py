@@ -5,6 +5,7 @@ pyproject.toml out of process, the way the installed `pireg` console script
 would, and the smoke runs of the README quick start and scripts/sine_demo.py,
 also out of process."""
 
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import pireg
 from pireg.bench import load_report
 from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO,
                        EXIT_OK, OUT_DIR_ENV, main)
+from pireg.config import DataSpec, ExperimentConfig, config_to_dict
 from pireg.data import load_delimited
 from pireg.losses import VARIANTS
 
@@ -66,6 +68,89 @@ def test_flags_override_config_file(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--coverage-penalty", "11.0",
                  "--out", str(out_b)]) == EXIT_OK
     assert load_report(f"{out_b}.json").config["loss"]["coverage_penalty"] == 11.0
+
+
+# Every run-verb config flag with a non-default value and the config field it
+# sets, as (field path, value) where a path is "section.key" or a top-level key.
+FLAG_FIELDS = {
+    "--name": ("name", "pinned"),
+    "--seed": ("seed", 7),
+    "--ensemble-size": ("ensemble_size", 2),
+    "--splits": ("splits.count", 2),
+    "--test-fraction": ("splits.test_fraction", 0.25),
+    "--target-column": ("data.target_column", 1),
+    "--delimiter": ("data.delimiter", ";"),
+    "--data-n": ("data.n", 41),
+    "--noise-scale": ("data.noise_scale", 0.5),
+    "--skew-alpha": ("data.skew_alpha", 3.0),
+    "--hidden": ("model.hidden_sizes", [4, 3]),
+    "--head-bias": ("model.head_bias", [2.0, -2.5]),
+    "--alpha": ("loss.alpha", 0.1),
+    "--coverage-penalty": ("loss.coverage_penalty", 9.0),
+    "--soften": ("loss.soften", 80.0),
+    "--interval-weight": ("loss.interval_weight", 0.3),
+    "--variant": ("loss.variant", "midpoint"),
+    "--point-loss": ("loss.point_loss", "absolute"),
+    "--lr": ("optimizer.learning_rate", 0.02),
+    "--decay": ("optimizer.decay", 0.99),
+    "--batch-size": ("optimizer.batch_size", 7),
+    "--max-epochs": ("optimizer.max_epochs", 3),
+    "--patience": ("optimizer.patience", 5),
+    "--validation-fraction": ("optimizer.validation_fraction", 0.2),
+}
+# Config fields that no run-verb flag sets: --data-path sets data.kind to
+# "file", and the generator's x range and the output directory come from
+# config files only.
+NO_FLAG_FIELDS = {"data.x_low", "data.x_high", "data.kind", "out_dir"}
+
+
+def _field_paths(config):
+    paths = set()
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            paths.update(f"{f.name}.{g.name}" for g in dataclasses.fields(value))
+        else:
+            paths.add(f.name)
+    return paths
+
+
+def _lookup(config_dict, path):
+    for key in path.split("."):
+        config_dict = config_dict[key]
+    return config_dict
+
+
+def test_every_config_field_has_one_run_flag(tmp_path):
+    table = tmp_path / "t.csv"
+    rows = [f"{i};{i % 3};{(i * 7) % 5}" for i in range(30)]
+    table.write_text("u;y;v\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["bench", "--data-path", str(table), "--no-predictions", "--out",
+            str(tmp_path / "pin")]
+    for flag, (_, value) in FLAG_FIELDS.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [flag, text]
+    assert main(argv) == EXIT_OK
+    config = load_report(tmp_path / "pin.json").config
+    defaults = config_to_dict(ExperimentConfig())
+    for flag, (path, value) in FLAG_FIELDS.items():
+        assert _lookup(config, path) == value and _lookup(defaults, path) != value, flag
+    assert type(config["data"]["target_column"]) is int
+    assert config["data"]["kind"] == "file" and config["data"]["path"] == str(table)
+    assert config["store_predictions"] is False
+    flagged = {path for path, _ in FLAG_FIELDS.values()} | {"data.path", "store_predictions"}
+    assert flagged.isdisjoint(NO_FLAG_FIELDS)
+    assert _field_paths(ExperimentConfig()) == flagged | NO_FLAG_FIELDS
+
+
+def test_gen_data_defaults_are_the_data_spec_defaults(tmp_path):
+    spec = DataSpec()
+    explicit = ["--kind", spec.kind, "--n", str(spec.n), "--x-low", repr(spec.x_low),
+                "--x-high", repr(spec.x_high), "--noise-scale", repr(spec.noise_scale),
+                "--skew-alpha", repr(spec.skew_alpha)]
+    assert main(["gen-data", "--out", str(tmp_path / "implicit.csv")]) == EXIT_OK
+    assert main(["gen-data", *explicit, "--out", str(tmp_path / "explicit.csv")]) == EXIT_OK
+    assert (tmp_path / "implicit.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
 def test_catalog_name_applies_defaults(tmp_path):
