@@ -15,7 +15,7 @@ import numpy as np
 
 from pireg.bench import ensemble_predict
 from pireg.config import DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec
-from pireg.data import apply_normalize, denormalize_targets, fit_normalize, gen_sine
+from pireg.data import apply_normalize, denormalize_targets, fit_normalize, generate
 from pireg.losses import LossConfig
 from pireg.metrics import metrics_record
 from pireg.training import train_ensemble
@@ -37,8 +37,8 @@ def main(argv=None):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train = gen_sine(args.n, seed=args.seed)
-    test = gen_sine(4000, seed=args.seed + 10_000)
+    train = generate(DataSpec(n=args.n), seed=args.seed)
+    test = generate(DataSpec(n=4000), seed=args.seed + 10_000)
     stats = fit_normalize(train)
     train_n = apply_normalize(train, stats)
     test_n = apply_normalize(test, stats)

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import DataSpec, ExperimentConfig, config_to_dict
-from .data import (Dataset, SplitSpec, denormalize_targets, fit_normalize, gen_flat_skew,
-                   gen_sine, apply_normalize, load_delimited, split)
+from .data import (Dataset, denormalize_targets, fit_normalize, generate, apply_normalize,
+                   load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
 from .losses import gaussian_link, interval_link
@@ -84,16 +84,10 @@ class SweepReport:
 
 
 def load_dataset(spec: DataSpec, seed) -> Dataset:
-    """Materialize a dataset from its spec (generator seeded, file loaded)."""
-    if spec.kind == "sine":
-        return gen_sine(spec.n, spec.x_low, spec.x_high, spec.noise_scale,
-                        spec.skew_alpha, seed)
-    if spec.kind == "flat_skew":
-        return gen_flat_skew(spec.n, spec.x_low, spec.x_high, spec.noise_scale,
-                             spec.skew_alpha, seed)
+    """Materialize a dataset from its spec (file loaded, generator seeded)."""
     if spec.kind == "file":
         return load_delimited(spec.path, spec.target_column, spec.delimiter)
-    raise ConfigError(f"unknown data kind {spec.kind!r}")
+    return generate(spec, seed)
 
 
 def ensemble_predict(models, features, variant: str, alpha: float) -> EnsembleOutput:
@@ -121,8 +115,7 @@ def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
 def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> SplitResult:
     """Train and score one shuffled train/test split."""
     started = time.perf_counter()
-    spec = SplitSpec(config.splits.test_fraction, config.seed, split_index)
-    train_all, test = split(dataset, spec)
+    train_all, test = split(dataset, config.splits.test_fraction, config.seed, split_index)
 
     stats = fit_normalize(train_all)
     train_n = apply_normalize(train_all, stats)
@@ -197,14 +190,15 @@ def _run_grid(config: ExperimentConfig, kind: str, points) -> SweepReport:
 
     Each point is (cell params, loss overrides, series key, x): the key is a
     format string completed with the metric name, and the cell's mean picp,
-    mpiw (normalized) and rmse (original units) are appended at x.
+    mpiw (normalized) and rmse (original units) are appended at x.  Every
+    point's loss config is built, and so validated, before any training.
     """
     started = time.perf_counter()
+    losses = [dataclasses.replace(config.loss, **overrides) for _, overrides, _, _ in points]
     cells: List[SweepCell] = []
     series: Dict[str, List[List[float]]] = {}
-    for params, overrides, key, x in points:
-        cfg = dataclasses.replace(config, loss=dataclasses.replace(config.loss, **overrides))
-        report = run_benchmark(cfg)
+    for (params, _, key, x), loss in zip(points, losses):
+        report = run_benchmark(dataclasses.replace(config, loss=loss))
         norm = _mean_record(report, "normalized")
         denorm = _mean_record(report, "denormalized")
         cells.append(SweepCell(params=params, normalized=norm, denormalized=denorm))

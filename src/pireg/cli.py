@@ -2,7 +2,9 @@
 
 Verbs: train (one split), bench (multi-split benchmark), sweep-alpha,
 sweep-hparam, gen-data, report.  Configuration resolves as defaults ->
-catalog entry (--name) -> config file (--config) -> flags.  Exit codes:
+catalog entry (--name) -> config file (--config) -> flags.  Each run-verb
+config flag is one row of the flag table and sets exactly one field of
+``pireg.config``; gen-data's flags default to ``DataSpec``'s.  Exit codes:
 0 success, 2 configuration error, 3 data error, 4 training divergence,
 5 I/O error, 141 (128 + SIGPIPE) when the reader of stdout closed it early.
 PIREG_OUT_DIR sets the default output directory.
@@ -16,10 +18,10 @@ import errno
 import os
 import sys
 
-from .bench import (emit_report, format_report, load_dataset, load_report, run_alpha_sweep,
-                    run_benchmark, run_hyperparam_sweep)
+from .bench import (emit_report, format_report, load_report, run_alpha_sweep, run_benchmark,
+                    run_hyperparam_sweep)
 from .config import GENERATOR_KINDS, DataSpec, check_int, resolve_config
-from .data import save_delimited
+from .data import generate, save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 
 EXIT_OK = 0
@@ -50,33 +52,51 @@ def _ints(text):
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _int_or_name(text):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+# (flag, config field "section.key" or top-level key, argparse type, parser
+# run inside main's error handler, help).  config_from_dict validates sections
+# in the order they first appear, so keep data, model, loss, optimizer, splits.
+_CONFIG_FLAGS = (
+    ("--name", "name", None, None, "catalog entry supplying per-dataset defaults"),
+    ("--seed", "seed", int, None, None),
+    ("--ensemble-size", "ensemble_size", int, None, None),
+    ("--data-path", "data.path", None, None, "delimited data file (sets data kind to file)"),
+    ("--target-column", "data.target_column", None, _int_or_name,
+     "target column index or header name"),
+    ("--delimiter", "data.delimiter", None, None, None),
+    ("--data-n", "data.n", int, None, "generator sample count"),
+    ("--noise-scale", "data.noise_scale", float, None, None),
+    ("--skew-alpha", "data.skew_alpha", float, None, None),
+    ("--hidden", "model.hidden_sizes", None, _ints, "comma-separated hidden layer sizes"),
+    ("--head-bias", "model.head_bias", None, _floats, "initial upper,lower head biases"),
+    ("--alpha", "loss.alpha", float, None, "target miscoverage"),
+    ("--coverage-penalty", "loss.coverage_penalty", float, None, None),
+    ("--soften", "loss.soften", float, None, None),
+    ("--interval-weight", "loss.interval_weight", float, None, None),
+    ("--variant", "loss.variant", None, None,
+     "joint | interval_only | midpoint | decoupled | gaussian_nll"),
+    ("--point-loss", "loss.point_loss", None, None, "squared | absolute"),
+    ("--lr", "optimizer.learning_rate", float, None, None),
+    ("--decay", "optimizer.decay", float, None, None),
+    ("--batch-size", "optimizer.batch_size", int, None, None),
+    ("--max-epochs", "optimizer.max_epochs", int, None, None),
+    ("--patience", "optimizer.patience", int, None, None),
+    ("--validation-fraction", "optimizer.validation_fraction", float, None, None),
+    ("--splits", "splits.count", int, None, "number of train/test splits"),
+    ("--test-fraction", "splits.test_fraction", float, None, None),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--name", help="catalog entry supplying per-dataset defaults")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ensemble-size", type=int)
-    p.add_argument("--splits", type=int, help="number of train/test splits")
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--data-path", help="delimited data file (sets data kind to file)")
-    p.add_argument("--target-column", help="target column index or header name")
-    p.add_argument("--delimiter")
-    p.add_argument("--data-n", type=int, help="generator sample count")
-    p.add_argument("--noise-scale", type=float)
-    p.add_argument("--skew-alpha", type=float)
-    p.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    p.add_argument("--head-bias", help="initial upper,lower head biases")
-    p.add_argument("--alpha", type=float, help="target miscoverage")
-    p.add_argument("--coverage-penalty", type=float)
-    p.add_argument("--soften", type=float)
-    p.add_argument("--interval-weight", type=float)
-    p.add_argument("--variant", help="joint | interval_only | midpoint | decoupled | gaussian_nll")
-    p.add_argument("--point-loss", help="squared | absolute")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--validation-fraction", type=float)
+    for flag, _, kind, _, help_text in _CONFIG_FLAGS:
+        p.add_argument(flag, type=kind, help=help_text)
     p.add_argument("--no-predictions", action="store_true",
                    help="do not persist per-sample predictions in reports")
     p.add_argument("--out", help="output base path for report files")
@@ -84,53 +104,18 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 def _overrides_from(args) -> dict:
     over: dict = {}
-
-    def put(section, key, value):
-        if value is not None:
-            over.setdefault(section, {})[key] = value
-
+    for flag, field, _, parse, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if parse is not None:
+            value = parse(value)
+        section, _, key = field.rpartition(".")
+        (over.setdefault(section, {}) if section else over)[key] = value
     if args.data_path is not None:
-        over.setdefault("data", {})["kind"] = "file"
-        over["data"]["path"] = args.data_path
-    if args.target_column is not None:
-        col = args.target_column
-        try:
-            col = int(col)
-        except ValueError:
-            pass
-        over.setdefault("data", {})["target_column"] = col
-    put("data", "delimiter", args.delimiter)
-    put("data", "n", args.data_n)
-    put("data", "noise_scale", args.noise_scale)
-    put("data", "skew_alpha", args.skew_alpha)
-    if args.hidden is not None:
-        over.setdefault("model", {})["hidden_sizes"] = _ints(args.hidden)
-    if args.head_bias is not None:
-        over.setdefault("model", {})["head_bias"] = _floats(args.head_bias)
-    put("loss", "alpha", args.alpha)
-    put("loss", "coverage_penalty", args.coverage_penalty)
-    put("loss", "soften", args.soften)
-    put("loss", "interval_weight", args.interval_weight)
-    put("loss", "variant", args.variant)
-    put("loss", "point_loss", args.point_loss)
-    put("optimizer", "learning_rate", args.lr)
-    put("optimizer", "decay", args.decay)
-    put("optimizer", "batch_size", args.batch_size)
-    put("optimizer", "max_epochs", args.max_epochs)
-    put("optimizer", "patience", args.patience)
-    put("optimizer", "validation_fraction", args.validation_fraction)
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.ensemble_size is not None:
-        over["ensemble_size"] = args.ensemble_size
-    if args.splits is not None:
-        over.setdefault("splits", {})["count"] = args.splits
-    if args.test_fraction is not None:
-        over.setdefault("splits", {})["test_fraction"] = args.test_fraction
+        over["data"]["kind"] = "file"
     if args.no_predictions:
         over["store_predictions"] = False
-    if args.name is not None:
-        over["name"] = args.name
     return over
 
 
@@ -186,12 +171,13 @@ def _cmd_sweep_hparam(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.kind not in GENERATOR_KINDS:
+    if args.kind not in (None, *GENERATOR_KINDS):
         raise ConfigError(f"unknown generator kind {args.kind!r}")
     check_int("seed", args.seed, 0)
-    spec = DataSpec(kind=args.kind, n=args.n, x_low=args.x_low, x_high=args.x_high,
-                    noise_scale=args.noise_scale, skew_alpha=args.skew_alpha)
-    dataset = load_dataset(spec, args.seed)
+    # Flags left out keep DataSpec's defaults.
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(DataSpec)}
+    spec = DataSpec(**{key: value for key, value in given.items() if value is not None})
+    dataset = generate(spec, args.seed)
     save_delimited(dataset, args.out)
     print(f"wrote {args.out} ({dataset.n} rows)")
     return EXIT_OK
@@ -232,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_hparam)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
-    p.add_argument("--kind", default="sine", help="sine | flat_skew")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--x-low", type=float, default=-2.0)
-    p.add_argument("--x-high", type=float, default=2.0)
-    p.add_argument("--noise-scale", type=float, default=0.3)
-    p.add_argument("--skew-alpha", type=float, default=100.0)
+    p.add_argument("--kind", help="sine | flat_skew")
+    p.add_argument("--n", type=int)
+    p.add_argument("--x-low", type=float)
+    p.add_argument("--x-high", type=float)
+    p.add_argument("--noise-scale", type=float)
+    p.add_argument("--skew-alpha", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_gen_data)

@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .data import check_generator
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -67,7 +66,10 @@ class DataSpec:
         if isinstance(column, bool) or not isinstance(column, (numbers.Integral, str)):
             raise ConfigError(
                 f"data.target_column must be an integer or a column name, got {column!r}")
-        check_generator(self.n, self.x_low, self.x_high, self.noise_scale)
+        if not self.x_low < self.x_high:
+            raise ConfigError(f"need x_low < x_high, got [{self.x_low}, {self.x_high}]")
+        if self.noise_scale < 0.0:
+            raise ConfigError(f"noise_scale must be non-negative, got {self.noise_scale}")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be exactly one character, got {self.delimiter!r}")
 
@@ -97,8 +99,9 @@ class OptimizerSpec:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
         check_int("optimizer.batch_size", self.batch_size, 1)
@@ -225,7 +228,7 @@ def config_from_dict(raw: dict, base: Optional[ExperimentConfig] = None) -> Expe
             current = dataclasses.asdict(getattr(base, key))
             current.update(_coerce(cls, val))
             try:
-                top[key] = cls(**_coerce(cls, current))
+                top[key] = cls(**current)
             except TypeError as exc:
                 # A value of the wrong type, such as a string where a
                 # number belongs, fails a comparison in validation.

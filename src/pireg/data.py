@@ -2,13 +2,15 @@
 
 Synthetic tasks follow the classic noisy-sine setup: targets are
 1.5 * sin(x) with additive skew-normal noise, so the optimal point
-prediction does not sit at the center of the optimal interval.  Tabular
-ingestion reads plain delimited numeric text (one row per sample, optional
-header) which covers the usual regression benchmark files once exported to
-CSV.  A clean numeric table is parsed by one vectorized ``np.loadtxt``
-read; input that read refuses (quoted cells, all-empty rows, ``float``-only
-spellings such as ``1_0``, or any faulty cell) takes a cell-by-cell csv
-parse that accepts it or raises a located error.
+prediction does not sit at the center of the optimal interval.
+``generate`` reads its settings from a ``pireg.config.DataSpec``, which
+validates them.  Tabular ingestion reads plain delimited numeric text (one
+row per sample, optional header) which covers the usual regression
+benchmark files once exported to CSV.  A clean numeric table is parsed by
+one vectorized ``np.loadtxt`` read; input that read refuses (quoted cells,
+all-empty rows, ``float``-only spellings such as ``1_0``, or any faulty
+cell) takes a cell-by-cell csv parse that accepts it or raises a located
+error.
 """
 
 from __future__ import annotations
@@ -67,19 +69,6 @@ class NormStats:
     target_std: float
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic shuffled split: (seed, split_index) fixes membership."""
-
-    test_fraction: float = 0.1
-    seed: int = 0
-    split_index: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-
-
 def sample_skew_normal(skew_alpha, rng, size):
     """Draw ``size`` skew-normal samples, density 2 * phi(x) * Phi(skew_alpha * x).
 
@@ -104,41 +93,25 @@ def _skew_normal_mean_std(skew_alpha):
     return mean, std
 
 
-def check_generator(n, x_low, x_high, noise_scale):
-    """Reject generator settings that would not give a well-formed table."""
-    if n < 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
-    if not x_low < x_high:
-        raise ConfigError(f"need x_low < x_high, got [{x_low}, {x_high}]")
-    if not math.isfinite(noise_scale) or noise_scale < 0.0:
-        raise ConfigError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+def generate(spec, seed) -> Dataset:
+    """The table a sine or flat_skew ``DataSpec`` describes, x uniform on its range.
 
-
-def gen_sine(n=100, x_low=-2.0, x_high=2.0, noise_scale=0.3, skew_alpha=100.0, seed=0):
-    """Noisy sine curve: y = 1.5 sin(x) + noise_scale * standardized skew draw.
-
-    x is uniform on [x_low, x_high].  The noise draw is shifted and scaled to
-    zero mean and unit variance before noise_scale is applied, so
-    noise_scale=0 yields the pure curve.
+    Sine: 1.5 sin(x) plus noise_scale times a standardized skew-normal draw
+    (none when noise_scale is 0).  Flat_skew: noise_scale times raw draws.
     """
-    check_generator(n, x_low, x_high, noise_scale)
     rng = np.random.default_rng(seed)
-    x = rng.uniform(x_low, x_high, size=n)
-    y = 1.5 * np.sin(x)
-    if noise_scale != 0.0:
-        mean, std = _skew_normal_mean_std(skew_alpha)
-        noise = (sample_skew_normal(skew_alpha, rng, size=n) - mean) / std
-        y = y + noise_scale * noise
-    return Dataset(x.reshape(-1, 1), y, feature_names=["x"], source_tag="sine")
-
-
-def gen_flat_skew(n=100, x_low=-2.0, x_high=2.0, noise_scale=1.0, skew_alpha=100.0, seed=0):
-    """Skew-normal scatter around a flat zero mean over the same x range."""
-    check_generator(n, x_low, x_high, noise_scale)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(x_low, x_high, size=n)
-    y = noise_scale * sample_skew_normal(skew_alpha, rng, size=n)
-    return Dataset(x.reshape(-1, 1), y, feature_names=["x"], source_tag="flat_skew")
+    x = rng.uniform(spec.x_low, spec.x_high, size=spec.n)
+    if spec.kind == "sine":
+        y = 1.5 * np.sin(x)
+        if spec.noise_scale != 0.0:
+            mean, std = _skew_normal_mean_std(spec.skew_alpha)
+            noise = (sample_skew_normal(spec.skew_alpha, rng, size=spec.n) - mean) / std
+            y = y + spec.noise_scale * noise
+    elif spec.kind == "flat_skew":
+        y = spec.noise_scale * sample_skew_normal(spec.skew_alpha, rng, size=spec.n)
+    else:
+        raise ConfigError(f"no generator for data kind {spec.kind!r}")
+    return Dataset(x.reshape(-1, 1), y, feature_names=["x"], source_tag=spec.kind)
 
 
 def _parse_cell(text, row, col, path):
@@ -274,7 +247,8 @@ def load_delimited(path, target_column=-1, delimiter=","):
     names = None
     if header is not None:
         names = [header[j] for j in keep]
-    return Dataset(matrix[:, keep], matrix[:, target_idx], feature_names=names,
+    # A copy, so that the targets do not keep the whole parsed matrix alive.
+    return Dataset(matrix[:, keep], matrix[:, target_idx].copy(), feature_names=names,
                    source_tag=str(path))
 
 
@@ -304,14 +278,17 @@ def denormalize_targets(values, stats: NormStats):
     return np.asarray(values, dtype=float) * stats.target_std + stats.target_mean
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset]:
-    """Seeded shuffled split; the first ceil((1 - f) * n) rows are training."""
+def split(dataset: Dataset, test_fraction: float, seed, split_index: int
+          ) -> Tuple[Dataset, Dataset]:
+    """Shuffled split fixed by (seed, split_index); the first ceil((1 - f) * n) rows train."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = dataset.n
     if n < 2:
         raise DataError(f"cannot split a dataset of {n} row(s)")
-    rng = np.random.default_rng([spec.seed, spec.split_index])
+    rng = np.random.default_rng([seed, split_index])
     perm = rng.permutation(n)
-    n_train = int(math.ceil((1.0 - spec.test_fraction) * n))
+    n_train = int(math.ceil((1.0 - test_fraction) * n))
     n_train = min(max(n_train, 1), n - 1)
     return dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
 

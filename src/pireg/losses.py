@@ -90,10 +90,10 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.coverage_penalty <= 0.0:
-            raise ConfigError(f"coverage_penalty must be positive, got {self.coverage_penalty}")
-        if self.soften <= 0.0:
-            raise ConfigError(f"soften must be positive, got {self.soften}")
+        for name in ("coverage_penalty", "soften"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.interval_weight <= 1.0:
             raise ConfigError(f"interval_weight must lie in [0, 1], got {self.interval_weight}")
         if self.variant not in VARIANTS:

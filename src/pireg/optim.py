@@ -1,11 +1,12 @@
-"""Adam optimizer with an exponential per-epoch learning-rate decay.
+"""Adam optimizer.
 
 The moments are flat buffers shaped like the model's ``flat`` parameter
 buffer, leading member axes included, so one step is a single fused
 element-wise update over every parameter of every stacked member.  The
 moment factors and the denominator guard are the usual Adam constants
-``BETA1``, ``BETA2`` and ``EPS``; only the learning rate and its decay are
-configurable.
+``BETA1``, ``BETA2`` and ``EPS``; only the learning rate is set here.  Its
+per-epoch exponential decay is ``OptimizerSpec.decay``, which the trainer
+applies to ``AdamState.learning_rate`` at each epoch boundary.
 """
 
 from __future__ import annotations
@@ -26,29 +27,25 @@ EPS = 1e-8
 class AdamState:
     """Moment accumulators shaped like model.flat, plus the step counter.
 
-    learning_rate is mutated by :func:`decay_learning_rate` at epoch
-    boundaries.  Stacked members share the step counter and the learning
-    rate, since they step in lock-step.
+    The trainer decays learning_rate at epoch boundaries.  Stacked members
+    share the step counter and the learning rate, since they step in
+    lock-step.
     """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int
     learning_rate: float
-    decay: float
 
 
-def init_adam(model: FeedForwardModel, learning_rate=0.01, decay=0.999) -> AdamState:
+def init_adam(model: FeedForwardModel, learning_rate=0.01) -> AdamState:
     if learning_rate <= 0.0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-    if not 0.0 < decay <= 1.0:
-        raise ConfigError(f"decay must lie in (0, 1], got {decay}")
     return AdamState(
         first_moment=np.zeros_like(model.flat),
         second_moment=np.zeros_like(model.flat),
         step=0,
         learning_rate=float(learning_rate),
-        decay=float(decay),
     )
 
 
@@ -79,9 +76,3 @@ def adam_step(state: AdamState, model: FeedForwardModel, grads: FeedForwardModel
     v += (1.0 - BETA2) * (g * g)
     p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
     return model, state
-
-
-def decay_learning_rate(state: AdamState) -> AdamState:
-    """Apply one epoch's exponential decay to the learning rate."""
-    state.learning_rate *= state.decay
-    return state

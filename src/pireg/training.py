@@ -28,7 +28,7 @@ from .data import Dataset
 from .errors import TrainingDiverged
 from .network import (FeedForwardModel, backward, init_mean_variance_model,
                       init_model, loss_value)
-from .optim import adam_step, decay_learning_rate, init_adam
+from .optim import adam_step, init_adam
 
 
 @dataclass
@@ -78,7 +78,7 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
     seeds = [base_seed + j for j in range(config.ensemble_size)]
     members = [build_model(config, train.dim, seed) for seed in seeds]
     stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))
-    state = init_adam(stack, opt.learning_rate, opt.decay)
+    state = init_adam(stack, opt.learning_rate)
     shuffles = [np.random.default_rng([seed, 1]) for seed in seeds]
     histories = [TrainingHistory() for _ in seeds]
     best_flat = stack.flat.copy()
@@ -146,7 +146,7 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
         if len(rows) < len(active):
             active = [active[k] for k in rows]
             stack = _keep(stack, state, rows)
-        decay_learning_rate(state)
+        state.learning_rate *= opt.decay
 
     if failure is not None:
         raise failure

@@ -18,7 +18,7 @@ import pytest
 from pireg.bench import ensemble_predict, run_alpha_sweep, run_benchmark
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
                           default_config)
-from pireg.data import (Dataset, apply_normalize, fit_normalize, gen_sine,
+from pireg.data import (Dataset, apply_normalize, fit_normalize, generate,
                         sample_skew_normal)
 from pireg.ensemble import aggregate_pi, z_score
 from pireg.losses import LossConfig, head_loss_and_grad, interval_link
@@ -297,7 +297,7 @@ def _synthetic_record(loss_cfg, seed, eval_set):
                                 validation_fraction=0.0),
         ensemble_size=5,
     )
-    train = gen_sine(100, seed=seed)
+    train = generate(DataSpec(n=100), seed)
     stats = fit_normalize(train)
     train_n = apply_normalize(train, stats)
     eval_n = apply_normalize(eval_set, stats)
@@ -308,7 +308,7 @@ def _synthetic_record(loss_cfg, seed, eval_set):
 
 def test_criterion_05_synthetic_sine_directional():
     started = time.perf_counter()
-    eval_set = gen_sine(4000, seed=EVAL_SEED)
+    eval_set = generate(DataSpec(n=4000), EVAL_SEED)
     seeds = list(range(1, 11))
     joint, baseline = [], []
     for seed in seeds:
@@ -413,7 +413,7 @@ def test_criterion_07_alpha_sweep_yacht():
 
 
 def test_criterion_08_interval_weight_sweep():
-    eval_set = gen_sine(4000, seed=EVAL_SEED)
+    eval_set = generate(DataSpec(n=4000), EVAL_SEED)
     seeds = [1, 2, 3, 4, 5]
     cells = {}
     for beta in (0.1, 0.99):
@@ -445,7 +445,7 @@ def test_criterion_08_interval_weight_sweep():
 
 
 def test_criterion_09_coverage_penalty_sweep():
-    eval_set = gen_sine(4000, seed=EVAL_SEED)
+    eval_set = generate(DataSpec(n=4000), EVAL_SEED)
     seeds = [1, 2, 3, 4, 5]
     grid = [1.0, 4.0, 15.0, 40.0]
     means = []

@@ -212,6 +212,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert main(["gen-data", "--n", "5", "--noise-scale", scale,
                      "--out", str(tmp_path / "g.csv")]) == EXIT_CONFIG
     assert not (tmp_path / "g.csv").exists()
+    # Non-finite rates and loss scales are refused before any data is read.
+    for flag in ("--lr", "--coverage-penalty", "--soften"):
+        for value in ("nan", "inf"):
+            assert main(["train", *FAST, *missing, flag, value]) == EXIT_CONFIG, (flag, value)
+            assert "finite" in capsys.readouterr().err
     table = tmp_path / "d.csv"
     table.write_text("1,2\n3,4\n", encoding="utf-8")
     assert main(["bench", *FAST, "--data-path", str(table), "--delimiter", ";;"]) == EXIT_CONFIG
@@ -274,6 +279,19 @@ def test_missing_output_directory_fails_before_training(tmp_path, monkeypatch, c
         assert "i/o error" in capsys.readouterr().err
     monkeypatch.setenv(OUT_DIR_ENV, str(missing))
     assert main(["bench", *FAST]) == EXIT_IO
+
+
+def test_sweep_grid_is_validated_before_training(tmp_path, monkeypatch, capsys):
+    def must_not_run(config):
+        raise AssertionError(f"trained grid point {config.loss} before validating the grid")
+
+    monkeypatch.setattr("pireg.bench.run_benchmark", must_not_run)
+    out = ["--out", str(tmp_path / "sweep")]
+    assert main(["sweep-alpha", *FAST, "--alphas", "0.05,1.5", *out]) == EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+    assert main(["sweep-hparam", *FAST, "--interval-weights", "0.5",
+                 "--coverage-penalties", "15,-1", *out]) == EXIT_CONFIG
+    assert "coverage_penalty" in capsys.readouterr().err
 
 
 def test_gen_data_round_trip_and_determinism(tmp_path):

@@ -110,6 +110,14 @@ def test_validation_errors():
     for scale in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             DataSpec(noise_scale=scale)
+    with pytest.raises(ConfigError, match="x_low < x_high"):
+        DataSpec(x_low=1.0, x_high=1.0)
+    # nan and inf pass a bare `<= 0` test; each would train to divergence.
+    for bad in (float("nan"), float("inf")):
+        for spec in (lambda: OptimizerSpec(learning_rate=bad),
+                     lambda: LossConfig(coverage_penalty=bad), lambda: LossConfig(soften=bad)):
+            with pytest.raises(ConfigError, match="finite"):
+                spec()
     # Generator ranges and skew are finite numbers, and a target column is an
     # index or a name: strings, bools and non-integral indices are refused.
     for spec in (lambda: DataSpec(skew_alpha="a"), lambda: DataSpec(x_low="a", x_high="b"),

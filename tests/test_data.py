@@ -16,15 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import pireg.data
 
+from pireg.config import DataSpec
 from pireg.data import (
     Dataset,
     NormStats,
-    SplitSpec,
     apply_normalize,
     denormalize_targets,
     fit_normalize,
-    gen_flat_skew,
-    gen_sine,
+    generate,
     load_delimited,
     sample_skew_normal,
     save_delimited,
@@ -116,62 +115,56 @@ def test_skew_rejects_non_finite_alpha():
 
 
 # ---------------------------------------------------------------------------
-# gen_sine / gen_flat_skew
+# generate: sine and flat_skew
 
 
 def test_gen_sine_zero_noise_is_the_pure_curve():
-    data = gen_sine(n=200, noise_scale=0.0, seed=4)
+    data = generate(DataSpec(n=200, noise_scale=0.0), seed=4)
     x = data.features[:, 0]
     assert np.array_equal(data.targets, 1.5 * np.sin(x))
     assert np.max(np.abs(data.targets)) <= 1.5
 
 
 def test_gen_sine_defaults_match_contract():
-    data = gen_sine()
+    data = generate(DataSpec(), seed=0)
     assert data.n == 100 and data.dim == 1
     assert float(np.min(data.features)) >= -2.0
     assert float(np.max(data.features)) <= 2.0
-    assert data.feature_names == ["x"]
+    assert data.feature_names == ["x"] and data.source_tag == "sine"
 
 
 def test_gen_sine_noise_is_standardized():
     # The skew draw is shifted/scaled to zero mean, unit variance before the
     # noise_scale multiplier, so residuals have std ~ noise_scale.
-    data = gen_sine(n=200_000, noise_scale=0.3, skew_alpha=100.0, seed=12)
+    data = generate(DataSpec(n=200_000, noise_scale=0.3, skew_alpha=100.0), seed=12)
     residual = data.targets - 1.5 * np.sin(data.features[:, 0])
     assert float(np.mean(residual)) == pytest.approx(0.0, abs=0.01)
     assert float(np.std(residual)) == pytest.approx(0.3, abs=0.01)
 
 
 def test_gen_sine_determinism_and_validation():
-    a = gen_sine(n=50, seed=9)
-    b = gen_sine(n=50, seed=9)
-    c = gen_sine(n=50, seed=10)
+    spec = DataSpec(n=50)
+    a = generate(spec, seed=9)
+    b = generate(spec, seed=9)
+    c = generate(spec, seed=10)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.targets, b.targets)
     assert not np.array_equal(a.targets, c.targets)
-    with pytest.raises(ConfigError):
-        gen_sine(n=0)
-    with pytest.raises(ConfigError):
-        gen_sine(x_low=1.0, x_high=1.0)
-    # A negative scale would mirror the skewed noise.
-    for scale in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            gen_sine(n=5, noise_scale=scale)
+    # Generator settings are validated by DataSpec (tests/test_config.py);
+    # a file spec has no generator.
+    with pytest.raises(ConfigError, match="no generator"):
+        generate(DataSpec(kind="file", path="table.csv"), seed=0)
 
 
 def test_gen_flat_skew_is_scaled_raw_draws():
-    data = gen_flat_skew(n=100_000, noise_scale=2.0, skew_alpha=100.0, seed=21)
+    spec = DataSpec(kind="flat_skew", n=100_000, noise_scale=2.0, skew_alpha=100.0)
+    data = generate(spec, seed=21)
     mu, sd, _ = skew_normal_moments(100.0)
     assert float(np.mean(data.targets)) == pytest.approx(2.0 * mu, abs=0.02)
     assert float(np.std(data.targets)) == pytest.approx(2.0 * sd, abs=0.02)
-    again = gen_flat_skew(n=100_000, noise_scale=2.0, skew_alpha=100.0, seed=21)
+    again = generate(spec, seed=21)
     assert np.array_equal(data.targets, again.targets)
-    with pytest.raises(ConfigError):
-        gen_flat_skew(n=-1)
-    for scale in (-0.5, float("nan")):
-        with pytest.raises(ConfigError):
-            gen_flat_skew(n=5, noise_scale=scale)
+    assert data.source_tag == "flat_skew"
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +276,14 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.features, original.features)  # repr round-trips
     assert np.array_equal(loaded.targets, original.targets)
     assert loaded.feature_names == ["u", "v", "w"]
+
+
+def test_loaded_targets_do_not_pin_the_parsed_matrix(tmp_path):
+    # The vectorized read, then the cell-by-cell parse (quoted cells).
+    for name, text in (("clean.csv", "1,2,3\n4,5,6\n"), ("quoted.csv", '"1",2,3\n4,5,6\n')):
+        data = load_delimited(_write(tmp_path, text, name), target_column=1)
+        assert np.array_equal(data.targets, [2.0, 5.0])
+        assert data.targets.base is None, name
 
 
 def test_load_rejects_header_width_that_differs_from_rows(tmp_path):
@@ -583,53 +584,50 @@ def _tagged(n):
 
 
 def test_split_ten_rows_is_nine_one():
-    train, test = split(_tagged(10), SplitSpec(test_fraction=0.1, seed=3))
+    train, test = split(_tagged(10), 0.1, 3, 0)
     assert train.n == 9 and test.n == 1
 
 
 def test_split_same_spec_identical_membership():
-    spec = SplitSpec(test_fraction=0.2, seed=5, split_index=2)
-    a_train, a_test = split(_tagged(25), spec)
-    b_train, b_test = split(_tagged(25), spec)
+    a_train, a_test = split(_tagged(25), 0.2, 5, 2)
+    b_train, b_test = split(_tagged(25), 0.2, 5, 2)
     assert np.array_equal(a_train.targets, b_train.targets)
     assert np.array_equal(a_test.targets, b_test.targets)
 
 
 def test_split_indices_change_membership():
     base = _tagged(40)
-    _, test0 = split(base, SplitSpec(test_fraction=0.25, seed=5, split_index=0))
-    _, test1 = split(base, SplitSpec(test_fraction=0.25, seed=5, split_index=1))
+    _, test0 = split(base, 0.25, 5, 0)
+    _, test1 = split(base, 0.25, 5, 1)
     assert not np.array_equal(np.sort(test0.targets), np.sort(test1.targets))
 
 
 def test_split_union_is_dataset_and_disjoint():
-    train, test = split(_tagged(23), SplitSpec(test_fraction=0.3, seed=1))
+    train, test = split(_tagged(23), 0.3, 1, 0)
     merged = np.sort(np.concatenate([train.targets, test.targets]))
     assert np.array_equal(merged, np.arange(23, dtype=float))
     assert not set(train.targets) & set(test.targets)
 
 
 def test_split_clamps_to_keep_both_sides_nonempty():
-    train, test = split(_tagged(2), SplitSpec(test_fraction=0.9, seed=0))
+    train, test = split(_tagged(2), 0.9, 0, 0)
     assert train.n == 1 and test.n == 1
-    train, test = split(_tagged(2), SplitSpec(test_fraction=0.05, seed=0))
+    train, test = split(_tagged(2), 0.05, 0, 0)
     assert train.n == 1 and test.n == 1
 
 
 def test_split_rejects_tiny_datasets_and_bad_fractions():
     with pytest.raises(DataError):
-        split(_tagged(1), SplitSpec(test_fraction=0.5))
-    with pytest.raises(ConfigError):
-        SplitSpec(test_fraction=0.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(test_fraction=1.0)
+        split(_tagged(1), 0.5, 0, 0)
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ConfigError):
+            split(_tagged(5), fraction, 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 200), st.floats(0.05, 0.95), st.integers(0, 1000), st.integers(0, 20))
 def test_split_partition_property(n, fraction, seed, split_index):
-    spec = SplitSpec(test_fraction=fraction, seed=seed, split_index=split_index)
-    train, test = split(_tagged(n), spec)
+    train, test = split(_tagged(n), fraction, seed, split_index)
     assert train.n >= 1 and test.n >= 1 and train.n + test.n == n
     merged = np.sort(np.concatenate([train.targets, test.targets]))
     assert np.array_equal(merged, np.arange(n, dtype=float))

@@ -10,7 +10,7 @@ import pytest
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
 from pireg.losses import LossConfig
 from pireg.network import FeedForwardModel, backward, init_model
-from pireg.optim import adam_step, decay_learning_rate, init_adam
+from pireg.optim import adam_step, init_adam
 
 
 def scalar_model(value):
@@ -63,23 +63,10 @@ def test_two_steps_match_hand_trace():
     assert state.step == 2
 
 
-def test_decay_learning_rate_multiplies():
-    model = scalar_model(0.0)
-    state = init_adam(model, learning_rate=0.01, decay=0.9985)
-    decay_learning_rate(state)
-    assert state.learning_rate == pytest.approx(0.01 * 0.9985, rel=1e-15)
-    decay_learning_rate(state)
-    assert state.learning_rate == pytest.approx(0.01 * 0.9985 ** 2, rel=1e-15)
-
-
 def test_init_adam_validation():
     model = scalar_model(0.0)
     with pytest.raises(ConfigError):
         init_adam(model, learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        init_adam(model, decay=0.0)
-    with pytest.raises(ConfigError):
-        init_adam(model, decay=1.5)
 
 
 def test_adam_step_rejects_non_finite_gradients():
@@ -110,11 +97,11 @@ def test_identical_runs_are_bit_identical():
 
     def run():
         model = init_model([2, 6, 3], seed=42)
-        state = init_adam(model, learning_rate=0.01, decay=0.999)
+        state = init_adam(model, learning_rate=0.01)
         for _ in range(25):
             _, grads = backward(model, x, y, cfg)
             adam_step(state, model, grads)
-            decay_learning_rate(state)
+            state.learning_rate *= 0.999
         return model
 
     a, b = run(), run()

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
-from pireg.data import Dataset, apply_normalize, fit_normalize, gen_sine
+from pireg.data import Dataset, apply_normalize, fit_normalize, generate
 from pireg.errors import TrainingDiverged
 from pireg.losses import LossConfig, hard_capture, interval_link
 from pireg.network import FeedForwardModel, backward, forward, loss_value
-from pireg.optim import adam_step, decay_learning_rate, init_adam
+from pireg.optim import adam_step, init_adam
 from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
 
 
@@ -40,7 +40,7 @@ def small_config(**optimizer_overrides):
 
 
 def sine_train(n=40, seed=3):
-    data = gen_sine(n=n, seed=seed)
+    data = generate(DataSpec(n=n), seed)
     return apply_normalize(data, fit_normalize(data))
 
 
@@ -252,7 +252,7 @@ def test_sine_smoke_reaches_high_train_coverage():
 def sequential_member(config, train, valid, seed):
     opt = config.optimizer
     model = build_model(config, train.dim, seed)
-    state = init_adam(model, opt.learning_rate, opt.decay)
+    state = init_adam(model, opt.learning_rate)
     shuffle_rng = np.random.default_rng([seed, 1])
 
     x, y = train.features, train.targets
@@ -298,7 +298,7 @@ def sequential_member(config, train, valid, seed):
             bad += 1
             if bad > opt.patience:
                 break
-        decay_learning_rate(state)
+        state.learning_rate *= opt.decay
 
     if best_flat is not None:
         model = FeedForwardModel(model.layer_sizes, best_flat)
