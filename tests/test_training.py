@@ -7,6 +7,8 @@ the members one after another, each alone through the single-model path of
 """
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
 from pireg.data import Dataset, apply_normalize, fit_normalize, generate
 from pireg.errors import TrainingDiverged
-from pireg.losses import LossConfig, hard_capture, interval_link
+from pireg.bench import ensemble_predict
+from pireg.losses import VARIANTS, LossConfig, hard_capture, head_loss_and_grad, interval_link
 from pireg.network import FeedForwardModel, backward, forward, loss_value
 from pireg.optim import adam_step, init_adam
 from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
@@ -54,6 +57,33 @@ def test_build_model_head_shapes():
     gmodel = build_model(gauss, input_dim=2, seed=0)
     assert gmodel.weights[0].shape == (2, 8)
     assert gmodel.weights[-1].shape == (8, 2)
+
+
+def _readme_head_widths():
+    # variant -> head width from README's "Loss variants" table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return {name: int(units)
+            for name, units in re.findall(r"^\| `(\w+)` \| (\d+) units \|", readme, re.M)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_model_head_follows_the_variant(variant):
+    head_bias = (2.0, -1.5)
+    config = ExperimentConfig(model=ModelSpec(hidden_sizes=(4,), head_bias=head_bias),
+                              loss=LossConfig(variant=variant))
+    model = build_model(config, input_dim=2, seed=5)
+    width = _readme_head_widths()[variant]
+    assert model.layer_sizes == (2, 4, width)
+    want = (0.0, 0.0) if variant == "gaussian_nll" else (*head_bias, 0.0)
+    assert model.biases[-1].tolist() == list(want)
+
+    x = np.random.default_rng(6).normal(size=(9, 2))
+    y = np.random.default_rng(7).normal(size=9)
+    loss, grad = head_loss_and_grad(forward(model, x), y, config.loss)
+    assert np.isfinite(loss) and grad.shape == (9, width)
+    out = ensemble_predict([model, model], x, variant, config.loss.alpha)
+    for column in (out.lower, out.upper, out.value):
+        assert column.shape == (9,) and np.all(np.isfinite(column))
 
 
 def test_two_runs_same_seed_are_bit_identical():
