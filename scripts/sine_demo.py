@@ -16,16 +16,14 @@ import numpy as np
 from pireg.bench import ensemble_predict
 from pireg.config import DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec
 from pireg.data import apply_normalize, denormalize_targets, fit_normalize, generate
-from pireg.losses import LossConfig
+from pireg.losses import VARIANTS, LossConfig
 from pireg.metrics import metrics_record
 from pireg.training import train_ensemble
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--variants", nargs="+",
-                        default=["joint", "interval_only", "midpoint",
-                                 "decoupled", "gaussian_nll"])
+    parser.add_argument("--variants", nargs="+", default=list(VARIANTS))
     parser.add_argument("--n", type=int, default=100, help="training points")
     parser.add_argument("--epochs", type=int, default=2500)
     parser.add_argument("--ensemble-size", type=int, default=5)

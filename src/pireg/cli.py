@@ -18,11 +18,12 @@ import errno
 import os
 import sys
 
-from .bench import (emit_report, format_report, load_report, run_alpha_sweep, run_benchmark,
-                    run_hyperparam_sweep)
+from .bench import (_base_path, emit_report, format_report, load_report, run_alpha_sweep,
+                    run_benchmark, run_hyperparam_sweep)
 from .config import GENERATOR_KINDS, DataSpec, check_int, resolve_config
 from .data import generate, save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
+from .losses import POINT_LOSSES, VARIANTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,9 +80,8 @@ _CONFIG_FLAGS = (
     ("--coverage-penalty", "loss.coverage_penalty", float, None, None),
     ("--soften", "loss.soften", float, None, None),
     ("--interval-weight", "loss.interval_weight", float, None, None),
-    ("--variant", "loss.variant", None, None,
-     "joint | interval_only | midpoint | decoupled | gaussian_nll"),
-    ("--point-loss", "loss.point_loss", None, None, "squared | absolute"),
+    ("--variant", "loss.variant", None, None, " | ".join(VARIANTS)),
+    ("--point-loss", "loss.point_loss", None, None, " | ".join(POINT_LOSSES)),
     ("--lr", "optimizer.learning_rate", float, None, None),
     ("--decay", "optimizer.decay", float, None, None),
     ("--batch-size", "optimizer.batch_size", int, None, None),
@@ -128,6 +128,8 @@ def _out_base(args, config, suffix) -> str:
     """Output base path; its directory must exist before any training starts."""
     base = args.out or os.path.join(
         config.out_dir or os.environ.get(OUT_DIR_ENV) or ".", f"{config.name}_{suffix}")
+    if not os.path.basename(_base_path(base)):
+        raise ConfigError(f"--out {base!r} names a directory, not a base file name")
     directory = os.path.dirname(base) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_hparam)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
-    p.add_argument("--kind", help="sine | flat_skew")
+    p.add_argument("--kind", help=" | ".join(GENERATOR_KINDS))
     p.add_argument("--n", type=int)
     p.add_argument("--x-low", type=float)
     p.add_argument("--x-high", type=float)

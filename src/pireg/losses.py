@@ -11,15 +11,17 @@ sigmoid(soften * (y - lower)) * sigmoid(soften * (upper - y)).  The value
 loss scores the point prediction mix * upper + (1 - mix) * lower against
 targets, and the joint objective is a convex combination of the two.
 
-This module is the only one that knows the head's column layout.  Between
-the network and the aggregators a prediction stays a raw (..., n, k) head
-array, leading axes indexing ensemble members.  Two readers map it to
-quantities over trailing axes: ``interval_link`` gives (upper, lower,
-value) under each interval variant's value rule, and ``gaussian_link``
-gives (mean, variance).  Every loss is computed in one place,
-``head_loss_and_grad``, which returns the loss value together with its
-analytic gradient with respect to the raw head; training, validation and
-the tests all read losses from it.
+This module is the only one that knows the head's layout, which the
+variant alone decides; ``initial_head`` gives its starting biases, one per
+unit.  Between the network and the aggregators a prediction stays a raw
+(..., n, k) head array, leading axes indexing ensemble members.  Two
+readers map it to quantities over trailing axes: ``interval_link`` gives
+(upper, lower, value) under each interval variant's value rule, and
+``gaussian_link`` gives (mean, variance).  Every loss is computed in one
+place, ``head_loss_and_grad``, which returns the loss value together with
+its analytic gradient with respect to the raw head; training, validation
+and the tests all read losses from it, and it shares the value rule with
+``interval_link``.
 Gradients treat the hard capture vector as locally constant; it is piecewise
 constant in the parameters, so this is exact almost everywhere.
 """
@@ -55,12 +57,10 @@ VARIANCE_FLOOR = 1e-6
 
 
 def sigmoid(x):
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|: exp(-|x|) never overflows."""
     x = np.asarray(x, dtype=float)
-    pos = np.where(x >= 0, x, 0.0)
-    neg = np.where(x < 0, x, 0.0)
-    ex = np.exp(neg)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-pos)), ex / (1.0 + ex))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x):
@@ -102,6 +102,19 @@ class LossConfig:
             raise ConfigError(f"unknown point_loss {self.point_loss!r}; expected one of {POINT_LOSSES}")
 
 
+def initial_head(variant, head_bias):
+    """Starting biases of the variant's head, one per unit.
+
+    An interval head starts at the (upper, lower) pair ``head_bias``, wide
+    enough in normalized-target units to capture nearly every target, and at
+    an even mix (logit 0); a (mean, raw-variance) head starts at zero.
+    """
+    if variant == "gaussian_nll":
+        return (0.0, 0.0)
+    upper, lower = head_bias
+    return (float(upper), float(lower), 0.0)
+
+
 def squash_mix(logit):
     """Map the raw mixing head into (0, 1), never touching the endpoints."""
     return np.clip(sigmoid(logit), MIX_EPS, 1.0 - MIX_EPS)
@@ -131,23 +144,27 @@ def _interval_columns(raw):
     return raw[..., 0], raw[..., 1], raw[..., 2]
 
 
+def _value_mix(logit, variant):
+    # Upper-bound weight of the mixed value: learned for joint, the
+    # midpoint for interval_only and midpoint.
+    if variant == "joint":
+        return squash_mix(logit)
+    if variant in ("interval_only", "midpoint"):
+        return 0.5
+    raise ConfigError(f"no interval value rule for variant {variant!r}")
+
+
 def interval_link(raw, variant):
     """(upper, lower, value) per row of a raw (..., n, 3) interval head.
 
     Columns are (upper, lower, mix-logit).  The value is the one the
-    variant reports at inference: the joint objective reports the learned
-    in-interval combination, with the logit pushed through the clipped
-    logistic; the interval-only and pinned-midpoint variants report the
-    interval midpoint; the decoupled variant reports its raw third head.
+    variant reports at inference: the decoupled variant reports its raw
+    third head, the others the in-interval mix of ``_value_mix``.
     """
     upper, lower, logit = _interval_columns(np.asarray(raw, dtype=float))
-    if variant == "joint":
-        return upper, lower, _mixed(upper, lower, squash_mix(logit))
-    if variant in ("interval_only", "midpoint"):
-        return upper, lower, _mixed(upper, lower, 0.5)
     if variant == "decoupled":
         return upper, lower, logit
-    raise ConfigError(f"no interval value rule for variant {variant!r}")
+    return upper, lower, _mixed(upper, lower, _value_mix(logit, variant))
 
 
 def gaussian_link(raw):
@@ -212,10 +229,6 @@ def _value_terms(upper, lower, mix, y, cfg):
     return loss, w * mix, w * (1.0 - mix), w * (upper - lower)
 
 
-def _compose(cfg, li, lv):
-    return cfg.interval_weight * li + (1.0 - cfg.interval_weight) * lv
-
-
 def _gaussian_terms(raw, y):
     n = y.shape[-1]
     mean, variance = gaussian_link(raw)
@@ -249,34 +262,25 @@ def head_loss_and_grad(raw, y, cfg):
         return _gaussian_terms(raw, y)
 
     upper, lower, logit = _interval_columns(raw)
-    mix = squash_mix(logit)
-
     li, di_u, di_l = _interval_terms(upper, lower, y, cfg)
     grad = np.zeros_like(raw)
 
-    if cfg.variant == "interval_only":
-        loss = li
+    if cfg.variant in ("interval_only", "decoupled"):
+        # No mixed value trains: the bounds take the interval loss alone,
+        # and the decoupled value head its own point loss.
         grad[..., 0] = di_u
         grad[..., 1] = di_l
-    elif cfg.variant == "joint":
-        lv, dv_u, dv_l, dv_mix = _value_terms(upper, lower, mix, y, cfg)
-        loss = _compose(cfg, li, lv)
-        w = cfg.interval_weight
-        grad[..., 0] = w * di_u + (1.0 - w) * dv_u
-        grad[..., 1] = w * di_l + (1.0 - w) * dv_l
-        grad[..., 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
-    elif cfg.variant == "midpoint":
-        lv, dv_u, dv_l, _ = _value_terms(upper, lower, 0.5, y, cfg)
-        loss = _compose(cfg, li, lv)
-        w = cfg.interval_weight
-        grad[..., 0] = w * di_u + (1.0 - w) * dv_u
-        grad[..., 1] = w * di_l + (1.0 - w) * dv_l
-    elif cfg.variant == "decoupled":
+        if cfg.variant == "interval_only":
+            return li, grad
         per_sample, d_pred = _point_terms(logit, y, cfg.point_loss)
-        loss = li + np.mean(per_sample, axis=-1)
-        grad[..., 0] = di_u
-        grad[..., 1] = di_l
         grad[..., 2] = d_pred / y.shape[-1]
-    else:  # pragma: no cover - guarded by LossConfig validation
-        raise ConfigError(f"unknown variant {cfg.variant!r}")
-    return loss, grad
+        return li + np.mean(per_sample, axis=-1), grad
+
+    mix = _value_mix(logit, cfg.variant)
+    lv, dv_u, dv_l, dv_mix = _value_terms(upper, lower, mix, y, cfg)
+    w = cfg.interval_weight
+    grad[..., 0] = w * di_u + (1.0 - w) * dv_u
+    grad[..., 1] = w * di_l + (1.0 - w) * dv_l
+    if cfg.variant == "joint":
+        grad[..., 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
+    return w * li + (1.0 - w) * lv, grad

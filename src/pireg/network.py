@@ -1,12 +1,13 @@
 """Dense feed-forward networks with hand-written reverse-mode gradients.
 
 The model is a plain stack of affine layers with rectifier activations on
-the hidden layers and an identity head.  Interval models end in a 3-unit
-head, mean-variance models in a 2-unit head.  ``forward`` returns that head
-raw, as a (..., n, k) array; :mod:`pireg.losses` alone reads its columns,
-for the loss and its head gradient during training and for the bounds and
-value at inference.  Everything is float64 numpy; no computation graph,
-just cached activations and explicit backprop.
+the hidden layers and an identity head.  ``init_model`` takes the head's
+starting biases, one per unit; :mod:`pireg.losses` alone decides them, and
+so the head width, from the variant (``initial_head``).  ``forward``
+returns the head raw, as a (..., n, k) array, and the losses module alone
+reads its columns, for the loss and its head gradient during training and
+for the bounds and value at inference.  Everything is float64 numpy; no
+computation graph, just cached activations and explicit backprop.
 
 Parameters live in one flat buffer per model, ``flat``, whose last axis
 holds w0, b0, w1, b1, ... and whose leading axes, if any, index ensemble
@@ -27,7 +28,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .losses import GAUSSIAN_HEAD, INTERVAL_HEAD, LossConfig, head_loss_and_grad
+from .losses import LossConfig, head_loss_and_grad
 
 
 def _parameter_count(layer_sizes) -> int:
@@ -67,51 +68,25 @@ class FeedForwardModel:
         return self.layer_sizes[0]
 
 
-def _validate_sizes(layer_sizes):
+def init_model(layer_sizes, seed, head_bias):
+    """Build a network whose head biases start at ``head_bias``, one per unit.
+
+    Weights are symmetric uniform scaled by fan-in (He-style bound for
+    rectifiers); hidden biases start at zero, so a zero input propagates to
+    exactly the head biases through rectifier layers.
+    """
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise ConfigError(f"need at least input and output layers, got {layer_sizes}")
-    for s in sizes:
-        if s < 1:
-            raise ConfigError(f"layer sizes must be positive, got {layer_sizes}")
-    return sizes
-
-
-def _init_layers(sizes, seed):
-    # Symmetric uniform scaled by fan-in (He-style bound for rectifiers);
-    # hidden biases start at zero so a zero input propagates to exactly the
-    # head biases through rectifier layers.
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ConfigError(f"need input and output layers of positive size, got {layer_sizes}")
+    if len(head_bias) != sizes[-1]:
+        raise ConfigError(f"{len(head_bias)} head biases for a {sizes[-1]}-unit output layer")
     rng = np.random.default_rng(seed)
     model = FeedForwardModel(sizes, np.zeros(_parameter_count(sizes)))
     for w in model.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
+    model.biases[-1][...] = head_bias
     return model
-
-
-def init_model(layer_sizes, seed, head_bias_init=(3.0, -3.0)):
-    """Build an interval network whose 3-unit head starts at the given bounds.
-
-    The upper-bound bias starts at head_bias_init[0] and the lower-bound bias
-    at head_bias_init[1] (in normalized-target units) so that the initial
-    intervals are wide enough to capture essentially all standardized
-    targets; the mixing head starts at logit 0, i.e. an even split.
-    """
-    sizes = _validate_sizes(layer_sizes)
-    if sizes[-1] != INTERVAL_HEAD:
-        raise ConfigError(f"interval models need a 3-unit output layer, got {sizes[-1]}")
-    u0, l0 = float(head_bias_init[0]), float(head_bias_init[1])
-    model = _init_layers(sizes, seed)
-    model.biases[-1][...] = [u0, l0, 0.0]
-    return model
-
-
-def init_mean_variance_model(layer_sizes, seed):
-    """Build a 2-unit-head network read as (mean, raw-variance)."""
-    sizes = _validate_sizes(layer_sizes)
-    if sizes[-1] != GAUSSIAN_HEAD:
-        raise ConfigError(f"mean-variance models need a 2-unit output layer, got {sizes[-1]}")
-    return _init_layers(sizes, seed)
 
 
 def _check_features(model, features):

@@ -4,9 +4,10 @@ The moments are flat buffers shaped like the model's ``flat`` parameter
 buffer, leading member axes included, so one step is a single fused
 element-wise update over every parameter of every stacked member.  The
 moment factors and the denominator guard are the usual Adam constants
-``BETA1``, ``BETA2`` and ``EPS``; only the learning rate is set here.  Its
-per-epoch exponential decay is ``OptimizerSpec.decay``, which the trainer
-applies to ``AdamState.learning_rate`` at each epoch boundary.
+``BETA1``, ``BETA2`` and ``EPS``.  The learning rate and its per-epoch
+exponential decay come from ``OptimizerSpec``, which validates both:
+``init_adam`` starts at ``learning_rate``, and the trainer applies
+``decay`` to ``AdamState.learning_rate`` at each epoch boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TrainingDiverged
+from .config import OptimizerSpec
+from .errors import ShapeError, TrainingDiverged
 from .network import FeedForwardModel, _first_bad
 
 BETA1 = 0.9
@@ -38,14 +40,13 @@ class AdamState:
     learning_rate: float
 
 
-def init_adam(model: FeedForwardModel, learning_rate=0.01) -> AdamState:
-    if learning_rate <= 0.0:
-        raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
+def init_adam(model: FeedForwardModel, spec: OptimizerSpec) -> AdamState:
+    """Zero moments for the model's parameters, at the spec's learning rate."""
     return AdamState(
         first_moment=np.zeros_like(model.flat),
         second_moment=np.zeros_like(model.flat),
         step=0,
-        learning_rate=float(learning_rate),
+        learning_rate=float(spec.learning_rate),
     )
 
 

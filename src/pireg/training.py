@@ -26,8 +26,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import Dataset
 from .errors import TrainingDiverged
-from .network import (FeedForwardModel, backward, init_mean_variance_model,
-                      init_model, loss_value)
+from .losses import initial_head
+from .network import FeedForwardModel, backward, init_model, loss_value
 from .optim import adam_step, init_adam
 
 
@@ -41,10 +41,8 @@ class TrainingHistory:
 
 def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardModel:
     """Fresh model of the right head shape for the configured variant."""
-    hidden = list(config.model.hidden_sizes)
-    if config.loss.variant == "gaussian_nll":
-        return init_mean_variance_model([input_dim] + hidden + [2], seed)
-    return init_model([input_dim] + hidden + [3], seed, config.model.head_bias)
+    head = initial_head(config.loss.variant, config.model.head_bias)
+    return init_model([input_dim, *config.model.hidden_sizes, len(head)], seed, head)
 
 
 def _diverged(member, message, cause, epoch, batch_index=None):
@@ -78,7 +76,7 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
     seeds = [base_seed + j for j in range(config.ensemble_size)]
     members = [build_model(config, train.dim, seed) for seed in seeds]
     stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))
-    state = init_adam(stack, opt.learning_rate)
+    state = init_adam(stack, opt)
     shuffles = [np.random.default_rng([seed, 1]) for seed in seeds]
     histories = [TrainingHistory() for _ in seeds]
     best_flat = stack.flat.copy()

@@ -23,7 +23,7 @@ from pireg.data import (Dataset, apply_normalize, fit_normalize, generate,
 from pireg.ensemble import aggregate_pi, z_score
 from pireg.losses import LossConfig, head_loss_and_grad, interval_link
 from pireg.metrics import metrics_record, mpiw, picp
-from pireg.network import backward, forward, init_mean_variance_model, init_model, loss_value
+from pireg.network import backward, forward, init_model, loss_value
 from pireg.training import train_ensemble
 
 SUMMARY = []
@@ -111,13 +111,14 @@ def test_criterion_01_gradient_fidelity():
             d_hidden = int(rng.integers(1, 9))
             x = rng.uniform(-2.0, 2.0, size=(16, d_in))
             y = rng.uniform(-2.0, 2.0, size=16)
-            model = init_model([d_in, d_hidden, 3], seed=int(rng.integers(2**31)))
+            model = init_model([d_in, d_hidden, 3], seed=int(rng.integers(2**31)),
+                               head_bias=(3.0, -3.0, 0.0))
             for w in model.weights:
                 w[:] = rng.uniform(-1.0, 1.0, size=w.shape)
             for b in model.biases:
                 b[:] = rng.uniform(-1.0, 1.0, size=b.shape)
-            gmodel = init_mean_variance_model([d_in, d_hidden, 2],
-                                              seed=int(rng.integers(2**31)))
+            gmodel = init_model([d_in, d_hidden, 2], seed=int(rng.integers(2**31)),
+                                head_bias=(0.0, 0.0))
             for w in gmodel.weights:
                 w[:] = rng.uniform(-1.0, 1.0, size=w.shape)
             for b in gmodel.biases:
@@ -161,7 +162,7 @@ def test_criterion_02_containment():
         scale = 3.0 if net % 2 == 0 else 80.0  # include saturating regimes
         d_in = int(rng.integers(1, 5))
         model = init_model([d_in, int(rng.integers(2, 9)), 3],
-                           seed=int(rng.integers(2**31)))
+                           seed=int(rng.integers(2**31)), head_bias=(3.0, -3.0, 0.0))
         for w in model.weights:
             w[:] = rng.uniform(-scale, scale, size=w.shape)
         for b in model.biases:

@@ -359,16 +359,16 @@ def _oracle_row(heads, variant, alpha):
 
 
 def test_ensemble_predict_matches_member_forward():
-    from pireg.network import init_mean_variance_model, init_model
+    from pireg.network import init_model
 
     x = np.random.default_rng(3).normal(size=(7, 2))
     alpha = 0.1
     for variant in ("joint", "interval_only", "midpoint", "decoupled", "gaussian_nll"):
         for size in (1, 3):
             if variant == "gaussian_nll":
-                models = [init_mean_variance_model([2, 5, 2], seed=s) for s in range(size)]
+                models = [init_model([2, 5, 2], seed=s, head_bias=(0.0, 0.0)) for s in range(size)]
             else:
-                models = [init_model([2, 5, 3], seed=s) for s in range(size)]
+                models = [init_model([2, 5, 3], seed=s, head_bias=(3.0, -3.0, 0.0)) for s in range(size)]
                 for s, model in enumerate(models):
                     # Spread the head so bounds and mixing weights differ by member.
                     model.biases[-1][...] += np.random.default_rng(10 + s).normal(size=3)

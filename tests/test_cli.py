@@ -281,6 +281,17 @@ def test_missing_output_directory_fails_before_training(tmp_path, monkeypatch, c
     assert main(["bench", *FAST]) == EXIT_IO
 
 
+def test_out_naming_a_directory_is_refused(tmp_path, monkeypatch, capsys):
+    def must_not_run(config):
+        raise AssertionError("trained although --out names no base file name")
+
+    monkeypatch.setattr("pireg.cli.run_benchmark", must_not_run)
+    for out in (f"{tmp_path}{os.sep}", str(tmp_path / ".json")):
+        assert main(["train", *FAST, "--out", out]) == EXIT_CONFIG
+        assert "names a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_grid_is_validated_before_training(tmp_path, monkeypatch, capsys):
     def must_not_run(config):
         raise AssertionError(f"trained grid point {config.loss} before validating the grid")

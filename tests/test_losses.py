@@ -113,13 +113,25 @@ FINITE = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 # ---------------------------------------------------------------------------
 
 
+def _two_exp_sigmoid(x):
+    # Bitwise oracle: one exp per sign branch, each over the whole array.
+    pos = np.where(x >= 0, x, 0.0)
+    neg = np.where(x < 0, x, 0.0)
+    ex = np.exp(neg)
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-pos)), ex / (1.0 + ex))
+
+
 def test_sigmoid_matches_scalar_reference():
-    xs = np.array([-800.0, -160.0, -5.0, -1e-12, 0.0, 1e-12, 3.0, 160.0, 800.0])
+    edges = [0.0, -0.0, 1e308, -1e308, 750.0, -750.0, np.inf, -np.inf, 1e-320, -1e-320]
+    xs = np.array([-800.0, -160.0, -5.0, -1e-12, 0.0, 1e-12, 3.0, 160.0, 800.0, *edges])
     got = sigmoid(xs)
     for x, g in zip(xs, got):
         want = 0.0 if x < -700 else _sig(x)
         assert abs(g - want) <= 1e-15
     assert np.all(got >= 0.0) and np.all(got <= 1.0)
+    grid = np.concatenate([edges, np.random.default_rng(0).normal(0.0, 40.0, 490)])
+    grid = grid.reshape(5, 100)
+    assert np.array_equal(sigmoid(grid).view(np.uint64), _two_exp_sigmoid(grid).view(np.uint64))
 
 
 def test_softplus_matches_reference_and_never_overflows():

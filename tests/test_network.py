@@ -12,8 +12,12 @@ import pytest
 
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
 from pireg.losses import VARIANTS, LossConfig, gaussian_link, interval_link, squash_mix
-from pireg.network import (backward, forward, init_mean_variance_model, init_model,
-                           loss_value)
+from pireg.network import backward, forward, init_model, loss_value
+
+# Starting biases of an interval head at the default bounds, and of a
+# mean-variance head.
+INTERVAL_BIAS = (3.0, -3.0, 0.0)
+GAUSSIAN_BIAS = (0.0, 0.0)
 
 
 def parameters(model):
@@ -55,7 +59,7 @@ def randomized_params(model, rng, scale=1.0):
 
 
 def test_init_model_head_biases_and_shapes():
-    model = init_model([2, 4, 3], seed=0, head_bias_init=(3.0, -3.0))
+    model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
     assert model.layer_sizes == (2, 4, 3)
     assert [w.shape for w in model.weights] == [(2, 4), (4, 3)]
     assert [b.shape for b in model.biases] == [(4,), (3,)]
@@ -65,26 +69,26 @@ def test_init_model_head_biases_and_shapes():
 
 
 def test_init_model_zero_input_lands_on_head_biases():
-    model = init_model([3, 8, 5, 3], seed=4, head_bias_init=(2.0, -1.5))
+    model = init_model([3, 8, 5, 3], seed=4, head_bias=(2.0, -1.5, 0.0))
     raw = forward(model, np.zeros((1, 3)))
     assert raw[0].tolist() == [2.0, -1.5, 0.0]
 
 
 def test_init_model_rejects_bad_layouts():
     with pytest.raises(ConfigError):
-        init_model([2, 4, 2], seed=0)
+        init_model([2, 4, 2], seed=0, head_bias=INTERVAL_BIAS)
     with pytest.raises(ConfigError):
-        init_model([3], seed=0)
+        init_model([3], seed=0, head_bias=INTERVAL_BIAS)
     with pytest.raises(ConfigError):
-        init_model([2, 0, 3], seed=0)
+        init_model([2, 0, 3], seed=0, head_bias=INTERVAL_BIAS)
     with pytest.raises(ConfigError):
-        init_mean_variance_model([2, 4, 3], seed=0)
+        init_model([2, 4, 3], seed=0, head_bias=GAUSSIAN_BIAS)
 
 
 def test_init_is_seed_deterministic():
-    a = init_model([2, 6, 3], seed=11)
-    b = init_model([2, 6, 3], seed=11)
-    c = init_model([2, 6, 3], seed=12)
+    a = init_model([2, 6, 3], seed=11, head_bias=INTERVAL_BIAS)
+    b = init_model([2, 6, 3], seed=11, head_bias=INTERVAL_BIAS)
+    c = init_model([2, 6, 3], seed=12, head_bias=INTERVAL_BIAS)
     for pa, pb in zip(parameters(a), parameters(b)):
         assert np.array_equal(pa, pb)
     assert any(not np.array_equal(pa, pc)
@@ -92,7 +96,7 @@ def test_init_is_seed_deterministic():
 
 
 def test_forward_emits_one_triple_per_row_with_interior_mix():
-    model = init_model([2, 5, 3], seed=1)
+    model = init_model([2, 5, 3], seed=1, head_bias=INTERVAL_BIAS)
     x = np.random.default_rng(0).normal(size=(100, 2))
     raw = forward(model, x)
     assert raw.shape == (100, 3)
@@ -105,13 +109,13 @@ def test_forward_emits_one_triple_per_row_with_interior_mix():
 
 
 def test_forward_shape_policing():
-    model = init_model([2, 4, 3], seed=0)
+    model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
     with pytest.raises(ShapeError):
         forward(model, np.zeros((5, 3)))
     with pytest.raises(ShapeError):
         forward(model, np.zeros(5))
     # A head read under the other model kind's layout is refused.
-    gauss = init_mean_variance_model([2, 4, 2], seed=0)
+    gauss = init_model([2, 4, 2], seed=0, head_bias=GAUSSIAN_BIAS)
     with pytest.raises(ShapeError):
         interval_link(forward(gauss, np.zeros((5, 2))), "joint")
     with pytest.raises(ShapeError):
@@ -119,7 +123,7 @@ def test_forward_shape_policing():
 
 
 def test_forward_gaussian_positive_variance():
-    model = init_mean_variance_model([3, 6, 2], seed=2)
+    model = init_model([3, 6, 2], seed=2, head_bias=GAUSSIAN_BIAS)
     randomized_params(model, np.random.default_rng(9), scale=5.0)
     mean, variance = gaussian_link(forward(model, np.random.default_rng(1).normal(size=(40, 3))))
     assert mean.shape == variance.shape == (40,)
@@ -136,8 +140,8 @@ def test_backward_matches_independent_finite_differences(variant):
     # The full scale (100 nets, all variants) runs in the acceptance gate;
     # this is the per-variant unit check on a 2-4-3 net, batch 16.
     rng = np.random.default_rng([41, VARIANTS.index(variant)])
-    head = 2 if variant == "gaussian_nll" else 3
-    model = (init_mean_variance_model if head == 2 else init_model)([2, 4, head], seed=7)
+    head = GAUSSIAN_BIAS if variant == "gaussian_nll" else INTERVAL_BIAS
+    model = init_model([2, 4, len(head)], seed=7, head_bias=head)
     randomized_params(model, rng)
     x = rng.uniform(-1.0, 1.0, size=(16, 2))
     y = rng.normal(0.0, 1.0, size=16)
@@ -150,7 +154,7 @@ def test_backward_matches_independent_finite_differences(variant):
 
 
 def test_backward_gradient_shapes_close_over_parameters():
-    model = init_model([3, 7, 5, 3], seed=13)
+    model = init_model([3, 7, 5, 3], seed=13, head_bias=INTERVAL_BIAS)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(9, 3))
     y = rng.normal(size=9)
@@ -160,7 +164,7 @@ def test_backward_gradient_shapes_close_over_parameters():
 
 
 def test_backward_loss_agrees_with_loss_value():
-    model = init_model([2, 5, 3], seed=21)
+    model = init_model([2, 5, 3], seed=21, head_bias=INTERVAL_BIAS)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
@@ -172,7 +176,7 @@ def test_backward_loss_agrees_with_loss_value():
 def test_full_interval_weight_leaves_mix_head_untouched():
     # With all weight on the interval term, no gradient may reach the
     # parameters feeding the third head unit.
-    model = init_model([2, 4, 3], seed=17)
+    model = init_model([2, 4, 3], seed=17, head_bias=INTERVAL_BIAS)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
@@ -185,7 +189,7 @@ def test_duplicating_rows_preserves_gradients_when_coverage_is_met():
     # All mean-style terms are invariant under duplicating the batch; the
     # coverage penalty scales with sqrt(n) but is inactive here because the
     # wide head biases capture every target.
-    model = init_model([2, 4, 3], seed=19, head_bias_init=(6.0, -6.0))
+    model = init_model([2, 4, 3], seed=19, head_bias=(6.0, -6.0, 0.0))
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 2))
     y = rng.normal(0.0, 0.5, size=8)
@@ -198,7 +202,7 @@ def test_duplicating_rows_preserves_gradients_when_coverage_is_met():
 
 
 def test_backward_rejects_bad_batches():
-    model = init_model([2, 4, 3], seed=0)
+    model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
     with pytest.raises(ShapeError):
         backward(model, np.zeros((0, 2)), np.zeros(0), LossConfig())
     with pytest.raises(ShapeError):
@@ -206,7 +210,7 @@ def test_backward_rejects_bad_batches():
 
 
 def test_backward_raises_on_non_finite_loss():
-    model = init_model([1, 3, 3], seed=0)
+    model = init_model([1, 3, 3], seed=0, head_bias=INTERVAL_BIAS)
     model.weights[0][0, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingDiverged):

@@ -7,10 +7,13 @@ floats in this file, stepped twice to cover the bias-correction schedule.
 import numpy as np
 import pytest
 
-from pireg.errors import ConfigError, ShapeError, TrainingDiverged
+from pireg.config import OptimizerSpec
+from pireg.errors import ShapeError, TrainingDiverged
 from pireg.losses import LossConfig
 from pireg.network import FeedForwardModel, backward, init_model
 from pireg.optim import adam_step, init_adam
+
+INTERVAL_BIAS = (3.0, -3.0, 0.0)  # starting biases of an interval head
 
 
 def scalar_model(value):
@@ -35,9 +38,9 @@ def hand_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def test_zero_gradients_leave_parameters_unchanged():
-    model = init_model([2, 4, 3], seed=0)
+    model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
     before = model.flat.copy()
-    state = init_adam(model, learning_rate=0.05)
+    state = init_adam(model, OptimizerSpec(learning_rate=0.05))
     adam_step(state, model, grad_like(model, 0.0))
     assert np.array_equal(model.flat, before)
     assert state.step == 1
@@ -45,7 +48,7 @@ def test_zero_gradients_leave_parameters_unchanged():
 
 def test_single_step_matches_hand_trace():
     model = scalar_model(1.0)
-    state = init_adam(model, learning_rate=0.01)
+    state = init_adam(model, OptimizerSpec(learning_rate=0.01))
     adam_step(state, model, grad_like(model, 2.5))
     want = hand_adam(1.0, [2.5], lr=0.01)
     assert model.weights[0][0, 0] == pytest.approx(want, rel=1e-15)
@@ -55,7 +58,7 @@ def test_single_step_matches_hand_trace():
 
 def test_two_steps_match_hand_trace():
     model = scalar_model(-0.3)
-    state = init_adam(model, learning_rate=0.02)
+    state = init_adam(model, OptimizerSpec(learning_rate=0.02))
     adam_step(state, model, grad_like(model, 1.7))
     adam_step(state, model, grad_like(model, -0.4))
     want = hand_adam(-0.3, [1.7, -0.4], lr=0.02)
@@ -63,24 +66,18 @@ def test_two_steps_match_hand_trace():
     assert state.step == 2
 
 
-def test_init_adam_validation():
-    model = scalar_model(0.0)
-    with pytest.raises(ConfigError):
-        init_adam(model, learning_rate=0.0)
-
-
 def test_adam_step_rejects_non_finite_gradients():
     model = scalar_model(0.0)
-    state = init_adam(model)
+    state = init_adam(model, OptimizerSpec())
     with pytest.raises(TrainingDiverged):
         adam_step(state, model, grad_like(model, np.nan))
     assert state.step == 0  # accumulators were not poisoned
 
 
 def test_adam_step_rejects_mismatched_shapes():
-    model = init_model([2, 4, 3], seed=0)
-    state = init_adam(model)
-    other = init_model([2, 5, 3], seed=0)
+    model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
+    state = init_adam(model, OptimizerSpec())
+    other = init_model([2, 5, 3], seed=0, head_bias=INTERVAL_BIAS)
     bad = FeedForwardModel(other.layer_sizes, np.zeros_like(other.flat))
     with pytest.raises(ShapeError):
         adam_step(state, model, bad)
@@ -96,8 +93,8 @@ def test_identical_runs_are_bit_identical():
     cfg = LossConfig()
 
     def run():
-        model = init_model([2, 6, 3], seed=42)
-        state = init_adam(model, learning_rate=0.01)
+        model = init_model([2, 6, 3], seed=42, head_bias=INTERVAL_BIAS)
+        state = init_adam(model, OptimizerSpec(learning_rate=0.01))
         for _ in range(25):
             _, grads = backward(model, x, y, cfg)
             adam_step(state, model, grads)

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pireg.bench import ensemble_predict
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
 from pireg.data import Dataset, apply_normalize, fit_normalize, generate
 from pireg.errors import TrainingDiverged
-from pireg.bench import ensemble_predict
-from pireg.losses import VARIANTS, LossConfig, hard_capture, head_loss_and_grad, interval_link
+from pireg.losses import (VARIANTS, LossConfig, hard_capture, head_loss_and_grad, initial_head,
+                          interval_link)
 from pireg.network import FeedForwardModel, backward, forward, loss_value
 from pireg.optim import adam_step, init_adam
 from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
@@ -76,6 +77,7 @@ def test_build_model_head_follows_the_variant(variant):
     assert model.layer_sizes == (2, 4, width)
     want = (0.0, 0.0) if variant == "gaussian_nll" else (*head_bias, 0.0)
     assert model.biases[-1].tolist() == list(want)
+    assert initial_head(variant, head_bias) == want and len(want) == width
 
     x = np.random.default_rng(6).normal(size=(9, 2))
     y = np.random.default_rng(7).normal(size=9)
@@ -282,7 +284,7 @@ def test_sine_smoke_reaches_high_train_coverage():
 def sequential_member(config, train, valid, seed):
     opt = config.optimizer
     model = build_model(config, train.dim, seed)
-    state = init_adam(model, opt.learning_rate)
+    state = init_adam(model, opt)
     shuffle_rng = np.random.default_rng([seed, 1])
 
     x, y = train.features, train.targets
