@@ -115,21 +115,23 @@ def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
 def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> SplitResult:
     """Train and score one shuffled train/test split."""
     started = time.perf_counter()
-    train_all, test = split(dataset, config.splits.test_fraction, config.seed, split_index)
-
-    stats = fit_normalize(train_all)
-    train_n = apply_normalize(train_all, stats)
-    test_n = apply_normalize(test, stats)
-    train_fit, valid = carve_validation(train_n, config.optimizer.validation_fraction,
-                                        config.seed, split_index)
+    # Each stage rebinds the name of its input, so the input is freed as soon
+    # as its successor exists: the split holds the dataset plus one working
+    # copy of its rows, not every intermediate copy at once.
+    train, test = split(dataset, config.splits.test_fraction, config.seed, split_index)
+    stats = fit_normalize(train)
+    train = apply_normalize(train, stats)
+    test = apply_normalize(test, stats)
+    train, valid = carve_validation(train, config.optimizer.validation_fraction,
+                                    config.seed, split_index)
 
     base_seed = config.seed + 1000 * split_index
-    models, histories = train_ensemble(config, train_fit, valid, base_seed)
+    models, histories = train_ensemble(config, train, valid, base_seed)
 
-    ens = ensemble_predict(models, test_n.features, config.loss.variant, config.loss.alpha)
-    normalized = metrics_record(test_n.targets, ens.lower, ens.upper, ens.value)
+    ens = ensemble_predict(models, test.features, config.loss.variant, config.loss.alpha)
+    normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
     denormalized = metrics_record(
-        denormalize_targets(test_n.targets, stats),
+        denormalize_targets(test.targets, stats),
         denormalize_targets(ens.lower, stats),
         denormalize_targets(ens.upper, stats),
         denormalize_targets(ens.value, stats),
@@ -138,7 +140,7 @@ def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> S
     predictions = None
     if config.store_predictions:
         predictions = [[float(yy), float(ll), float(uu), float(vv)]
-                       for yy, ll, uu, vv in zip(test_n.targets, ens.lower,
+                       for yy, ll, uu, vv in zip(test.targets, ens.lower,
                                                  ens.upper, ens.value)]
     return SplitResult(
         split_index=split_index,
@@ -154,7 +156,11 @@ def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> S
 def run_benchmark(config: ExperimentConfig) -> RunReport:
     """Full multi-split benchmark; failing splits are recorded, not fatal."""
     started = time.perf_counter()
-    dataset = load_dataset(config.data, config.seed)
+    return _run_splits(config, load_dataset(config.data, config.seed), started)
+
+
+def _run_splits(config: ExperimentConfig, dataset: Dataset, started: float) -> RunReport:
+    """Every split of ``dataset``; total_seconds counts from ``started``."""
     splits: List[SplitResult] = []
     errors: List[str] = []
     for i in range(config.splits.count):
@@ -192,13 +198,16 @@ def _run_grid(config: ExperimentConfig, kind: str, points) -> SweepReport:
     format string completed with the metric name, and the cell's mean picp,
     mpiw (normalized) and rmse (original units) are appended at x.  Every
     point's loss config is built, and so validated, before any training.
+    Points differ only in their loss, so the dataset is loaded once for all.
     """
     started = time.perf_counter()
     losses = [dataclasses.replace(config.loss, **overrides) for _, overrides, _, _ in points]
+    dataset = load_dataset(config.data, config.seed)
     cells: List[SweepCell] = []
     series: Dict[str, List[List[float]]] = {}
     for (params, _, key, x), loss in zip(points, losses):
-        report = run_benchmark(dataclasses.replace(config, loss=loss))
+        report = _run_splits(dataclasses.replace(config, loss=loss), dataset,
+                             time.perf_counter())
         norm = _mean_record(report, "normalized")
         denorm = _mean_record(report, "denormalized")
         cells.append(SweepCell(params=params, normalized=norm, denormalized=denorm))

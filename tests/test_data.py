@@ -567,11 +567,19 @@ def test_normalize_round_trip_property(seed, n, d):
     data = Dataset(rng.normal(0.0, 10.0, size=(n, d)) + rng.normal(0, 5, size=d),
                    rng.normal(1.0, 10.0, size=n))
     stats = fit_normalize(data)
+    features, targets = data.features.copy(), data.targets.copy()
     normalized = apply_normalize(data, stats)
     np.testing.assert_allclose(unnormalized_features(normalized, stats), data.features,
                                rtol=1e-12, atol=1e-10)
     np.testing.assert_allclose(denormalize_targets(normalized.targets, stats), data.targets,
                                rtol=1e-12, atol=1e-10)
+    # The reference arithmetic, bit for bit, and the input left as it was.
+    oracle = (features - stats.feature_mean) / stats.feature_std
+    assert normalized.features.tobytes() == oracle.tobytes()
+    assert normalized.targets.tobytes() == ((targets - stats.target_mean)
+                                            / stats.target_std).tobytes()
+    assert data.features.tobytes() == features.tobytes()
+    assert data.targets.tobytes() == targets.tobytes()
 
 
 # ---------------------------------------------------------------------------
