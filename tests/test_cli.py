@@ -293,10 +293,11 @@ def test_out_naming_a_directory_is_refused(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_grid_is_validated_before_training(tmp_path, monkeypatch, capsys):
-    def must_not_run(config):
-        raise AssertionError(f"trained grid point {config.loss} before validating the grid")
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("loaded data or trained before validating the whole grid")
 
-    monkeypatch.setattr("pireg.bench.run_benchmark", must_not_run)
+    for name in ("load_dataset", "run_split"):
+        monkeypatch.setattr(f"pireg.bench.{name}", must_not_run)
     out = ["--out", str(tmp_path / "sweep")]
     assert main(["sweep-alpha", *FAST, "--alphas", "0.05,1.5", *out]) == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
