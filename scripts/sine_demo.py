@@ -54,8 +54,8 @@ def main(argv=None):
                                     validation_fraction=0.0),
             ensemble_size=args.ensemble_size,
         )
-        models, _ = train_ensemble(cfg, train_n, None, base_seed=args.seed * 100)
-        ens = ensemble_predict(models, test_n.features, variant, args.alpha)
+        stack, _ = train_ensemble(cfg, train_n, None, base_seed=args.seed * 100)
+        ens = ensemble_predict(stack, test_n.features, variant, args.alpha)
         rec = metrics_record(test_n.targets, ens.lower, ens.upper, ens.value)
         print(f"{variant:14s} {rec.picp:7.3f} {rec.mpiw:7.3f} "
               f"{rec.rmse:7.3f} {rec.mae:7.3f}")

@@ -33,7 +33,7 @@ from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
 from .losses import gaussian_link, interval_link
 from .metrics import MetricSummary, MetricsRecord, aggregate_splits, metrics_record
-from .network import forward
+from .network import FeedForwardModel, forward
 from .training import carve_validation, train_ensemble
 
 REPORT_VERSION = 1
@@ -90,14 +90,16 @@ def load_dataset(spec: DataSpec, seed) -> Dataset:
     return generate(spec, seed)
 
 
-def ensemble_predict(models, features, variant: str, alpha: float) -> EnsembleOutput:
-    """Aggregate member predictions on a feature matrix.
+def ensemble_predict(stack, features, variant: str, alpha: float) -> EnsembleOutput:
+    """Aggregate an ensemble's predictions on a feature matrix.
 
-    Members are forwarded one at a time, so only one member's activations
-    are alive at once; their raw heads are stacked into one (M, n, k) array
-    that one reader and one aggregator consume.
+    ``stack`` is the (M, n_params) model that ``train_ensemble`` returns.  Its
+    members are forwarded one at a time, so one member's hidden activations
+    are alive at once, not all M members'; their raw heads form one
+    (M, n, k) array that one reader and one aggregator consume.
     """
-    heads = np.stack([forward(model, features) for model in models])
+    heads = np.stack([forward(FeedForwardModel(stack.layer_sizes, flat), features)
+                      for flat in stack.flat])
     if variant == "gaussian_nll":
         return aggregate_gaussian(*gaussian_link(heads), alpha)
     return aggregate_pi(*interval_link(heads, variant), alpha)
@@ -126,9 +128,9 @@ def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> S
                                     config.seed, split_index)
 
     base_seed = config.seed + 1000 * split_index
-    models, histories = train_ensemble(config, train, valid, base_seed)
+    stack, histories = train_ensemble(config, train, valid, base_seed)
 
-    ens = ensemble_predict(models, test.features, config.loss.variant, config.loss.alpha)
+    ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
     normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
     denormalized = metrics_record(
         denormalize_targets(test.targets, stats),
@@ -381,7 +383,7 @@ def load_report(path):
             raw = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"no such report: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid report JSON ({exc})") from None
 
     try:

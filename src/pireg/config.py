@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -133,12 +134,19 @@ class ExperimentConfig:
     splits: SplitPlan = field(default_factory=SplitPlan)
     ensemble_size: int = 5
     seed: int = 1
-    out_dir: Optional[str] = None
+    out_dir: Optional[Union[str, os.PathLike]] = None
     store_predictions: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         check_int("ensemble_size", self.ensemble_size, 1)
         check_int("seed", self.seed, 0)
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
+        if not isinstance(self.store_predictions, bool):
+            raise ConfigError(f"store_predictions must be true or false, "
+                              f"got {self.store_predictions!r}")
 
 
 # Per-dataset overrides for the bundled benchmark tasks.  UCI-style tables
@@ -256,6 +264,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = dataclasses.asdict(cfg)
 
     def fix(value):
+        if isinstance(value, os.PathLike):
+            return os.fspath(value)
         if isinstance(value, tuple):
             return [fix(v) for v in value]
         if isinstance(value, list):
@@ -274,7 +284,7 @@ def load_config_file(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no such config file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

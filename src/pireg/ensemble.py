@@ -22,18 +22,11 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class EnsembleOutput:
-    """Widened per-sample interval plus the averaged value prediction.
-
-    sigma_upper / sigma_lower hold the spread estimate each side was widened
-    by (across-member std for interval members, mixture std for gaussian
-    members).
-    """
+    """Both aggregators' result: widened bounds and averaged value, one (n,) array each."""
 
     upper: np.ndarray
     lower: np.ndarray
     value: np.ndarray
-    sigma_upper: np.ndarray
-    sigma_lower: np.ndarray
 
 
 # Rational approximation of the standard normal quantile (Acklam's
@@ -110,14 +103,10 @@ def aggregate_pi(member_uppers, member_lowers, member_values, alpha: float) -> E
     """
     uppers, lowers, values = _members(member_uppers, member_lowers, member_values)
     z = z_score(alpha)
-    sigma_u = _spread(uppers)
-    sigma_l = _spread(lowers)
     return EnsembleOutput(
-        upper=np.mean(uppers, axis=0) + z * sigma_u,
-        lower=np.mean(lowers, axis=0) - z * sigma_l,
+        upper=np.mean(uppers, axis=0) + z * _spread(uppers),
+        lower=np.mean(lowers, axis=0) - z * _spread(lowers),
         value=np.mean(values, axis=0),
-        sigma_upper=sigma_u,
-        sigma_lower=sigma_l,
     )
 
 
@@ -135,10 +124,4 @@ def aggregate_gaussian(member_means, member_variances, alpha: float) -> Ensemble
     var = np.mean(variances, axis=0) + np.mean((means - mu) ** 2, axis=0)
     sigma = np.sqrt(var)
     z = z_score(alpha)
-    return EnsembleOutput(
-        upper=mu + z * sigma,
-        lower=mu - z * sigma,
-        value=mu,
-        sigma_upper=sigma,
-        sigma_lower=sigma,
-    )
+    return EnsembleOutput(upper=mu + z * sigma, lower=mu - z * sigma, value=mu)

@@ -129,9 +129,8 @@ def loss_value(model, features, targets, cfg: LossConfig):
 
 
 def _first_bad(finite):
-    # Stack position of the first member whose value is not finite; None for
-    # a single model.
-    return int(np.flatnonzero(~finite)[0]) if finite.ndim else None
+    # Stack position of the first member whose value is not finite.
+    return int(np.flatnonzero(~finite)[0])
 
 
 def backward(model, features, targets, cfg: LossConfig):
@@ -154,8 +153,7 @@ def backward(model, features, targets, cfg: LossConfig):
     finite = np.isfinite(loss)
     if not np.all(finite):
         k = _first_bad(finite)
-        value = loss if k is None else loss.flat[k]
-        raise TrainingDiverged(f"non-finite loss {float(value)!r}", member=k)
+        raise TrainingDiverged(f"non-finite loss {float(loss.flat[k])!r}", member=k)
 
     grads = FeedForwardModel(model.layer_sizes, np.empty_like(model.flat))
     for i in range(len(model.weights) - 1, -1, -1):

@@ -11,9 +11,10 @@ bit-identical to training the members one after another.
 
 Each epoch shuffles every member's rows with its own seeded stream, walks
 the batches, then scores the validation set.  The best-validation
-parameters are kept and restored at the end, so each returned model is the
-early-stopping winner, not the last iterate.  Non-finite losses or
-gradients abort with the member/epoch/batch context attached.
+parameters are kept and restored at the end, so each member's row of the
+returned stack is its early-stopping winner, not its last iterate.
+Non-finite losses or gradients abort with the member/epoch/batch context
+attached.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import ExperimentConfig
 from .data import Dataset
 from .errors import TrainingDiverged
 from .losses import initial_head
-from .network import FeedForwardModel, backward, init_model, loss_value
+from .network import FeedForwardModel, _first_bad, backward, init_model, loss_value
 from .optim import adam_step, init_adam
 
 
@@ -35,7 +36,6 @@ from .optim import adam_step, init_adam
 class TrainingHistory:
     train_loss: List[float] = field(default_factory=list)
     val_loss: List[float] = field(default_factory=list)
-    best_epoch: int = 0
     epochs_run: int = 0
 
 
@@ -60,12 +60,14 @@ def _keep(stack, state, rows):
 
 
 def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dataset],
-                   base_seed) -> Tuple[List[FeedForwardModel], List[TrainingHistory]]:
+                   base_seed) -> Tuple[FeedForwardModel, List[TrainingHistory]]:
     """Train ensemble_size members with seeds base_seed + j, as one stack.
 
-    Returns each member's best-validation parameters and its history.  With
-    no validation set the epoch-mean training loss drives early stopping
-    instead.  patience=0 stops at the first epoch that fails to improve.
+    Returns one stacked model, whose (ensemble_size, n_params) buffer holds
+    member j's best-validation parameters in row j, and each member's
+    history.  With no validation set the epoch-mean training loss drives
+    early stopping instead.  patience=0 stops at the first epoch that fails
+    to improve.
 
     If member j diverges, members j and above leave the stack and the lower
     ones train on; j's error is raised once they finish, unless a lower
@@ -119,7 +121,7 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
             score = epoch_loss
         finite = np.isfinite(score)
         if not np.all(finite):
-            k = int(np.flatnonzero(~finite)[0])
+            k = _first_bad(finite)
             failure = _diverged(active[k], f"non-finite validation loss {float(score[k])!r} "
                                 f"at epoch {epoch}", None, epoch)
             active = active[:k]
@@ -134,7 +136,6 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
             if score[k] < best[j]:
                 best[j] = score[k]
                 best_flat[j] = stack.flat[k]
-                history.best_epoch = epoch
                 bad[j] = 0
             else:
                 bad[j] += 1
@@ -148,7 +149,7 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
 
     if failure is not None:
         raise failure
-    return [FeedForwardModel(stack.layer_sizes, row) for row in best_flat], histories
+    return FeedForwardModel(stack.layer_sizes, best_flat), histories
 
 
 def carve_validation(train: Dataset, fraction: float, seed, split_index: int

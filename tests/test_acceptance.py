@@ -266,8 +266,6 @@ def test_criterion_04_ensemble_identities():
     np.testing.assert_allclose(out.upper, upper, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.lower, lower, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.value, value, rtol=1e-12, atol=1e-14)
-    assert np.all(np.abs(out.sigma_upper) <= 1e-12)
-    assert np.all(np.abs(out.sigma_lower) <= 1e-12)
 
     z = z_score(0.05)
     z_oracle = _bisect_quantile(0.975)
@@ -302,8 +300,8 @@ def _synthetic_record(loss_cfg, seed, eval_set):
     stats = fit_normalize(train)
     train_n = apply_normalize(train, stats)
     eval_n = apply_normalize(eval_set, stats)
-    models, _ = train_ensemble(cfg, train_n, None, base_seed=seed * 100)
-    ens = ensemble_predict(models, eval_n.features, cfg.loss.variant, cfg.loss.alpha)
+    stack, _ = train_ensemble(cfg, train_n, None, base_seed=seed * 100)
+    ens = ensemble_predict(stack, eval_n.features, cfg.loss.variant, cfg.loss.alpha)
     return metrics_record(eval_n.targets, ens.lower, ens.upper, ens.value)
 
 

@@ -32,6 +32,7 @@ from pireg.ensemble import z_score
 from pireg.errors import ConfigError, DataError, TrainingDiverged
 from pireg.losses import MIX_EPS, VARIANCE_FLOOR, LossConfig
 from pireg.metrics import METRIC_NAMES, aggregate_splits
+from pireg.network import FeedForwardModel, init_model
 
 
 def tiny_config(**kwargs):
@@ -145,6 +146,10 @@ def test_load_report_rejects_bad_files(tiny_report, tmp_path):
     bad.write_text("{oops", encoding="utf-8")
     with pytest.raises(DataError, match="invalid report JSON"):
         load_report(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(DataError, match="latin1.json: invalid report JSON"):
+        load_report(latin1)
 
     emit_report(tiny_report, tmp_path / "v.json")
     blob = json.loads((tmp_path / "v.json").read_text())
@@ -365,7 +370,7 @@ def _std(values):
 
 
 def _oracle_row(heads, variant, alpha):
-    """(upper, lower, value, sigma_upper, sigma_lower) for one sample's member heads."""
+    """(upper, lower, value) for one sample's member heads."""
     z = z_score(alpha)
     if variant == "gaussian_nll":
         means = [h[0] for h in heads]
@@ -373,7 +378,7 @@ def _oracle_row(heads, variant, alpha):
                      for h in heads]
         mu = _mean(means)
         sigma = math.sqrt(_mean(variances) + _mean([(m - mu) ** 2 for m in means]))
-        return mu + z * sigma, mu - z * sigma, mu, sigma, sigma
+        return mu + z * sigma, mu - z * sigma, mu
     uppers = [h[0] for h in heads]
     lowers = [h[1] for h in heads]
     if variant == "joint":
@@ -384,13 +389,11 @@ def _oracle_row(heads, variant, alpha):
     else:
         assert variant == "decoupled"
         values = [h[2] for h in heads]
-    s_u, s_l = _std(uppers), _std(lowers)
-    return _mean(uppers) + z * s_u, _mean(lowers) - z * s_l, _mean(values), s_u, s_l
+    return (_mean(uppers) + z * _std(uppers), _mean(lowers) - z * _std(lowers),
+            _mean(values))
 
 
 def test_ensemble_predict_matches_member_forward():
-    from pireg.network import init_model
-
     x = np.random.default_rng(3).normal(size=(7, 2))
     alpha = 0.1
     for variant in ("joint", "interval_only", "midpoint", "decoupled", "gaussian_nll"):
@@ -405,11 +408,27 @@ def test_ensemble_predict_matches_member_forward():
             heads = [_member_head(m, x) for m in models]
             want = np.array([_oracle_row([h[i] for h in heads], variant, alpha)
                              for i in range(x.shape[0])])
-            out = ensemble_predict(models, x, variant, alpha)
-            got = np.column_stack([out.upper, out.lower, out.value,
-                                   out.sigma_upper, out.sigma_lower])
+            stack = FeedForwardModel(models[0].layer_sizes, np.stack([m.flat for m in models]))
+            out = ensemble_predict(stack, x, variant, alpha)
+            got = np.column_stack([out.upper, out.lower, out.value])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
                                        err_msg=f"{variant}, {size} member(s)")
+
+
+def test_ensemble_predict_holds_one_members_activations_at_a_time():
+    # A forward of the whole stack would hold all five members' (4000, 100)
+    # hidden activations at once, 16 MB; prediction needs one member's.
+    members = [init_model([1, 100, 3], seed=s, head_bias=(3.0, -3.0, 0.0)) for s in range(5)]
+    stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))
+    x = np.random.default_rng(0).normal(size=(4000, 1))
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        ensemble_predict(stack, x, "joint", 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 2 * 4000 * 100 * 8
 
 
 def test_failed_emit_leaves_no_partial_or_temp_file(tiny_report, tmp_path, monkeypatch):

@@ -203,10 +203,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
                     {"ensemble_size": 1.5}, {"data": {"n": 50.5}}, {"loss": {"alpha": "0.1"}},
                     {"model": {"hidden_sizes": [8.7]}}, {"data": {"skew_alpha": "a"}},
                     {"data": {"x_low": "a", "x_high": "b"}}, {"data": {"target_column": 1.5}},
-                    {"data": {"target_column": True}}, {"data": {"x_high": float("nan")}}):
+                    {"data": {"target_column": True}}, {"data": {"x_high": float("nan")}},
+                    {"out_dir": 5}, {"store_predictions": "no"}, {"name": 7}):
         config.write_text(json.dumps(content), encoding="utf-8")
         assert main(["train", "--name", "sine", *missing, "--config", str(config)]) \
             == EXIT_CONFIG, content
+    config.write_bytes(b'{"seed": 1, "name": "caf\xe9"}')
+    assert main(["train", *FAST, *missing, "--config", str(config)]) == EXIT_CONFIG
+    assert "invalid JSON ('utf-8' codec" in capsys.readouterr().err
     # A negative or non-finite noise scale would mirror or blow up the noise.
     for scale in ("-1", "nan"):
         assert main(["gen-data", "--n", "5", "--noise-scale", scale,
@@ -238,6 +242,9 @@ def test_data_errors_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
     assert main(["report", str(bad)]) == EXIT_DATA
+    bad.write_bytes(b'{"kind": "caf\xe9"}')
+    assert main(["report", str(bad)]) == EXIT_DATA
+    assert "invalid report JSON ('utf-8' codec" in capsys.readouterr().err
     record = {"picp": 1.0, "mpiw": 1.0, "rmse": 0.0, "mae": 0.0, "n": 1}
     cell_without_normalized = {"kind": "alpha_sweep", "version": 1, "name": "s", "config": {},
                                "cells": [{"params": {}, "denormalized": record}],

@@ -1,7 +1,9 @@
 """Tests for configuration dataclasses, the defaults catalog, file loading,
 and the defaults -> catalog -> file -> overrides resolution order."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,10 @@ def test_validation_errors():
     for seed in (-1, 1.5, True, "3"):
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=seed)
+    for bad in ({"name": 7}, {"name": None}, {"out_dir": 5}, {"out_dir": b"runs"},
+                {"store_predictions": "no"}, {"store_predictions": 0}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
     for scale in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             DataSpec(noise_scale=scale)
@@ -217,6 +223,10 @@ def test_load_config_file_errors(tmp_path):
     array.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config_file(array)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="latin1.json: invalid JSON"):
+        load_config_file(latin1)
 
 
 def test_config_to_dict_is_json_safe_and_round_trips():
@@ -226,6 +236,9 @@ def test_config_to_dict_is_json_safe_and_round_trips():
     assert isinstance(blob["model"]["hidden_sizes"], list)
     rebuilt = config_from_dict(json.loads(text))
     assert rebuilt == cfg
+    # An out_dir given as a path object is written as its string.
+    blob = config_to_dict(dataclasses.replace(cfg, out_dir=Path("runs")))
+    assert blob["out_dir"] == "runs" and config_from_dict(blob).out_dir == "runs"
 
 
 def test_loss_config_reachable_through_section():

@@ -5,6 +5,7 @@ CDF Phi(x) = erfc(-x / sqrt(2)) / 2, refined to ~1e-13; the package's
 rational-approximation path never enters the oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -89,13 +90,11 @@ def test_identical_members_reproduce_the_member():
     assert np.array_equal(out.lower, lower[0])
     # mean of M identical floats is exact only up to summation rounding (1 ulp)
     np.testing.assert_allclose(out.value, value[0], rtol=1e-15, atol=0.0)
-    assert np.all(out.sigma_upper == 0.0) and np.all(out.sigma_lower == 0.0)
 
 
 def test_two_member_hand_arithmetic():
     out = aggregate_pi(*members_from([[1.0], [3.0]], [[0.0], [0.0]]), alpha=0.05)
     z = bisect_quantile(0.975)
-    assert out.sigma_upper[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert out.upper[0] == pytest.approx(2.0 + z * math.sqrt(2.0), rel=1e-8)
     assert out.upper[0] == pytest.approx(4.7719, abs=1e-3)
     assert out.lower[0] == 0.0  # zero spread on the lower side
@@ -107,7 +106,6 @@ def test_single_member_is_identity():
     assert np.array_equal(out.upper, upper[0])
     assert np.array_equal(out.lower, lower[0])
     assert np.array_equal(out.value, value[0])
-    assert np.all(out.sigma_upper == 0.0)
 
 
 def test_member_values_override_the_value_average():
@@ -179,8 +177,11 @@ def test_gaussian_single_member_is_plain_interval():
 
 def test_gaussian_mixture_moments_hand_computed():
     out = aggregate_gaussian([[0.0], [2.0]], [[1.0], [1.0]], alpha=0.05)
+    z = bisect_quantile(0.975)
     assert out.value[0] == pytest.approx(1.0)
-    assert out.sigma_upper[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # mixture variance: mean member variance 1 plus spread of the means 1
+    assert out.upper[0] == pytest.approx(1.0 + z * math.sqrt(2.0), rel=1e-8)
+    assert out.lower[0] == pytest.approx(1.0 - z * math.sqrt(2.0), rel=1e-8)
 
 
 def test_gaussian_rejects_bad_inputs():
@@ -201,6 +202,6 @@ def test_gaussian_intervals_cover_gaussian_data():
 
 
 def test_ensemble_output_is_a_plain_record():
-    out = EnsembleOutput(upper=np.ones(2), lower=np.zeros(2), value=np.full(2, 0.5),
-                         sigma_upper=np.zeros(2), sigma_lower=np.zeros(2))
+    out = EnsembleOutput(upper=np.ones(2), lower=np.zeros(2), value=np.full(2, 0.5))
     assert out.upper.shape == (2,)
+    assert [f.name for f in dataclasses.fields(out)] == ["upper", "lower", "value"]

@@ -26,9 +26,9 @@ from pireg.training import TrainingHistory, build_model, carve_validation, train
 
 def train_single(config, train, valid, seed):
     """Train one model: a one-member ensemble whose base seed is ``seed``."""
-    models, histories = train_ensemble(dataclasses.replace(config, ensemble_size=1),
-                                       train, valid, seed)
-    return models[0], histories[0]
+    stack, histories = train_ensemble(dataclasses.replace(config, ensemble_size=1),
+                                      train, valid, seed)
+    return FeedForwardModel(stack.layer_sizes, stack.flat[0]), histories[0]
 
 
 def small_config(**optimizer_overrides):
@@ -83,7 +83,8 @@ def test_build_model_head_follows_the_variant(variant):
     y = np.random.default_rng(7).normal(size=9)
     loss, grad = head_loss_and_grad(forward(model, x), y, config.loss)
     assert np.isfinite(loss) and grad.shape == (9, width)
-    out = ensemble_predict([model, model], x, variant, config.loss.alpha)
+    twins = FeedForwardModel(model.layer_sizes, np.stack([model.flat, model.flat]))
+    out = ensemble_predict(twins, x, variant, config.loss.alpha)
     for column in (out.lower, out.upper, out.value):
         assert column.shape == (9,) and np.all(np.isfinite(column))
 
@@ -95,7 +96,6 @@ def test_two_runs_same_seed_are_bit_identical():
     model_b, hist_b = train_single(cfg, data, None, seed=7)
     assert hist_a.train_loss == hist_b.train_loss
     assert hist_a.val_loss == hist_b.val_loss
-    assert hist_a.best_epoch == hist_b.best_epoch
     for wa, wb in zip(model_a.weights, model_b.weights):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(model_a.biases, model_b.biases):
@@ -117,7 +117,6 @@ def test_history_bookkeeping_without_validation():
     assert len(hist.train_loss) == len(hist.val_loss) == 15
     # no validation set: the epoch-mean training loss drives selection
     assert hist.val_loss == hist.train_loss
-    assert hist.best_epoch == int(np.argmin(hist.train_loss)) + 1
 
 
 def test_patience_zero_stops_at_first_non_improvement():
@@ -141,7 +140,7 @@ def test_patience_zero_stops_at_first_non_improvement():
     _, short_hist = train_single(short_cfg, data, None, seed=11)
     assert short_hist.epochs_run == first_bad
     assert short_hist.val_loss == series[:first_bad]
-    assert short_hist.best_epoch < first_bad
+    assert int(np.argmin(short_hist.val_loss)) + 1 < first_bad
 
 
 def test_patience_counts_consecutive_failures():
@@ -174,7 +173,6 @@ def test_best_validation_parameters_are_restored():
     model, hist = train_single(cfg, train, valid, seed=9)
     recomputed = loss_value(model, valid.features, valid.targets, cfg.loss)
     assert recomputed == min(hist.val_loss)
-    assert hist.val_loss[hist.best_epoch - 1] == min(hist.val_loss)
 
 
 def test_divergence_reports_epoch_and_batch():
@@ -195,11 +193,10 @@ def test_ensemble_single_member_matches_train_single():
                                                    batch_size=10),
                            ensemble_size=1)
     data = sine_train()
-    models, hists = train_ensemble(cfg, data, None, base_seed=100)
+    stack, hists = train_ensemble(cfg, data, None, base_seed=100)
     solo, solo_hist = train_single(cfg, data, None, seed=100)
-    assert len(models) == 1
-    for w_e, w_s in zip(models[0].weights, solo.weights):
-        assert np.array_equal(w_e, w_s)
+    assert stack.flat.shape == (1,) + solo.flat.shape
+    assert np.array_equal(stack.flat[0], solo.flat)
     assert hists[0].train_loss == solo_hist.train_loss
 
 
@@ -210,12 +207,11 @@ def test_ensemble_members_use_offset_seeds_and_differ():
                                                    batch_size=10),
                            ensemble_size=3)
     data = sine_train()
-    models, hists = train_ensemble(cfg, data, None, base_seed=50)
-    assert len(models) == len(hists) == 3
+    stack, hists = train_ensemble(cfg, data, None, base_seed=50)
+    assert stack.flat.shape[0] == len(hists) == 3
     member1, _ = train_single(cfg, data, None, seed=51)
-    for w_e, w_s in zip(models[1].weights, member1.weights):
-        assert np.array_equal(w_e, w_s)
-    assert not np.array_equal(models[0].weights[0], models[2].weights[0])
+    assert np.array_equal(stack.flat[1], member1.flat)
+    assert not np.array_equal(stack.weights[0][0], stack.weights[0][2])
 
 
 def test_ensemble_divergence_carries_member_index():
@@ -324,7 +320,6 @@ def sequential_member(config, train, valid, seed):
         if score < best:
             best = score
             best_flat = model.flat.copy()
-            history.best_epoch = epoch
             bad = 0
         else:
             bad += 1
@@ -360,19 +355,14 @@ def stack_config(variant="joint", hidden=(12,), members=4, **optimizer):
 
 
 def assert_same_training(config, train, valid, base_seed=11):
-    models, histories = train_ensemble(config, train, valid, base_seed)
+    stack, histories = train_ensemble(config, train, valid, base_seed)
     want_models, want_histories = sequential_ensemble(config, train, valid, base_seed)
-    assert len(models) == len(histories) == config.ensemble_size
-    for model, want in zip(models, want_models):
-        assert model.layer_sizes == want.layer_sizes
-        for got_w, want_w in zip(model.weights, want.weights):
-            assert np.array_equal(got_w, want_w)
-        for got_b, want_b in zip(model.biases, want.biases):
-            assert np.array_equal(got_b, want_b)
+    assert len(histories) == config.ensemble_size
+    assert all(stack.layer_sizes == want.layer_sizes for want in want_models)
+    assert np.array_equal(stack.flat, np.stack([want.flat for want in want_models]))
     for history, want in zip(histories, want_histories):
         assert history.train_loss == want.train_loss
         assert history.val_loss == want.val_loss
-        assert history.best_epoch == want.best_epoch
         assert history.epochs_run == want.epochs_run
     return histories
 
