@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Print one sha256 per file written by a fixed set of seeded runs.
+
+    python3 scripts/fixed_seed_digest.py
+
+Runs, into a temporary directory, with the package imported from this
+checkout's ``src``:
+
+* ``pireg bench --name sine``, plain and under each of ``--variant
+  interval_only``, ``midpoint`` and ``decoupled``;
+* ``pireg bench --name flat_skew --variant gaussian_nll``;
+* ``pireg sweep-alpha --name sine --alphas 0.05,0.1,0.2``;
+* ``scripts/sine_demo.py``.
+
+Every run uses its default seed.  The ``seconds`` and ``total_seconds``
+fields of JSON reports are wall-clock times, so they are set to null and
+the report re-encoded before hashing; every other file is hashed as
+written.  Two checkouts whose fixed-seed outputs agree print the same
+lines.  Takes no options.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMING_FIELDS = ("seconds", "total_seconds")
+
+RUNS = [
+    ("bench_sine", ["bench", "--name", "sine"]),
+    ("bench_flat_skew_gaussian_nll", ["bench", "--name", "flat_skew", "--variant", "gaussian_nll"]),
+    *[(f"bench_sine_{v}", ["bench", "--name", "sine", "--variant", v])
+      for v in ("interval_only", "midpoint", "decoupled")],
+    ("sweep_alpha_sine", ["sweep-alpha", "--name", "sine", "--alphas", "0.05,0.1,0.2"]),
+]
+
+
+def _blank_timings(value):
+    if isinstance(value, dict):
+        return {k: None if k in TIMING_FIELDS else _blank_timings(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_blank_timings(v) for v in value]
+    return value
+
+
+def _digest(path):
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        report = _blank_timings(json.loads(data))
+        data = json.dumps(report, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, args in RUNS:
+            subprocess.run([sys.executable, "-m", "pireg.cli", *args, "--out", str(out / name)],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "sine_demo.py"),
+                        "--out", str(out / "sine_demo")],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(f"{_digest(path)}  {path.relative_to(out).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

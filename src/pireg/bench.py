@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -373,6 +374,26 @@ def _summaries_from(d: dict) -> Dict[str, MetricSummary]:
     return {k: MetricSummary(**v) for k, v in d.items()}
 
 
+def _checked(value, hint=None, where=""):
+    # The value, once no field declared as a number holds anything but an int
+    # or a float (a bool is not one); else a TypeError naming the field.
+    hint = hint or type(value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        for name, field_hint in typing.get_type_hints(hint).items():
+            _checked(getattr(value, name), field_hint, f"{where}.{name}".lstrip("."))
+    elif hint in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise TypeError(f"{where} must be a number, got {value!r}")
+    elif origin is typing.Union and value is not None:
+        _checked(value, args[0], where)
+    elif origin in (list, dict):
+        if not isinstance(value, origin):
+            raise TypeError(f"{where} must be a {origin.__name__}, got {value!r}")
+        for key, item in (value.items() if origin is dict else enumerate(value)):
+            _checked(item, args[-1], f"{where}.{key}")
+    return value
+
+
 def load_report(path):
     """Parse a report JSON back into its dataclass form.
 
@@ -392,15 +413,15 @@ def load_report(path):
             raise DataError(f"{path}: unsupported report version {version!r}")
         kind = raw.get("kind")
         if kind == "benchmark":
-            return RunReport(**{
+            return _checked(RunReport(**{
                 **raw,
                 "splits": [SplitResult(**_with_records(s)) for s in raw["splits"]],
                 "aggregate_normalized": _summaries_from(raw["aggregate_normalized"]),
                 "aggregate_denormalized": _summaries_from(raw["aggregate_denormalized"]),
-            })
+            }))
         if kind in ("alpha_sweep", "hparam_sweep"):
-            return SweepReport(**{**raw, "cells": [SweepCell(**_with_records(c))
-                                                   for c in raw["cells"]]})
+            return _checked(SweepReport(**{**raw, "cells": [SweepCell(**_with_records(c))
+                                                            for c in raw["cells"]]}))
     except (KeyError, TypeError, AttributeError, ShapeError) as exc:
         raise DataError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
     raise DataError(f"{path}: unknown report kind {kind!r}")

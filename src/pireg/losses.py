@@ -21,7 +21,8 @@ readers map it to quantities over trailing axes: ``interval_link`` gives
 place, ``head_loss_and_grad``, which returns the loss value together with
 its analytic gradient with respect to the raw head; training, validation
 and the tests all read losses from it, and it shares the value rule with
-``interval_link``.
+``interval_link``; validation asks it for the loss alone, computed by the
+same expressions with no gradient built.
 Gradients treat the hard capture vector as locally constant; it is piecewise
 constant in the parameters, so this is exact almost everywhere.
 """
@@ -60,7 +61,7 @@ def sigmoid(x):
     """Logistic function, stable for large |x|: exp(-|x|) never overflows."""
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x):
@@ -117,7 +118,7 @@ def initial_head(variant, head_bias):
 
 def squash_mix(logit):
     """Map the raw mixing head into (0, 1), never touching the endpoints."""
-    return np.clip(sigmoid(logit), MIX_EPS, 1.0 - MIX_EPS)
+    return np.minimum(np.maximum(sigmoid(logit), MIX_EPS), 1.0 - MIX_EPS)
 
 
 def hard_capture(y, lower, upper):
@@ -130,11 +131,10 @@ def hard_capture(y, lower, upper):
     return ((lower <= y) & (y <= upper)).astype(float)
 
 
-def _mixed(upper, lower, mix):
+def _mixed(lower, width, mix):
     # The point prediction lower + mix * (upper - lower): exactly the common
-    # bound when upper == lower, and never outside the interval for mix in
-    # [0, 1].
-    return lower + mix * (upper - lower)
+    # bound at zero width, and never outside the interval for mix in [0, 1].
+    return lower + mix * width
 
 
 def _interval_columns(raw):
@@ -164,7 +164,7 @@ def interval_link(raw, variant):
     upper, lower, logit = _interval_columns(np.asarray(raw, dtype=float))
     if variant == "decoupled":
         return upper, lower, logit
-    return upper, lower, _mixed(upper, lower, _value_mix(logit, variant))
+    return upper, lower, _mixed(lower, upper - lower, _value_mix(logit, variant))
 
 
 def gaussian_link(raw):
@@ -182,105 +182,120 @@ def gaussian_link(raw):
 # Loss terms with analytic head gradients.  Each _*_terms helper returns the
 # loss followed by its partials with respect to the head columns; every
 # reduction runs over the last (sample) axis, so leading member axes give one
-# loss per member.
+# loss per member.  With gradient=False a helper returns its loss, computed
+# by the same expressions, before building any partial (None in their place).
 # ---------------------------------------------------------------------------
 
 
-def _interval_terms(upper, lower, y, cfg):
+def _interval_terms(upper, lower, width, y, cfg, gradient):
     n = y.shape[-1]
     k_hard = hard_capture(y, lower, upper)
-    denom = np.maximum(np.sum(k_hard, axis=-1), CAPTURE_EPS)
-    width_term = np.sum((upper - lower) * k_hard, axis=-1) / denom
+    denom = np.maximum(k_hard.sum(axis=-1), CAPTURE_EPS)
+    width_term = (width * k_hard).sum(axis=-1) / denom
 
-    a = sigmoid(cfg.soften * (y - lower))
-    b = sigmoid(cfg.soften * (upper - y))
-    picp_soft = np.mean(a * b, axis=-1)
-    gap = (1.0 - cfg.alpha) - picp_soft
-    hinge = np.maximum(gap, 0.0)
+    a, b = sigmoid(cfg.soften * np.array([y - lower, upper - y]))
+    ab = a * b
+    hinge = np.maximum((1.0 - cfg.alpha) - ab.sum(axis=-1) / n, 0.0)
     loss = width_term + math.sqrt(n) * cfg.coverage_penalty * hinge * hinge
+    if not gradient:
+        return loss, None, None
 
     d_upper = k_hard / denom[..., None]
-    d_lower = -k_hard / denom[..., None]
-    active = (hinge > 0.0)[..., None]
-    if np.any(active):
+    d_lower = -d_upper
+    active = hinge > 0.0
+    if active.any():
         # Only members whose hinge is active take the coverage term, so the
         # others keep exactly the width gradient (signed zeros included).
         scale = (-2.0 * math.sqrt(n) * cfg.coverage_penalty * hinge / n)[..., None]
-        d_upper = np.where(active, d_upper + scale * (a * b * (1.0 - b) * cfg.soften), d_upper)
-        d_lower = np.where(active, d_lower + scale * (-a * (1.0 - a) * b * cfg.soften), d_lower)
+        cov_upper = d_upper + scale * (ab * (1.0 - b) * cfg.soften)
+        cov_lower = d_lower + scale * (-a * (1.0 - a) * b * cfg.soften)
+        if active.all():
+            return loss, cov_upper, cov_lower
+        d_upper = np.where(active[..., None], cov_upper, d_upper)
+        d_lower = np.where(active[..., None], cov_lower, d_lower)
     return loss, d_upper, d_lower
 
 
-def _point_terms(pred, y, kind):
+def _point_terms(pred, y, kind, gradient):
     r = pred - y
     if kind == "squared":
-        return r * r, 2.0 * r
+        return r * r, 2.0 * r if gradient else None
     if kind == "absolute":
-        return np.abs(r), np.sign(r)
+        return np.abs(r), np.sign(r) if gradient else None
     raise ConfigError(f"unknown point_loss {kind!r}")
 
 
-def _value_terms(upper, lower, mix, y, cfg):
+def _value_terms(lower, width, mix, y, cfg, gradient):
     n = y.shape[-1]
-    pred = _mixed(upper, lower, mix)
-    per_sample, d_pred = _point_terms(pred, y, cfg.point_loss)
-    loss = np.mean(per_sample, axis=-1)
+    per_sample, d_pred = _point_terms(_mixed(lower, width, mix), y, cfg.point_loss, gradient)
+    loss = per_sample.sum(axis=-1) / n
+    if not gradient:
+        return loss, None, None, None
     w = d_pred / n
-    return loss, w * mix, w * (1.0 - mix), w * (upper - lower)
+    return loss, w * mix, w * (1.0 - mix), w * width
 
 
-def _gaussian_terms(raw, y):
+def _gaussian_terms(raw, y, gradient):
     n = y.shape[-1]
     mean, variance = gaussian_link(raw)
-    vraw = raw[..., 1]
     resid = y - mean
-    loss = np.mean(0.5 * np.log(variance) + resid * resid / (2.0 * variance), axis=-1)
+    loss = (0.5 * np.log(variance) + resid * resid / (2.0 * variance)).sum(axis=-1) / n
+    if not gradient:
+        return loss, None
     d_mean = (mean - y) / variance / n
     d_var = (0.5 / variance - 0.5 * resid * resid / (variance * variance)) / n
-    d_vraw = d_var * sigmoid(vraw)
-    grad = np.stack([d_mean, d_vraw], axis=-1)
-    return loss, grad
+    return loss, np.stack([d_mean, d_var * sigmoid(raw[..., 1])], axis=-1)
 
 
-def head_loss_and_grad(raw, y, cfg):
+def head_loss_and_grad(raw, y, cfg, gradient=True):
     """Loss value plus its gradient with respect to the raw head matrix.
 
     ``raw`` has columns (upper, lower, mix-logit) for the interval variants
-    and (mean, raw-variance) for gaussian_nll.  This is the single entry
-    point the network's backward pass uses.  Leading axes index stacked
-    members: a (..., n, k) head with (..., n) or shared (n,) targets gives a
-    (...)-shaped loss, one per member, and a gradient shaped like ``raw``.
+    and (mean, raw-variance) for gaussian_nll; ``gradient=False`` gives the
+    same loss and None.  Leading axes index stacked members: a (..., n, k)
+    head with (..., n) or shared (n,) targets gives a (...)-shaped loss, one
+    per member, and a gradient shaped like ``raw``.
     """
     raw = np.asarray(raw, dtype=float)
     y = np.asarray(y, dtype=float)
     if raw.ndim < 2 or y.shape not in (raw.shape[:-1], raw.shape[-2:-1]):
         raise ShapeError(f"head matrix {raw.shape} does not match targets {y.shape}")
-    if y.shape[-1] < 1:
+    n = y.shape[-1]
+    if n < 1:
         raise ShapeError("batch must be non-empty")
 
     if cfg.variant == "gaussian_nll":
-        return _gaussian_terms(raw, y)
+        return _gaussian_terms(raw, y, gradient)
 
     upper, lower, logit = _interval_columns(raw)
-    li, di_u, di_l = _interval_terms(upper, lower, y, cfg)
-    grad = np.zeros_like(raw)
+    width = upper - lower
+    li, di_u, di_l = _interval_terms(upper, lower, width, y, cfg, gradient)
 
     if cfg.variant in ("interval_only", "decoupled"):
         # No mixed value trains: the bounds take the interval loss alone,
         # and the decoupled value head its own point loss.
-        grad[..., 0] = di_u
-        grad[..., 1] = di_l
-        if cfg.variant == "interval_only":
-            return li, grad
-        per_sample, d_pred = _point_terms(logit, y, cfg.point_loss)
-        grad[..., 2] = d_pred / y.shape[-1]
-        return li + np.mean(per_sample, axis=-1), grad
+        loss, d_value = li, 0.0
+        if cfg.variant == "decoupled":
+            per_sample, d_value = _point_terms(logit, y, cfg.point_loss, gradient)
+            loss = li + per_sample.sum(axis=-1) / n
+        if not gradient:
+            return loss, None
+        grad = np.empty_like(raw)
+        grad[..., 0], grad[..., 1], grad[..., 2] = di_u, di_l, d_value / n
+        return loss, grad
 
     mix = _value_mix(logit, cfg.variant)
-    lv, dv_u, dv_l, dv_mix = _value_terms(upper, lower, mix, y, cfg)
+    lv, dv_u, dv_l, dv_mix = _value_terms(lower, width, mix, y, cfg, gradient)
     w = cfg.interval_weight
-    grad[..., 0] = w * di_u + (1.0 - w) * dv_u
-    grad[..., 1] = w * di_l + (1.0 - w) * dv_l
+    loss = w * li + (1.0 - w) * lv
+    if not gradient:
+        return loss, None
+    grad = np.empty_like(raw)
+    for out, di, dv in ((grad[..., 0], di_u, dv_u), (grad[..., 1], di_l, dv_l)):
+        np.multiply(w, di, out=out)
+        out += (1.0 - w) * dv
     if cfg.variant == "joint":
-        grad[..., 2] = (1.0 - w) * dv_mix * mix * (1.0 - mix)
-    return w * li + (1.0 - w) * lv, grad
+        np.multiply((1.0 - w) * dv_mix * mix, 1.0 - mix, out=grad[..., 2])
+    else:
+        grad[..., 2] = 0.0
+    return loss, grad

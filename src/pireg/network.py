@@ -63,10 +63,6 @@ class FeedForwardModel:
             self.biases.append(self.flat[..., end:end + fan_out])
             offset = end + fan_out
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
 
 def init_model(layer_sizes, seed, head_bias):
     """Build a network whose head biases start at ``head_bias``, one per unit.
@@ -93,8 +89,8 @@ def _check_features(model, features):
     x = np.asarray(features, dtype=float)
     if x.ndim < 2:
         raise ShapeError(f"features must be an (n, d) matrix, got shape {x.shape}")
-    if x.shape[-1] != model.input_dim:
-        raise ShapeError(f"model expects {model.input_dim} features, got {x.shape[-1]}")
+    if x.shape[-1] != model.layer_sizes[0]:
+        raise ShapeError(f"model expects {model.layer_sizes[0]} features, got {x.shape[-1]}")
     return x
 
 
@@ -104,11 +100,14 @@ def _forward_cached(model, x):
     # stack, each temporary is M times larger and costs more to allocate
     # than to fill.  A rectified unit is active exactly where its
     # pre-activation is positive, so the activations alone drive backward.
+    # A layer with one input unit runs its k = 1 product through einsum, at a
+    # third of the gemm's cost on training batches.  Both add each product to
+    # a zeroed output, so they agree bit for bit (a * w gives -0.0 for +0.0).
     activations = [x]
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w
+        a = np.einsum("...ik,...kj->...ij", a, w) if w.shape[-2] == 1 else a @ w
         a += b[..., None, :]
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -123,9 +122,12 @@ def forward(model, features):
 
 
 def loss_value(model, features, targets, cfg: LossConfig):
-    """Loss of the configured variant on one batch, one per member; no gradients."""
-    raw = forward(model, features)
-    return head_loss_and_grad(raw, np.asarray(targets, dtype=float), cfg)[0]
+    """Loss of the configured variant on one batch, one per member.
+
+    The loss-only pass of ``head_loss_and_grad``: ``backward``'s loss, bit for
+    bit, with no gradient built.
+    """
+    return head_loss_and_grad(forward(model, features), targets, cfg, gradient=False)[0]
 
 
 def _first_bad(finite):
@@ -150,15 +152,14 @@ def backward(model, features, targets, cfg: LossConfig):
 
     raw, activations = _forward_cached(model, x)
     loss, delta = head_loss_and_grad(raw, y, cfg)
-    finite = np.isfinite(loss)
-    if not np.all(finite):
-        k = _first_bad(finite)
+    if not np.isfinite(loss).all():
+        k = _first_bad(np.isfinite(loss))
         raise TrainingDiverged(f"non-finite loss {float(loss.flat[k])!r}", member=k)
 
     grads = FeedForwardModel(model.layer_sizes, np.empty_like(model.flat))
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads.weights[i])
-        np.sum(delta, axis=-2, out=grads.biases[i])
+        delta.sum(axis=-2, out=grads.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].swapaxes(-1, -2)
             delta *= activations[i] > 0.0

@@ -62,9 +62,8 @@ def adam_step(state: AdamState, model: FeedForwardModel, grads: FeedForwardModel
             or state.first_moment.shape != p.shape:
         raise ShapeError(f"gradient {grads.layer_sizes} {g.shape} does not match "
                          f"model {model.layer_sizes} {p.shape}")
-    finite = np.all(np.isfinite(g), axis=-1)
-    if not np.all(finite):
-        raise TrainingDiverged("non-finite gradient", member=_first_bad(finite))
+    if not np.isfinite(g).all():
+        raise TrainingDiverged("non-finite gradient", member=_first_bad(np.isfinite(g).all(-1)))
 
     state.step += 1
     t = state.step

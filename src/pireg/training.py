@@ -89,10 +89,14 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
 
     x, y = train.features, train.targets
     starts = range(0, train.n, opt.batch_size)
+    perm = np.empty((len(seeds), train.n), dtype=np.intp)
     for epoch in range(1, opt.max_epochs + 1):
         if not active:
             break
-        perm = np.stack([shuffles[j].permutation(train.n) for j in active])
+        # Shuffling arange(n) in place is Generator.permutation(n), draw for draw.
+        perm[:len(active)] = np.arange(train.n)
+        for k, j in enumerate(active):
+            shuffles[j].shuffle(perm[k])
         # One contiguous row of batch losses per member, so each member's
         # epoch mean sums in the order a lone model's would.
         losses = np.empty((len(active), len(starts)))
@@ -113,28 +117,28 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
                 break
         if not active:
             break
-        epoch_loss = np.mean(losses[:len(active)], axis=-1)
+        epoch_loss = losses[:len(active)].sum(axis=-1) / len(starts)
 
         if valid is not None and valid.n > 0:
             score = loss_value(stack, valid.features, valid.targets, config.loss)
         else:
             score = epoch_loss
-        finite = np.isfinite(score)
-        if not np.all(finite):
-            k = _first_bad(finite)
+        if not np.isfinite(score).all():
+            k = _first_bad(np.isfinite(score))
             failure = _diverged(active[k], f"non-finite validation loss {float(score[k])!r} "
                                 f"at epoch {epoch}", None, epoch)
             active = active[:k]
             stack = _keep(stack, state, slice(k))
 
         rows = []
+        epoch_losses, scores = epoch_loss.tolist(), score.tolist()
         for k, j in enumerate(active):
             history = histories[j]
-            history.train_loss.append(float(epoch_loss[k]))
-            history.val_loss.append(float(score[k]))
+            history.train_loss.append(epoch_losses[k])
+            history.val_loss.append(scores[k])
             history.epochs_run = epoch
-            if score[k] < best[j]:
-                best[j] = score[k]
+            if scores[k] < best[j]:
+                best[j] = scores[k]
                 best_flat[j] = stack.flat[k]
                 bad[j] = 0
             else:

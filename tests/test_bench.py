@@ -183,6 +183,25 @@ def test_load_report_rejects_bad_files(tiny_report, tmp_path):
             load_report(tmp_path / name)
         assert name in str(info.value)
 
+    # A field declared as a number that holds a string is refused, not
+    # coerced, and the error names the file and the field.
+    mistyped = [
+        (("aggregate_normalized", "picp", "mean"), "high", "aggregate_normalized.picp.mean"),
+        (("splits", 0, "normalized", "picp"), "x", "splits.0.normalized.picp"),
+        (("splits", 0, "member_epochs"), "many", "splits.0.member_epochs"),
+    ]
+    for keys, value, field in mistyped:
+        report = json.loads(json.dumps(blob))
+        report["kind"] = "benchmark"
+        target = report
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        (tmp_path / "typed.json").write_text(json.dumps(report), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed report") as info:
+            load_report(tmp_path / "typed.json")
+        assert "typed.json" in str(info.value) and field in str(info.value)
+
 
 def test_format_report_mentions_the_essentials(tiny_report):
     text = format_report(tiny_report)
