@@ -34,7 +34,7 @@ from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
 from .losses import gaussian_link, interval_link
 from .metrics import MetricSummary, MetricsRecord, aggregate_splits, metrics_record
-from .network import FeedForwardModel, forward
+from .network import forward
 from .training import carve_validation, train_ensemble
 
 REPORT_VERSION = 1
@@ -94,13 +94,11 @@ def load_dataset(spec: DataSpec, seed) -> Dataset:
 def ensemble_predict(stack, features, variant: str, alpha: float) -> EnsembleOutput:
     """Aggregate an ensemble's predictions on a feature matrix.
 
-    ``stack`` is the (M, n_params) model that ``train_ensemble`` returns.  Its
-    members are forwarded one at a time, so one member's hidden activations
-    are alive at once, not all M members'; their raw heads form one
-    (M, n, k) array that one reader and one aggregator consume.
+    ``stack`` is the (M, n_params) model that ``train_ensemble`` returns.  One
+    ``forward`` gives its (M, n, k) raw heads, member by member on many rows
+    (see ``network.forward``), which one reader and one aggregator consume.
     """
-    heads = np.stack([forward(FeedForwardModel(stack.layer_sizes, flat), features)
-                      for flat in stack.flat])
+    heads = forward(stack, features)
     if variant == "gaussian_nll":
         return aggregate_gaussian(*gaussian_link(heads), alpha)
     return aggregate_pi(*interval_link(heads, variant), alpha)
@@ -118,19 +116,27 @@ def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
 def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> SplitResult:
     """Train and score one shuffled train/test split."""
     started = time.perf_counter()
-    # Each stage rebinds the name of its input, so the input is freed as soon
-    # as its successor exists: the split holds the dataset plus one working
-    # copy of its rows, not every intermediate copy at once.
-    train, test = split(dataset, config.splits.test_fraction, config.seed, split_index)
-    stats = fit_normalize(train)
-    train = apply_normalize(train, stats)
-    test = apply_normalize(test, stats)
-    train, valid = carve_validation(train, config.optimizer.validation_fraction,
-                                    config.seed, split_index)
+    # Split and carve pick row indices; the split then holds the dataset plus
+    # one normalized copy of its training rows, validation rows first, of
+    # which train and valid are row slices.  The held-out rows are copied
+    # only once training is done.
+    train_rows, test_rows = split(dataset, config.splits.test_fraction, config.seed,
+                                  split_index)
+    stats = fit_normalize(dataset, train_rows)
+    train_rows, valid_rows = carve_validation(train_rows, config.optimizer.validation_fraction,
+                                              config.seed, split_index)
+    if valid_rows is None:
+        train, valid = apply_normalize(dataset, stats, train_rows), None
+    else:
+        work = apply_normalize(dataset, stats, np.concatenate([valid_rows, train_rows]))
+        n_val = len(valid_rows)
+        valid = Dataset(work.features[:n_val], work.targets[:n_val])
+        train = Dataset(work.features[n_val:], work.targets[n_val:])
 
     base_seed = config.seed + 1000 * split_index
     stack, histories = train_ensemble(config, train, valid, base_seed)
 
+    test = apply_normalize(dataset, stats, test_rows)
     ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
     normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
     denormalized = metrics_record(

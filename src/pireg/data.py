@@ -54,10 +54,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def take(self, indices) -> "Dataset":
-        return Dataset(self.features[indices], self.targets[indices],
-                       self.feature_names, self.source_tag)
-
 
 @dataclass(frozen=True)
 class NormStats:
@@ -252,28 +248,62 @@ def load_delimited(path, target_column=-1, delimiter=","):
                    source_tag=str(path))
 
 
-def fit_normalize(train: Dataset) -> NormStats:
-    """Per-column mean/std from the training portion; constant columns get std 1."""
-    fmean = np.mean(train.features, axis=0)
-    fstd = np.std(train.features, axis=0)
+# Columns per block that fit_normalize reduces at a time.
+STAT_BLOCK_COLUMNS = 8
+
+
+def fit_normalize(dataset: Dataset, rows=None) -> NormStats:
+    """Per-column mean/std of ``dataset``'s rows; constant columns get std 1.
+
+    ``rows``, an index array, selects the rows (in that order) the statistics
+    are fit on; by default every row.  The columns are reduced a block at a
+    time, each block gathered on its own, so no full-size copy or ``np.std``
+    temporary exists.  An axis-0 reduction over two or more columns adds the
+    rows in the order the whole matrix's reduction does, so the result is
+    ``np.mean``/``np.std`` of the whole selected matrix, bit for bit.  A lone
+    column is summed pairwise instead, so a trailing one joins the block
+    before it.
+    """
+    if rows is None:
+        rows = slice(None)
+    edges = list(range(0, dataset.dim, STAT_BLOCK_COLUMNS)) + [dataset.dim]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    fmean = np.empty(dataset.dim)
+    fstd = np.empty(dataset.dim)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        block = dataset.features[rows, start:stop]
+        fmean[start:stop] = np.mean(block, axis=0)
+        fstd[start:stop] = np.std(block, axis=0)
     fstd = np.where(fstd == 0.0, 1.0, fstd)
-    tstd = float(np.std(train.targets))
+    targets = dataset.targets[rows]
+    tstd = float(np.std(targets))
     if tstd == 0.0:
         tstd = 1.0
-    return NormStats(fmean, fstd, float(np.mean(train.targets)), tstd)
+    return NormStats(fmean, fstd, float(np.mean(targets)), tstd)
 
 
-def apply_normalize(dataset: Dataset, stats: NormStats) -> Dataset:
-    """A standardized copy of ``dataset``, which is left unchanged.
+def apply_normalize(dataset: Dataset, stats: NormStats, rows=None) -> Dataset:
+    """A standardized copy of ``dataset``'s rows; ``dataset`` is left unchanged.
 
-    The division runs in place on the centered copy: the same IEEE operation
-    per element as ``(x - mean) / std``, one full-size temporary fewer.
+    ``rows``, an index array, selects and orders the rows copied; by default
+    every row.  The copy is centered and divided in place: the same IEEE
+    operations per element as ``(x - mean) / std``, with no full-size
+    temporary beside the copy.
     """
-    features = dataset.features - stats.feature_mean
+    if rows is None:
+        features = dataset.features - stats.feature_mean
+        targets = dataset.targets
+    else:
+        # A fancy-index gather; np.take would first copy a column-major
+        # matrix (as load_delimited returns) whole into row-major order.
+        features = dataset.features[rows]
+        features -= stats.feature_mean
+        targets = dataset.targets[rows]
     features /= stats.feature_std
     return Dataset(
         features,
-        (dataset.targets - stats.target_mean) / stats.target_std,
+        (targets - stats.target_mean) / stats.target_std,
         dataset.feature_names,
         dataset.source_tag,
     )
@@ -286,8 +316,12 @@ def denormalize_targets(values, stats: NormStats):
 
 
 def split(dataset: Dataset, test_fraction: float, seed, split_index: int
-          ) -> Tuple[Dataset, Dataset]:
-    """Shuffled split fixed by (seed, split_index); the first ceil((1 - f) * n) rows train."""
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Row indices of a shuffled split fixed by (seed, split_index).
+
+    Returns (train, test) index arrays; the first ceil((1 - f) * n) rows of
+    the shuffle train.  No row is copied.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = dataset.n
@@ -297,7 +331,7 @@ def split(dataset: Dataset, test_fraction: float, seed, split_index: int
     perm = rng.permutation(n)
     n_train = int(math.ceil((1.0 - test_fraction) * n))
     n_train = min(max(n_train, 1), n - 1)
-    return dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
+    return perm[:n_train], perm[n_train:]
 
 
 def save_delimited(dataset: Dataset, path, delimiter=","):

@@ -115,9 +115,27 @@ def _forward_cached(model, x):
     return a, activations
 
 
+# A stack whose hidden activations would take more bytes than this is
+# forwarded one member at a time, so prediction and validation on many rows
+# hold one member's activations, not all M members'.
+STACK_FORWARD_BYTES = 2 ** 21
+
+
 def forward(model, features):
-    """Raw head (..., n, k) with no link functions applied; k = layer_sizes[-1]."""
+    """Raw head (..., n, k) with no link functions applied; k = layer_sizes[-1].
+
+    A stack of M members is forwarded in one call while its hidden
+    activations fit in STACK_FORWARD_BYTES, and one member at a time above
+    that.  Both give the same bits: a stacked product is one gemm per member.
+    """
     x = _check_features(model, features)
+    if model.flat.ndim == 2:
+        hidden = len(model.flat) * x.shape[-2] * sum(model.layer_sizes[1:-1])
+        if hidden * x.itemsize > STACK_FORWARD_BYTES:
+            own_rows = x.ndim == 3
+            return np.stack([_forward_cached(FeedForwardModel(model.layer_sizes, flat),
+                                             x[j] if own_rows else x)[0]
+                             for j, flat in enumerate(model.flat)])
     return _forward_cached(model, x)[0]
 
 
@@ -161,6 +179,9 @@ def backward(model, features, targets, cfg: LossConfig):
         np.matmul(activations[i].swapaxes(-1, -2), delta, out=grads.weights[i])
         delta.sum(axis=-2, out=grads.biases[i])
         if i > 0:
-            delta = delta @ model.weights[i].swapaxes(-1, -2)
-            delta *= activations[i] > 0.0
+            # The layer's activations are dead once their rectifier mask is
+            # taken, so the propagated delta overwrites them.
+            active = activations[i] > 0.0
+            delta = np.matmul(delta, model.weights[i].swapaxes(-1, -2), out=activations[i])
+            delta *= active
     return loss, grads

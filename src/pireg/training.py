@@ -156,13 +156,18 @@ def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dat
     return FeedForwardModel(stack.layer_sizes, best_flat), histories
 
 
-def carve_validation(train: Dataset, fraction: float, seed, split_index: int
-                     ) -> Tuple[Dataset, Optional[Dataset]]:
-    """Split a validation chunk off the training rows, deterministically."""
-    if fraction <= 0.0 or train.n < 2:
-        return train, None
+def carve_validation(rows, fraction: float, seed, split_index: int
+                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Split a validation chunk off the training row indices, deterministically.
+
+    Returns (train, validation) index arrays drawn from ``rows``, or
+    (``rows``, None) when no validation is carved.  No row is copied.
+    """
+    rows = np.asarray(rows)
+    if fraction <= 0.0 or len(rows) < 2:
+        return rows, None
     rng = np.random.default_rng([seed, split_index, 101])
-    perm = rng.permutation(train.n)
-    n_val = max(1, int(round(fraction * train.n)))
-    n_val = min(n_val, train.n - 1)
-    return train.take(perm[n_val:]), train.take(perm[:n_val])
+    perm = rng.permutation(len(rows))
+    n_val = max(1, int(round(fraction * len(rows))))
+    n_val = min(n_val, len(rows) - 1)
+    return rows[perm[n_val:]], rows[perm[:n_val]]

@@ -512,6 +512,27 @@ def test_fit_normalize_matches_stdlib_statistics():
     assert stats.target_std == pytest.approx(statistics.pstdev([3.0, 5.0, 10.0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 17, 90])
+@pytest.mark.parametrize("selected", [False, True])
+def test_fit_normalize_blocks_match_whole_matrix_bitwise(width, selected):
+    # Statistics are reduced a column block at a time; they must carry the
+    # bits of np.mean/np.std over the whole (gathered) matrix.  Nine columns
+    # leave a trailing single column, which must not be reduced alone.
+    rng = np.random.default_rng([width, selected])
+    n = 3001
+    scales = np.geomspace(1e-3, 1e4, width)
+    data = Dataset(rng.standard_normal((n, width)) * scales + 7.0 * scales,
+                   rng.normal(50.0, 20.0, n))
+    rows = rng.permutation(n)[:2700] if selected else None
+    stats = fit_normalize(data, rows)
+    whole = data.features if rows is None else data.features[rows]
+    targets = data.targets if rows is None else data.targets[rows]
+    assert stats.feature_mean.tobytes() == np.mean(whole, axis=0).tobytes()
+    assert stats.feature_std.tobytes() == np.std(whole, axis=0).tobytes()
+    assert stats.target_mean == float(np.mean(targets))
+    assert stats.target_std == float(np.std(targets))
+
+
 def test_already_standardized_data_gets_identity_stats():
     data = Dataset(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]))
     stats = fit_normalize(data)
@@ -593,35 +614,34 @@ def _tagged(n):
 
 def test_split_ten_rows_is_nine_one():
     train, test = split(_tagged(10), 0.1, 3, 0)
-    assert train.n == 9 and test.n == 1
+    assert len(train) == 9 and len(test) == 1
 
 
 def test_split_same_spec_identical_membership():
     a_train, a_test = split(_tagged(25), 0.2, 5, 2)
     b_train, b_test = split(_tagged(25), 0.2, 5, 2)
-    assert np.array_equal(a_train.targets, b_train.targets)
-    assert np.array_equal(a_test.targets, b_test.targets)
+    assert np.array_equal(a_train, b_train)
+    assert np.array_equal(a_test, b_test)
 
 
 def test_split_indices_change_membership():
     base = _tagged(40)
     _, test0 = split(base, 0.25, 5, 0)
     _, test1 = split(base, 0.25, 5, 1)
-    assert not np.array_equal(np.sort(test0.targets), np.sort(test1.targets))
+    assert not np.array_equal(np.sort(test0), np.sort(test1))
 
 
 def test_split_union_is_dataset_and_disjoint():
     train, test = split(_tagged(23), 0.3, 1, 0)
-    merged = np.sort(np.concatenate([train.targets, test.targets]))
-    assert np.array_equal(merged, np.arange(23, dtype=float))
-    assert not set(train.targets) & set(test.targets)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(23))
+    assert not set(train.tolist()) & set(test.tolist())
 
 
 def test_split_clamps_to_keep_both_sides_nonempty():
     train, test = split(_tagged(2), 0.9, 0, 0)
-    assert train.n == 1 and test.n == 1
+    assert len(train) == 1 and len(test) == 1
     train, test = split(_tagged(2), 0.05, 0, 0)
-    assert train.n == 1 and test.n == 1
+    assert len(train) == 1 and len(test) == 1
 
 
 def test_split_rejects_tiny_datasets_and_bad_fractions():
@@ -636,11 +656,10 @@ def test_split_rejects_tiny_datasets_and_bad_fractions():
 @given(st.integers(2, 200), st.floats(0.05, 0.95), st.integers(0, 1000), st.integers(0, 20))
 def test_split_partition_property(n, fraction, seed, split_index):
     train, test = split(_tagged(n), fraction, seed, split_index)
-    assert train.n >= 1 and test.n >= 1 and train.n + test.n == n
-    merged = np.sort(np.concatenate([train.targets, test.targets]))
-    assert np.array_equal(merged, np.arange(n, dtype=float))
+    assert len(train) >= 1 and len(test) >= 1 and len(train) + len(test) == n
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
     expected_train = min(max(int(math.ceil((1.0 - fraction) * n)), 1), n - 1)
-    assert train.n == expected_train
+    assert len(train) == expected_train
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +679,17 @@ def test_dataset_shape_and_finiteness_validation():
         Dataset(np.zeros((1, 1)), np.array([np.inf]))
 
 
-def test_dataset_take_preserves_metadata():
-    data = Dataset(np.arange(6, dtype=float).reshape(3, 2), np.arange(3, dtype=float),
-                   feature_names=["a", "b"], source_tag="demo")
-    sub = data.take([2, 0])
-    assert np.array_equal(sub.targets, [2.0, 0.0])
-    assert sub.feature_names == ["a", "b"] and sub.source_tag == "demo"
+def test_apply_normalize_rows_gathers_in_order_and_keeps_metadata():
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.normal(2.0, 3.0, size=(9, 3)), rng.normal(size=9),
+                   feature_names=["a", "b", "c"], source_tag="demo")
+    features, targets = data.features.copy(), data.targets.copy()
+    stats = fit_normalize(data)
+    rows = np.array([7, 2, 0, 2])
+    sub = apply_normalize(data, stats, rows)
+    whole = apply_normalize(data, stats)
+    assert sub.features.tobytes() == whole.features[rows].tobytes()
+    assert sub.targets.tobytes() == whole.targets[rows].tobytes()
+    assert sub.feature_names == ["a", "b", "c"] and sub.source_tag == "demo"
+    assert data.features.tobytes() == features.tobytes()
+    assert data.targets.tobytes() == targets.tobytes()

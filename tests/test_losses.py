@@ -490,11 +490,21 @@ def test_head_dispatch_rejects_bad_shapes():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("seed", range(6))
 def test_head_gradients_match_central_differences(variant, seed):
-    rng = np.random.default_rng([seed, hash(variant) % (2 ** 32)])
+    # Seeded per variant by its position, which is stable across interpreters
+    # (hash(str) is salted per process).  Within 12 / soften of a bound the
+    # capture sigmoid is so curved that the difference quotient's truncation
+    # error reaches 1e-4 of entries where the width and hinge terms nearly
+    # cancel; such draws are regenerated, as criterion 1 does at its kinks.
+    rng = np.random.default_rng([seed, VARIANTS.index(variant)])
     cols = 2 if variant == "gaussian_nll" else 3
-    raw = random_head(rng, 20, cols=cols)
-    y = rng.normal(0.0, 1.2, size=20)
     cfg = LossConfig(variant=variant)
+    for _ in range(50):
+        raw = random_head(rng, 20, cols=cols)
+        y = rng.normal(0.0, 1.2, size=20)
+        if cols == 2 or np.min(np.abs(y[:, None] - raw[:, :2])) * cfg.soften >= 12.0:
+            break
+    else:
+        pytest.fail("50 draws in a row put a target near a bound")
     loss, grad = head_loss_and_grad(raw.copy(), y, cfg)
     fd = head_fd(raw, y, cfg)
     assert np.isfinite(loss)

@@ -6,13 +6,16 @@ the loss only through the public forward-loss path (``loss_value``).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pireg.errors import ConfigError, ShapeError, TrainingDiverged
-from pireg.losses import VARIANTS, LossConfig, gaussian_link, interval_link, squash_mix
-from pireg.network import backward, forward, init_model, loss_value
+from pireg.losses import (VARIANTS, LossConfig, gaussian_link, head_loss_and_grad,
+                          interval_link, squash_mix)
+from pireg.network import (STACK_FORWARD_BYTES, FeedForwardModel, backward, forward,
+                           init_model, loss_value)
 
 # Starting biases of an interval head at the default bounds, and of a
 # mean-variance head.
@@ -215,3 +218,65 @@ def test_backward_raises_on_non_finite_loss():
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingDiverged):
             backward(model, np.ones((2, 1)), np.zeros(2), LossConfig())
+
+
+def stack_of(sizes, members, head=INTERVAL_BIAS):
+    return FeedForwardModel(tuple(sizes), np.stack([init_model(sizes, s, head).flat
+                                                    for s in range(members)]))
+
+
+@pytest.mark.parametrize("rows", [40, 4000])
+@pytest.mark.parametrize("own_rows", [False, True])
+def test_stack_forward_matches_member_forwards_bitwise(rows, own_rows):
+    # 40 rows fit the one-call budget and 4000 do not; either way each member's
+    # head carries the bits of that member forwarded alone.
+    stack = stack_of((3, 16, 8, 3), 4)
+    assert (4 * rows * 24 * 8 > STACK_FORWARD_BYTES) == (rows == 4000)
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(4, rows, 3) if own_rows else (rows, 3))
+    heads = forward(stack, x)
+    assert heads.shape == (4, rows, 3)
+    for j, flat in enumerate(stack.flat):
+        alone = forward(FeedForwardModel(stack.layer_sizes, flat), x[j] if own_rows else x)
+        assert heads[j].tobytes() == alone.tobytes()
+
+
+def test_loss_value_holds_one_members_activations_at_a_time():
+    # Validation on many rows: a one-call forward of five members would hold
+    # their (4000, 100) hidden activations at once, 16 MB.
+    stack = stack_of((1, 100, 3), 5)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(4000, 1)), rng.normal(size=4000)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        loss_value(stack, x, y, LossConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 2 * 4000 * 100 * 8
+
+
+def test_backward_matches_separate_delta_temporaries_bitwise():
+    # backward writes each propagated delta over the dead activations of its
+    # layer; a pass that allocates every delta afresh must give the same bits.
+    stack = stack_of((3, 12, 7, 3), 3)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(30, 3)), rng.normal(size=30)
+    cfg = LossConfig()
+    loss, grads = backward(stack, x, y, cfg)
+
+    activations = [x]
+    a = x
+    for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+        a = a @ w + b[..., None, :]
+        if i < len(stack.weights) - 1:
+            a = np.maximum(a, 0.0)
+            activations.append(a)
+    want_loss, delta = head_loss_and_grad(a, y, cfg)
+    assert loss.tobytes() == want_loss.tobytes()
+    for i in range(len(stack.weights) - 1, -1, -1):
+        assert grads.weights[i].tobytes() == (activations[i].swapaxes(-1, -2) @ delta).tobytes()
+        assert grads.biases[i].tobytes() == delta.sum(axis=-2).tobytes()
+        if i > 0:
+            delta = (delta @ stack.weights[i].swapaxes(-1, -2)) * (activations[i] > 0.0)

@@ -48,6 +48,13 @@ def sine_train(n=40, seed=3):
     return apply_normalize(data, fit_normalize(data))
 
 
+def carve(data, fraction, seed, split_index):
+    """``carve_validation`` on every row of ``data``, as (train, valid) datasets."""
+    train, valid = carve_validation(np.arange(data.n), fraction, seed, split_index)
+    return (Dataset(data.features[train], data.targets[train]),
+            Dataset(data.features[valid], data.targets[valid]))
+
+
 def test_build_model_head_shapes():
     cfg = small_config()
     model = build_model(cfg, input_dim=1, seed=0)
@@ -168,7 +175,7 @@ def test_patience_counts_consecutive_failures():
 
 def test_best_validation_parameters_are_restored():
     data = sine_train(n=60)
-    train, valid = carve_validation(data, 0.25, seed=5, split_index=0)
+    train, valid = carve(data, 0.25, seed=5, split_index=0)
     cfg = small_config(max_epochs=30)
     model, hist = train_single(cfg, train, valid, seed=9)
     recomputed = loss_value(model, valid.features, valid.targets, cfg.loss)
@@ -227,32 +234,29 @@ def test_ensemble_divergence_carries_member_index():
 
 
 def test_carve_validation_fraction_zero_is_identity():
-    data = sine_train(n=20)
-    train, valid = carve_validation(data, 0.0, seed=1, split_index=0)
+    rows = np.arange(20)
+    train, valid = carve_validation(rows, 0.0, seed=1, split_index=0)
     assert valid is None
-    assert train is data
+    assert train is rows
 
 
 def test_carve_validation_sizes_and_determinism():
-    data = Dataset(np.arange(20, dtype=float).reshape(-1, 1), np.arange(20, dtype=float))
-    train_a, val_a = carve_validation(data, 0.25, seed=6, split_index=1)
-    train_b, val_b = carve_validation(data, 0.25, seed=6, split_index=1)
-    assert val_a.n == 5 and train_a.n == 15
-    assert np.array_equal(val_a.targets, val_b.targets)
-    assert np.array_equal(train_a.targets, train_b.targets)
-    merged = np.sort(np.concatenate([train_a.targets, val_a.targets]))
-    assert np.array_equal(merged, np.arange(20, dtype=float))
-    _, val_other = carve_validation(data, 0.25, seed=6, split_index=2)
-    assert not np.array_equal(np.sort(val_a.targets), np.sort(val_other.targets))
+    rows = np.arange(100, 120)
+    train_a, val_a = carve_validation(rows, 0.25, seed=6, split_index=1)
+    train_b, val_b = carve_validation(rows, 0.25, seed=6, split_index=1)
+    assert len(val_a) == 5 and len(train_a) == 15
+    assert np.array_equal(val_a, val_b)
+    assert np.array_equal(train_a, train_b)
+    assert np.array_equal(np.sort(np.concatenate([train_a, val_a])), rows)
+    _, val_other = carve_validation(rows, 0.25, seed=6, split_index=2)
+    assert not np.array_equal(np.sort(val_a), np.sort(val_other))
 
 
 def test_carve_validation_clamps_to_leave_training_rows():
-    data = Dataset(np.arange(4, dtype=float).reshape(-1, 1), np.arange(4, dtype=float))
-    train, valid = carve_validation(data, 0.9, seed=0, split_index=0)
-    assert train.n == 1 and valid.n == 3
-    single = Dataset(np.zeros((1, 1)), np.zeros(1))
-    train, valid = carve_validation(single, 0.5, seed=0, split_index=0)
-    assert valid is None and train.n == 1
+    train, valid = carve_validation(np.arange(4), 0.9, seed=0, split_index=0)
+    assert len(train) == 1 and len(valid) == 3
+    train, valid = carve_validation(np.arange(1), 0.5, seed=0, split_index=0)
+    assert valid is None and len(train) == 1
 
 
 def test_sine_smoke_reaches_high_train_coverage():
@@ -378,7 +382,7 @@ def test_stacked_members_stopping_at_different_epochs_match_sequential():
     # 52 rows of batch 6: eight full batches and a partial one of 4.  Nine
     # batch losses per epoch take numpy's unrolled pairwise summation, which
     # a mean over anything but a contiguous row would reorder.
-    train, valid = carve_validation(sine_train(n=70), 0.25, seed=5, split_index=0)
+    train, valid = carve(sine_train(n=70), 0.25, seed=5, split_index=0)
     assert train.n % 6 == 4
     cfg = stack_config(hidden=(16, 8), members=5, batch_size=6, max_epochs=150,
                        patience=3, learning_rate=0.05)
@@ -392,7 +396,7 @@ def test_stacked_variants_match_sequential(variant):
     data = sine_train(n=60)
     rng = np.random.default_rng(2)
     wide = Dataset(np.column_stack([data.features, rng.normal(size=(data.n, 2))]), data.targets)
-    train, valid = carve_validation(wide, 0.2, seed=5, split_index=1)
+    train, valid = carve(wide, 0.2, seed=5, split_index=1)
     assert_same_training(stack_config(variant, members=3, batch_size=17, max_epochs=50,
                                       patience=5), train, valid)
 
