@@ -240,6 +240,29 @@ def test_all_splits_failing_raises(monkeypatch):
         bench_mod.run_benchmark(tiny_config())
 
 
+def test_split_whose_normalized_rows_overflow_is_recorded(monkeypatch):
+    # Two -1.7e308 cells in one column sum to -inf, so a split that trains on
+    # both rows normalizes them to non-finite values and fails; split 2 holds
+    # one of them out, and its mean and std stay usable.
+    import pireg.bench as bench_mod
+    from pireg.data import split
+
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((40, 2))
+    features[[3, 17], 1] = -1.7e308
+    dataset = Dataset(features, rng.standard_normal(40), source_tag="overflow")
+    cfg = tiny_config(splits=SplitPlan(count=4, test_fraction=0.2))
+    holds_both = [{3, 17} <= set(split(dataset, 0.2, cfg.seed, i)[0].tolist())
+                  for i in range(4)]
+    assert holds_both == [True, True, False, True]
+    monkeypatch.setattr(bench_mod, "load_dataset", lambda spec, seed: dataset)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = bench_mod.run_benchmark(cfg)
+    assert report.partial and [s.split_index for s in report.splits] == [2]
+    assert report.errors == [f"split {i}: non-finite values in dataset 'overflow'"
+                             for i in (0, 1, 3)]
+
+
 def test_run_split_seeds_members_by_split(tmp_path):
     cfg = tiny_config()
     dataset = load_dataset(cfg.data, cfg.seed)
