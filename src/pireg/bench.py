@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import DataSpec, ExperimentConfig, config_to_dict
-from .data import (Dataset, denormalize_targets, fit_normalize, generate, apply_normalize,
-                   load_delimited, split)
+from .data import (Dataset, NormalizedRows, apply_normalize, denormalize_targets,
+                   fit_normalize, generate, load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, DataError, PiregError, ShapeError, TrainingDiverged
 from .losses import gaussian_link, interval_link
@@ -39,6 +39,10 @@ from .training import carve_validation, train_ensemble
 
 REPORT_VERSION = 1
 CURVE_SAMPLE_CAP = 50
+
+# The variants each sweep trains, whatever the config's own variant.
+ALPHA_SWEEP_VARIANTS = ("joint", "interval_only")
+HPARAM_SWEEP_VARIANTS = ("joint",)
 
 
 @dataclass
@@ -116,22 +120,18 @@ def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
 def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> SplitResult:
     """Train and score one shuffled train/test split."""
     started = time.perf_counter()
-    # Split and carve pick row indices; the split then holds the dataset plus
-    # one normalized copy of its training rows, validation rows first, of
-    # which train and valid are row slices.  The held-out rows are copied
+    # Split and carve pick row indices, and the split holds no table-sized
+    # copy beside the dataset: the trainer reads its rows through a
+    # NormalizedRows, which standardizes each batch as it gathers it.  The
+    # validation rows are one normalized copy; the held-out rows are copied
     # only once training is done.
     train_rows, test_rows = split(dataset, config.splits.test_fraction, config.seed,
                                   split_index)
     stats = fit_normalize(dataset, train_rows)
     train_rows, valid_rows = carve_validation(train_rows, config.optimizer.validation_fraction,
                                               config.seed, split_index)
-    if valid_rows is None:
-        train, valid = apply_normalize(dataset, stats, train_rows), None
-    else:
-        work = apply_normalize(dataset, stats, np.concatenate([valid_rows, train_rows]))
-        n_val = len(valid_rows)
-        valid = Dataset(work.features[:n_val], work.targets[:n_val])
-        train = Dataset(work.features[n_val:], work.targets[n_val:])
+    valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
+    train = NormalizedRows(dataset, stats, train_rows)
 
     base_seed = config.seed + 1000 * split_index
     stack, histories = train_ensemble(config, train, valid, base_seed)
@@ -244,7 +244,7 @@ def run_alpha_sweep(config: ExperimentConfig, alphas: Sequence[float]) -> SweepR
         raise ConfigError("alpha grid must be non-empty")
     points = []
     for alpha in alphas:
-        for variant in ("joint", "interval_only"):
+        for variant in ALPHA_SWEEP_VARIANTS:
             params = {"alpha": float(alpha), "variant": variant}
             points.append((params, params, variant + "_{}", float(alpha)))
     report = _run_grid(config, "alpha_sweep", points)
@@ -264,7 +264,7 @@ def run_hyperparam_sweep(config: ExperimentConfig, interval_weights: Sequence[fl
     for weight in interval_weights:
         for penalty in coverage_penalties:
             params = {"interval_weight": float(weight), "coverage_penalty": float(penalty)}
-            points.append((params, {**params, "variant": "joint"},
+            points.append((params, {**params, "variant": HPARAM_SWEEP_VARIANTS[0]},
                            "{}@interval_weight=" + f"{weight:g}", float(penalty)))
     return _run_grid(config, "hparam_sweep", points)
 

@@ -18,9 +18,10 @@ import errno
 import os
 import sys
 
-from .bench import (_base_path, emit_report, format_report, load_report, run_alpha_sweep,
-                    run_benchmark, run_hyperparam_sweep)
-from .config import GENERATOR_KINDS, DataSpec, check_int, resolve_config
+from .bench import (ALPHA_SWEEP_VARIANTS, HPARAM_SWEEP_VARIANTS, _base_path, emit_report,
+                    format_report, load_report, run_alpha_sweep, run_benchmark,
+                    run_hyperparam_sweep)
+from .config import GENERATOR_KINDS, VARIANT_READS, DataSpec, check_int, resolve_config
 from .data import generate, save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import POINT_LOSSES, VARIANTS
@@ -102,10 +103,14 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output base path for report files")
 
 
+def _given(args, flag):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _overrides_from(args) -> dict:
     over: dict = {}
     for flag, field, _, parse, _ in _CONFIG_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = _given(args, flag)
         if value is None:
             continue
         if parse is not None:
@@ -119,9 +124,19 @@ def _overrides_from(args) -> dict:
     return over
 
 
-def _resolve(args):
-    return resolve_config(name=args.name, config_path=args.config,
-                          overrides=_overrides_from(args))
+def _resolve(args, variants=None):
+    """The run's config; ``variants`` are those the verb trains, by default
+    the config's own.  A flag given for a field none of them reads is refused."""
+    config = resolve_config(name=args.name, config_path=args.config,
+                            overrides=_overrides_from(args))
+    variants = variants or (config.loss.variant,)
+    declared = {field for reads in VARIANT_READS.values() for field in reads}
+    for flag, field, _, _, _ in _CONFIG_FLAGS:
+        if (_given(args, flag) is not None and field in declared
+                and not any(field in VARIANT_READS[v] for v in variants)):
+            raise ConfigError(f"{flag} has no effect under variant "
+                              f"{' and '.join(map(repr, variants))}")
+    return config
 
 
 def _out_base(args, config, suffix) -> str:
@@ -159,14 +174,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
-    config = _resolve(args)
+    config = _resolve(args, ALPHA_SWEEP_VARIANTS)
     alphas = _floats(args.alphas)
     base = _out_base(args, config, "alpha_sweep")
     return _finish(run_alpha_sweep(config, alphas), base)
 
 
 def _cmd_sweep_hparam(args) -> int:
-    config = _resolve(args)
+    config = _resolve(args, HPARAM_SWEEP_VARIANTS)
     weights, penalties = _floats(args.interval_weights), _floats(args.coverage_penalties)
     base = _out_base(args, config, "hparam_sweep")
     return _finish(run_hyperparam_sweep(config, weights, penalties), base)

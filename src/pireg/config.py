@@ -23,6 +23,19 @@ from .losses import LossConfig
 GENERATOR_KINDS = ("sine", "flat_skew")
 DATA_KINDS = GENERATOR_KINDS + ("file",)
 
+# The loss and model fields each of losses.VARIANTS reads when it trains and
+# predicts; every variant also reads model.hidden_sizes and loss.variant.
+# gaussian_nll reads alpha only to combine its members' intervals.  A run
+# verb refuses an explicit flag for a field that no variant it trains reads.
+_INTERVAL_READS = ("model.head_bias", "loss.alpha", "loss.coverage_penalty", "loss.soften")
+VARIANT_READS = {
+    "joint": _INTERVAL_READS + ("loss.interval_weight", "loss.point_loss"),
+    "interval_only": _INTERVAL_READS,
+    "midpoint": _INTERVAL_READS + ("loss.interval_weight", "loss.point_loss"),
+    "decoupled": _INTERVAL_READS + ("loss.point_loss",),
+    "gaussian_nll": ("loss.alpha",),
+}
+
 
 def check_int(name, value, minimum):
     """Reject ``value`` for field ``name`` unless it is an integer >= minimum.

@@ -10,7 +10,14 @@ benchmark files once exported to CSV.  A clean numeric table is parsed by
 one vectorized ``np.loadtxt`` read; input that read refuses (quoted cells,
 all-empty rows, ``float``-only spellings such as ``1_0``, or any faulty
 cell) takes a cell-by-cell csv parse that accepts it or raises a located
-error.
+error.  The loaded features are row-major, a view of the parsed matrix
+when the target is its first or last column.
+
+Standardization is fit on a split's training rows (``fit_normalize``) and
+applied by one arithmetic path, either as a copy of selected rows
+(``apply_normalize``, for validation and held-out rows) or batch by batch as
+the trainer gathers its rows (``NormalizedRows``), so a split holds no
+table-sized copy beside the dataset.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ class Dataset:
             raise ShapeError(
                 f"{self.features.shape[0]} feature rows but {self.targets.shape[0]} targets")
         if not np.all(np.isfinite(self.features)) or not np.all(np.isfinite(self.targets)):
-            raise DataError(f"non-finite values in dataset {self.source_tag!r}")
+            raise _non_finite(self.source_tag)
 
     @property
     def n(self) -> int:
@@ -239,17 +246,65 @@ def load_delimited(path, target_column=-1, delimiter=","):
         matrix = np.array([[_parse_cell(cell, line_no, j, path)
                             for j, cell in enumerate(cells)] for line_no, cells in rows])
 
-    keep = [j for j in range(width) if j != target_idx]
     names = None
     if header is not None:
-        names = [header[j] for j in keep]
-    # A copy, so that the targets do not keep the whole parsed matrix alive.
-    return Dataset(matrix[:, keep], matrix[:, target_idx].copy(), feature_names=names,
+        names = header[:target_idx] + header[target_idx + 1:]
+    # Row-major features: a view of the parsed matrix when the target is at
+    # either edge, else a copy without the target column.  The targets are a
+    # contiguous copy of their column.
+    if target_idx == width - 1:
+        features = matrix[:, :-1]
+    elif target_idx == 0:
+        features = matrix[:, 1:]
+    else:
+        features = np.delete(matrix, target_idx, axis=1)
+    return Dataset(features, matrix[:, target_idx].copy(), feature_names=names,
                    source_tag=str(path))
 
 
 # Columns per block that fit_normalize reduces at a time.
 STAT_BLOCK_COLUMNS = 8
+
+
+def _non_finite(tag):
+    return DataError(f"non-finite values in dataset {tag!r}")
+
+
+def _standardized(values, rows, mean, std):
+    """``values[rows]`` (every row when ``rows`` is None) as a new standardized
+    array: gathered, then centered and divided in place, the same IEEE
+    operations per element as ``(x - mean) / std``.  Every normalized value,
+    feature or target, whole table or training batch, comes from here.
+    """
+    if rows is None:
+        out = values - mean
+    else:
+        # A fancy-index gather; np.take would first copy a strided or
+        # column-major matrix whole into row-major order.
+        out = values[rows]
+        out -= mean
+    out /= std
+    return out
+
+
+def _moments(values, tag):
+    """Mean and std (1 where it is 0) over axis 0, refused with a DataError
+    when they would standardize any of ``values`` to a non-finite number.
+
+    With finite inputs a finite std implies finite standardized values: the
+    mean is then finite too, no difference from it overflows (its square
+    would make the std infinite), and none exceeds about sqrt(n) stds.  An
+    infinite std leaves a value non-finite exactly when its difference from
+    the mean overflows, and rounding is monotone, so the column's least and
+    greatest values, standardized, are the only ones to check.
+    """
+    mean, std = np.mean(values, axis=0), np.std(values, axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    if not np.isfinite(std).all():
+        ends = np.array([values.min(axis=0), values.max(axis=0)])
+        if not np.isfinite(_standardized(ends, None, mean, std)).all():
+            raise _non_finite(tag)
+    return mean, std
 
 
 def fit_normalize(dataset: Dataset, rows=None) -> NormStats:
@@ -263,50 +318,67 @@ def fit_normalize(dataset: Dataset, rows=None) -> NormStats:
     ``np.mean``/``np.std`` of the whole selected matrix, bit for bit.  A lone
     column is summed pairwise instead, so a trailing one joins the block
     before it.
+
+    Statistics that would standardize one of the selected rows, features or
+    target, to a non-finite value raise a DataError, as that normalized
+    copy would: the trainer reads those rows batch by batch, never whole.
     """
-    if rows is None:
-        rows = slice(None)
     edges = list(range(0, dataset.dim, STAT_BLOCK_COLUMNS)) + [dataset.dim]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     fmean = np.empty(dataset.dim)
     fstd = np.empty(dataset.dim)
     for start, stop in zip(edges[:-1], edges[1:]):
-        block = dataset.features[rows, start:stop]
-        fmean[start:stop] = np.mean(block, axis=0)
-        fstd[start:stop] = np.std(block, axis=0)
-    fstd = np.where(fstd == 0.0, 1.0, fstd)
-    targets = dataset.targets[rows]
-    tstd = float(np.std(targets))
-    if tstd == 0.0:
-        tstd = 1.0
-    return NormStats(fmean, fstd, float(np.mean(targets)), tstd)
+        block = dataset.features[:, start:stop]
+        if rows is not None:
+            # np.take first copies the column slice into row-major order, a
+            # block-sized transient, and then gathers faster than an index.
+            block = np.take(block, rows, axis=0)
+        fmean[start:stop], fstd[start:stop] = _moments(block, dataset.source_tag)
+    targets = dataset.targets if rows is None else dataset.targets[rows]
+    tmean, tstd = _moments(targets, dataset.source_tag)
+    return NormStats(fmean, fstd, float(tmean), float(tstd))
 
 
 def apply_normalize(dataset: Dataset, stats: NormStats, rows=None) -> Dataset:
     """A standardized copy of ``dataset``'s rows; ``dataset`` is left unchanged.
 
     ``rows``, an index array, selects and orders the rows copied; by default
-    every row.  The copy is centered and divided in place: the same IEEE
-    operations per element as ``(x - mean) / std``, with no full-size
-    temporary beside the copy.
+    every row.
     """
-    if rows is None:
-        features = dataset.features - stats.feature_mean
-        targets = dataset.targets
-    else:
-        # A fancy-index gather; np.take would first copy a column-major
-        # matrix (as load_delimited returns) whole into row-major order.
-        features = dataset.features[rows]
-        features -= stats.feature_mean
-        targets = dataset.targets[rows]
-    features /= stats.feature_std
     return Dataset(
-        features,
-        (targets - stats.target_mean) / stats.target_std,
+        _standardized(dataset.features, rows, stats.feature_mean, stats.feature_std),
+        _standardized(dataset.targets, rows, stats.target_mean, stats.target_std),
         dataset.feature_names,
         dataset.source_tag,
     )
+
+
+class NormalizedRows:
+    """Rows of a dataset, standardized as they are read: what a split trains on.
+
+    ``targets`` holds the rows' standardized targets, one float each, and
+    ``features[idx]`` gathers ``dataset.features[rows[idx]]`` for any index
+    array ``idx`` and standardizes that batch, bit for bit as
+    ``apply_normalize(dataset, stats, rows).features[idx]``.  Nothing
+    table-sized is held beside the dataset.  ``fit_normalize`` has already
+    refused statistics that leave one of these rows non-finite.
+    """
+
+    def __init__(self, dataset: Dataset, stats: NormStats, rows):
+        self.features = _BatchGather(dataset.features, rows, stats)
+        self.targets = _standardized(dataset.targets, rows, stats.target_mean, stats.target_std)
+        self.n, self.dim = len(rows), dataset.dim
+
+
+class _BatchGather:
+    # NormalizedRows.features: subscripting gathers and standardizes a batch.
+    def __init__(self, features, rows, stats):
+        self._features, self._rows, self._stats = features, rows, stats
+
+    def __getitem__(self, idx):
+        return _standardized(self._features, self._rows[idx], self._stats.feature_mean,
+                             self._stats.feature_std)
 
 
 def denormalize_targets(values, stats: NormStats):

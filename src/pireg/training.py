@@ -20,12 +20,12 @@ attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset
+from .data import Dataset, NormalizedRows
 from .errors import TrainingDiverged
 from .losses import initial_head
 from .network import FeedForwardModel, _first_bad, backward, init_model, loss_value
@@ -59,9 +59,15 @@ def _keep(stack, state, rows):
     return FeedForwardModel(stack.layer_sizes, stack.flat[rows])
 
 
-def train_ensemble(config: ExperimentConfig, train: Dataset, valid: Optional[Dataset],
-                   base_seed) -> Tuple[FeedForwardModel, List[TrainingHistory]]:
+def train_ensemble(config: ExperimentConfig, train: Union[Dataset, NormalizedRows],
+                   valid: Optional[Dataset], base_seed
+                   ) -> Tuple[FeedForwardModel, List[TrainingHistory]]:
     """Train ensemble_size members with seeds base_seed + j, as one stack.
+
+    The training rows are read a batch at a time, as ``train.features[idx]``
+    and ``train.targets[idx]`` for a (members, batch) index array ``idx``, so
+    ``train`` may be a ``Dataset`` or a ``NormalizedRows``, which
+    standardizes each batch as it gathers it; ``valid`` is scored whole.
 
     Returns one stacked model, whose (ensemble_size, n_params) buffer holds
     member j's best-validation parameters in row j, and each member's

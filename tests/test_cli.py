@@ -20,7 +20,7 @@ import pireg
 from pireg.bench import load_report
 from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO,
                        EXIT_OK, OUT_DIR_ENV, main)
-from pireg.config import DataSpec, ExperimentConfig, config_to_dict
+from pireg.config import VARIANT_READS, DataSpec, ExperimentConfig, config_to_dict
 from pireg.data import load_delimited
 from pireg.losses import VARIANTS
 
@@ -141,6 +141,49 @@ def test_every_config_field_has_one_run_flag(tmp_path):
     flagged = {path for path, _ in FLAG_FIELDS.values()} | {"data.path", "store_predictions"}
     assert flagged.isdisjoint(NO_FLAG_FIELDS)
     assert _field_paths(ExperimentConfig()) == flagged | NO_FLAG_FIELDS
+
+
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_flag_the_variant_ignores_exits_two(tmp_path, capsys, variant):
+    # Refused before any data is read or output written; every other loss
+    # and model flag is taken.
+    out = tmp_path / "run"
+    for flag, (field, value) in FLAG_FIELDS.items():
+        if not field.startswith(("loss.", "model.")) or field == "loss.variant":
+            continue
+        argv = ["train", *FAST, "--variant", variant, f"{flag}={_flag_text(value)}",
+                "--max-epochs", "1", "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if field in VARIANT_READS[variant] or field == "model.hidden_sizes":
+            assert code == EXIT_OK, flag
+        else:
+            assert code == EXIT_CONFIG, flag
+            assert err.strip() == (f"configuration error: {flag} has no effect under "
+                                   f"variant '{variant}'")
+            assert not out.with_suffix(".json").exists()
+        out.with_suffix(".json").unlink(missing_ok=True)
+
+
+def test_ignored_flags_follow_the_run_variant_not_config_files(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"loss": {"variant": "gaussian_nll"},
+                               "model": {"head_bias": [1.0, -1.0]}}), encoding="utf-8")
+    out = str(tmp_path / "run")
+    # The file's own head_bias is not checked; a flag is, against its variant.
+    assert main(["bench", *FAST, "--splits", "1", "--config", str(cfg), "--out", out]) == EXIT_OK
+    assert main(["bench", *FAST, "--config", str(cfg), "--soften", "9", "--out", out]) \
+        == EXIT_CONFIG
+    assert "--soften has no effect under variant 'gaussian_nll'" in capsys.readouterr().err
+    # A sweep refuses a flag only when every variant it trains ignores it:
+    # both sweeps train joint, whatever --variant says.
+    assert main(["sweep-alpha", *FAST, "--splits", "1", "--alphas", "0.1", "--variant",
+                 "gaussian_nll", "--head-bias=2,-2", "--point-loss", "absolute",
+                 "--out", out]) == EXIT_OK
 
 
 def test_gen_data_defaults_are_the_data_spec_defaults(tmp_path):

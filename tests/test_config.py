@@ -3,6 +3,7 @@ and the defaults -> catalog -> file -> overrides resolution order."""
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from pireg.config import (
     ModelSpec,
     OptimizerSpec,
     SplitPlan,
+    VARIANT_READS,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -21,7 +23,7 @@ from pireg.config import (
     resolve_config,
 )
 from pireg.errors import ConfigError
-from pireg.losses import LossConfig
+from pireg.losses import VARIANTS, LossConfig
 
 
 def test_builtin_defaults():
@@ -248,3 +250,62 @@ def test_loss_config_reachable_through_section():
     assert cfg.loss.point_loss == "absolute"
     with pytest.raises(ConfigError):
         config_from_dict({"loss": {"variant": "nonsense"}})
+
+
+# ---------------------------------------------------------------------------
+# Which loss and model fields each variant reads.
+# ---------------------------------------------------------------------------
+
+# One changed value per loss and model field besides loss.variant.
+PERTURBED = {
+    "model.hidden_sizes": (9,),
+    "model.head_bias": (2.0, -2.5),
+    "loss.alpha": 0.2,
+    "loss.coverage_penalty": 4.0,
+    "loss.soften": 20.0,
+    "loss.interval_weight": 0.9,
+    "loss.point_loss": "absolute",
+}
+
+
+def _perturbed(config, field):
+    section, key = field.split(".")
+    part = dataclasses.replace(getattr(config, section), **{key: PERTURBED[field]})
+    return dataclasses.replace(config, **{section: part})
+
+
+def _fixed_seed_outcome(config):
+    from pireg.bench import run_benchmark
+
+    return [dataclasses.replace(s, seconds=0.0) for s in run_benchmark(config).splits]
+
+
+def test_variant_reads_declare_every_variant_and_only_loss_and_model_fields():
+    assert tuple(VARIANT_READS) == VARIANTS
+    for reads in VARIANT_READS.values():
+        assert set(reads) <= set(PERTURBED) - {"model.hidden_sizes"}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_reads_are_the_fields_that_change_a_fixed_seed_report(variant):
+    base = ExperimentConfig(
+        name="reads", data=DataSpec(kind="sine", n=40), model=ModelSpec(hidden_sizes=(8,)),
+        loss=LossConfig(variant=variant),
+        optimizer=OptimizerSpec(learning_rate=0.02, batch_size=10, max_epochs=4,
+                                validation_fraction=0.2),
+        splits=SplitPlan(count=1, test_fraction=0.25), ensemble_size=2, seed=2)
+    outcome = _fixed_seed_outcome(base)
+    changes = {field for field in PERTURBED
+               if _fixed_seed_outcome(_perturbed(base, field)) != outcome}
+    assert changes == {"model.hidden_sizes", *VARIANT_READS[variant]}
+
+
+def test_readme_loss_variants_table_lists_what_each_variant_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Loss variants", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    header = next(line for line in section.splitlines() if line.startswith("| variant"))
+    reads_column = [cell.strip() for cell in header.split("|")[1:-1]].index("reads")
+    listed = {row[0].strip().strip("`"): tuple(re.findall(r"`([\w.]+)`", row[reads_column]))
+              for row in rows}
+    assert listed == VARIANT_READS

@@ -286,6 +286,44 @@ def test_loaded_targets_do_not_pin_the_parsed_matrix(tmp_path):
         assert data.targets.base is None, name
 
 
+@pytest.mark.parametrize("target", [-1, 0, 2])
+def test_loaded_features_are_row_major(tmp_path, target):
+    # A view of the parsed matrix when the target sits at either edge, a
+    # contiguous copy without the target column otherwise; row-major either
+    # way, and the values of the columns left.
+    values = np.arange(20.0).reshape(4, 5)
+    path = tmp_path / "table.csv"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    data = load_delimited(path, target_column=target)
+    assert data.features.strides[1] == 8 and data.features.shape == (4, 4)
+    assert (data.features.base is not None) == (target != 2)
+    assert data.features.tobytes() == np.delete(values, target, axis=1).tobytes()
+    assert data.targets.tobytes() == values[:, target].tobytes()
+
+
+def test_load_holds_the_parsed_matrix_and_small_temporaries(tmp_path):
+    # Traced allocations of a last-column-target load: the parsed matrix,
+    # which the features view, its finiteness mask (1/8 of it) and the target
+    # copy (1/31), and the reader's own buffers.  Measured 1.21x the matrix;
+    # the bound adds 0.09x of margin.  A feature copy beside the matrix
+    # measured 2.12x.
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, rng.standard_normal((10_000, 31)), fmt="%.17g", delimiter=",")
+    matrix_bytes = 10_000 * 31 * 8
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        data = load_delimited(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.shape == (10_000, 30)
+    assert peak - baseline <= 1.3 * matrix_bytes
+
+
 def test_load_rejects_header_width_that_differs_from_rows(tmp_path):
     # Each of these once died with an IndexError or named 2 of 3 columns.
     narrow = _write(tmp_path, "a,b\n1,2,3\n4,5,6\n")
@@ -512,17 +550,27 @@ def test_fit_normalize_matches_stdlib_statistics():
     assert stats.target_std == pytest.approx(statistics.pstdev([3.0, 5.0, 10.0]), rel=1e-12)
 
 
+def _in_layout(values, layout):
+    # Row-major, or a row-major view beside a target column, as
+    # load_delimited returns its features.
+    if layout == "strided":
+        return np.column_stack([values, np.zeros(len(values))])[:, :-1]
+    return values
+
+
 @pytest.mark.parametrize("width", [1, 2, 8, 9, 17, 90])
 @pytest.mark.parametrize("selected", [False, True])
-def test_fit_normalize_blocks_match_whole_matrix_bitwise(width, selected):
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_fit_normalize_blocks_match_whole_matrix_bitwise(width, selected, layout):
     # Statistics are reduced a column block at a time; they must carry the
     # bits of np.mean/np.std over the whole (gathered) matrix.  Nine columns
     # leave a trailing single column, which must not be reduced alone.
     rng = np.random.default_rng([width, selected])
     n = 3001
     scales = np.geomspace(1e-3, 1e4, width)
-    data = Dataset(rng.standard_normal((n, width)) * scales + 7.0 * scales,
+    data = Dataset(_in_layout(rng.standard_normal((n, width)) * scales + 7.0 * scales, layout),
                    rng.normal(50.0, 20.0, n))
+    assert data.features.flags["C_CONTIGUOUS"] == (layout == "contiguous")
     rows = rng.permutation(n)[:2700] if selected else None
     stats = fit_normalize(data, rows)
     whole = data.features if rows is None else data.features[rows]
@@ -531,6 +579,46 @@ def test_fit_normalize_blocks_match_whole_matrix_bitwise(width, selected):
     assert stats.feature_std.tobytes() == np.std(whole, axis=0).tobytes()
     assert stats.target_mean == float(np.mean(targets))
     assert stats.target_std == float(np.std(targets))
+
+
+BIG = 1.7e308
+OVERFLOW_CASES = {
+    # (column 1 cells, target cells, refused) on 40 rows, the first 30 fit
+    "ordinary": ([], [], False),
+    "squares_overflow": ([(0, 1e200), (5, -1e200), (9, 1e200)], [], False),  # std inf
+    "one_huge_value": ([(4, BIG)], [(7, BIG)], False),  # std inf, mean finite
+    "mean_overflows": ([(2, -BIG), (3, -BIG)], [], True),
+    "difference_overflows": ([(0, 1.75e308), (1, -BIG), (2, -BIG)], [], True),  # mean finite
+    "target_mean_overflows": ([], [(6, BIG), (8, BIG)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_fit_normalize_refuses_stats_that_leave_a_fit_row_non_finite(case):
+    # The trainer reads its rows batch by batch, so fit_normalize stands in
+    # for the check a whole normalized copy made: it must raise exactly when
+    # (x - mean) / std, computed whole, has a non-finite entry.
+    rng = np.random.default_rng(8)
+    features, targets = rng.standard_normal((40, 3)), rng.standard_normal(40)
+    feature_cells, target_cells, refused = OVERFLOW_CASES[case]
+    for row, value in feature_cells:
+        features[row, 1] = value
+    for row, value in target_cells:
+        targets[row] = value
+    data = Dataset(features, targets, source_tag="edge")
+    rows = np.arange(30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = features[rows], targets[rows]
+        std, tstd = np.std(x, axis=0), np.std(y)
+        x_normalized = (x - np.mean(x, axis=0)) / np.where(std == 0, 1, std)
+        normalized = np.concatenate([x_normalized.ravel(), (y - np.mean(y)) / (tstd or 1.0)])
+        assert np.isfinite(normalized).all() != refused
+        if refused:
+            with pytest.raises(DataError, match="non-finite values in dataset 'edge'"):
+                fit_normalize(data, rows)
+        else:
+            stats = fit_normalize(data, rows)
+            assert np.isfinite(apply_normalize(data, stats, rows).features).all()
 
 
 def test_already_standardized_data_gets_identity_stats():

@@ -15,7 +15,7 @@ import pytest
 
 from pireg.bench import ensemble_predict
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
-from pireg.data import Dataset, apply_normalize, fit_normalize, generate
+from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, generate
 from pireg.errors import TrainingDiverged
 from pireg.losses import (VARIANTS, LossConfig, hard_capture, head_loss_and_grad, initial_head,
                           interval_link)
@@ -437,3 +437,67 @@ def test_stacked_validation_divergence_raises_the_sequential_error():
     assert got == raised(sequential_ensemble, cfg, data, valid, 11)
     assert got[0] == 0 and got[2] is None
     assert "non-finite validation loss" in got[3]
+
+
+# ---------------------------------------------------------------------------
+# Training rows normalized batch by batch against a normalized copy.
+# ---------------------------------------------------------------------------
+
+
+def strided_table(n=90, width=5, seed=4):
+    # Features as load_delimited returns them: a row-major view of a matrix
+    # whose last column is the target, on scales far from unit.
+    rng = np.random.default_rng(seed)
+    scales = np.geomspace(1e-2, 1e3, width)
+    matrix = np.column_stack([rng.standard_normal((n, width)) * scales + 3.0 * scales,
+                              np.zeros(n)])
+    x = matrix[:, :-1]
+    matrix[:, -1] = np.sin(x[:, 0] / scales[0]) + 0.1 * rng.standard_normal(n)
+    return Dataset(x, matrix[:, -1].copy())
+
+
+def assert_rows_train_like_the_copy(config, dataset, fit_rows, valid_fraction):
+    stats = fit_normalize(dataset, fit_rows)
+    train_rows, valid_rows = carve_validation(fit_rows, valid_fraction, 7, 0)
+    valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
+    rows = NormalizedRows(dataset, stats, train_rows)
+    copy = apply_normalize(dataset, stats, train_rows)
+    stack, histories = train_ensemble(config, rows, valid, 21)
+    want_stack, want_histories = train_ensemble(config, copy, valid, 21)
+    assert stack.flat.tobytes() == want_stack.flat.tobytes()
+    assert histories == want_histories
+    return histories
+
+
+@pytest.mark.parametrize("variant", ["joint", "gaussian_nll"])
+def test_normalized_rows_train_like_a_normalized_copy(variant):
+    # 68 training rows of batch 9: seven full batches and a partial one of 5;
+    # validation scored every epoch, members stopping at different epochs.
+    dataset = strided_table()
+    fit_rows = np.random.default_rng(1).permutation(dataset.n)[:80]
+    cfg = stack_config(variant, hidden=(16,), members=4, batch_size=9, max_epochs=120,
+                       patience=2, learning_rate=0.05)
+    assert len(carve_validation(fit_rows, 0.15, 7, 0)[0]) == 68
+    histories = assert_rows_train_like_the_copy(cfg, dataset, fit_rows, 0.15)
+    assert len({h.epochs_run for h in histories}) > 1
+    assert max(h.epochs_run for h in histories) < 120
+
+
+def test_normalized_rows_without_validation_train_like_a_normalized_copy():
+    dataset = strided_table(n=50, width=2)
+    cfg = stack_config(hidden=(8,), members=2, batch_size=50, max_epochs=30, patience=30)
+    assert_rows_train_like_the_copy(cfg, dataset, np.arange(50)[::-1], 0.0)
+
+
+def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
+    # The whole split, report included, against run_split handing the
+    # trainer apply_normalize's copy of the training rows.
+    import pireg.bench as bench_mod
+
+    dataset = strided_table(n=120)
+    cfg = stack_config(hidden=(8,), members=3, batch_size=16, max_epochs=40, patience=3,
+                       validation_fraction=0.2)
+    got = bench_mod.run_split(cfg, dataset, 2)
+    monkeypatch.setattr(bench_mod, "NormalizedRows", apply_normalize)
+    want = bench_mod.run_split(cfg, dataset, 2)
+    assert dataclasses.replace(got, seconds=0.0) == dataclasses.replace(want, seconds=0.0)
