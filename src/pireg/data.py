@@ -293,7 +293,8 @@ def _moments(values, tag):
 
     With finite inputs a finite std implies finite standardized values: the
     mean is then finite too, no difference from it overflows (its square
-    would make the std infinite), and none exceeds about sqrt(n) stds.  An
+    would make the std infinite), and none exceeds about sqrt(n) stds unless
+    its square underflows, which leaves it tiny against any std.  An
     infinite std leaves a value non-finite exactly when its difference from
     the mean overflows, and rounding is monotone, so the column's least and
     greatest values, standardized, are the only ones to check.
