@@ -21,11 +21,23 @@ fields of JSON reports are wall-clock times, so they are set to null and
 the report re-encoded before hashing; every other file is hashed as
 written.  Two checkouts whose fixed-seed outputs agree print the same
 lines.  Takes no options.
+
+The output opens with the fingerprint the digests depend on besides the
+code (Python, numpy, BLAS, CPU model), one ``#`` line each.  The expected
+output is checked in beside this script as ``fixed_seed_digest.txt``.
+When its fingerprint is this machine's, every file whose digest moved,
+appeared or vanished is named on stderr and the exit status is 1; under
+another fingerprint, whose BLAS may round differently without any defect,
+nothing is compared.  A change that moves bits on purpose regenerates the
+file:
+
+    python3 scripts/fixed_seed_digest.py > digest.new; mv digest.new scripts/fixed_seed_digest.txt
 """
 
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -34,16 +46,21 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGEST = Path(__file__).with_name("fixed_seed_digest.txt")
 TIMING_FIELDS = ("seconds", "total_seconds")
 
+# (name, interpreter arguments); each run writes its files under its name.
+CLI = ["-m", "pireg.cli"]
 RUNS = [
-    ("bench_sine", ["bench", "--name", "sine"]),
-    ("bench_flat_skew_gaussian_nll", ["bench", "--name", "flat_skew", "--variant", "gaussian_nll"]),
-    *[(f"bench_sine_{v}", ["bench", "--name", "sine", "--variant", v])
+    ("bench_sine", [*CLI, "bench", "--name", "sine"]),
+    ("bench_flat_skew_gaussian_nll",
+     [*CLI, "bench", "--name", "flat_skew", "--variant", "gaussian_nll"]),
+    *[(f"bench_sine_{v}", [*CLI, "bench", "--name", "sine", "--variant", v])
       for v in ("interval_only", "midpoint", "decoupled")],
-    ("sweep_alpha_sine", ["sweep-alpha", "--name", "sine", "--alphas", "0.05,0.1,0.2"]),
-    ("bench_table", ["bench", "--name", "msd", "--data-path", "table.csv", "--splits", "2",
-                     "--max-epochs", "30"]),
+    ("sweep_alpha_sine", [*CLI, "sweep-alpha", "--name", "sine", "--alphas", "0.05,0.1,0.2"]),
+    ("bench_table", [*CLI, "bench", "--name", "msd", "--data-path", "table.csv", "--splits",
+                     "2", "--max-epochs", "30"]),
+    ("sine_demo", [str(ROOT / "scripts" / "sine_demo.py")]),
 ]
 
 
@@ -80,22 +97,67 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def main():
+def fingerprint():
+    """What the digests depend on besides the code, as {name: description}."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor() or platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        models = [line.partition(":")[2].strip() for line in cpuinfo.read_text().splitlines()
+                  if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
+
+
+def run_digests(out, names=None):
+    """Run the named runs (by default all) into directory ``out``; return
+    {file path relative to ``out``: sha256} over the files they wrote."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        # Runs start in the temporary directory, so the report's config holds
-        # the table's relative path, the same on every run.
-        _write_table(out / TABLE)
-        for name, args in RUNS:
-            subprocess.run([sys.executable, "-m", "pireg.cli", *args, "--out", str(out / name)],
+    # Runs start in ``out``, so the report's config holds the table's
+    # relative path, the same on every run.
+    _write_table(out / TABLE)
+    for name, args in RUNS:
+        if names is None or name in names:
+            subprocess.run([sys.executable, *args, "--out", str(out / name)],
                            env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
-        subprocess.run([sys.executable, str(ROOT / "scripts" / "sine_demo.py"),
-                        "--out", str(out / "sine_demo")],
-                       env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
-        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != TABLE):
-            print(f"{_digest(path)}  {path.relative_to(out).as_posix()}")
+    return {path.relative_to(out).as_posix(): _digest(path)
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != TABLE}
+
+
+def read_digest(path=DIGEST):
+    """The (fingerprint, digests) a file printed by this script holds."""
+    prints, digests = {}, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" ")
+            prints[key] = value
+        elif line:
+            digest, _, name = line.partition("  ")
+            digests[name] = digest
+    return prints, digests
+
+
+def main():
+    prints = fingerprint()
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_digests(Path(tmp))
+    for key, value in prints.items():
+        print(f"# {key} {value}")
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    expected_prints, expected = read_digest() if DIGEST.exists() else ({}, {})
+    if expected_prints != prints:
+        print(f"{DIGEST.name} was made under {expected_prints or 'no fingerprint'}, "
+              f"not {prints}: nothing compared", file=sys.stderr)
+        return 0
+    moved = sorted(name for name in expected.keys() | digests.keys()
+                   if expected.get(name) != digests.get(name))
+    for name in moved:
+        print(f"digest moved: {name}", file=sys.stderr)
+    return 1 if moved else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
