@@ -40,9 +40,12 @@ from .training import carve_validation, train_ensemble
 REPORT_VERSION = 1
 CURVE_SAMPLE_CAP = 50
 
-# The variants each sweep trains, whatever the config's own variant.
+# The variants each sweep trains and the loss fields its grid sets, whatever
+# the config's own values.
 ALPHA_SWEEP_VARIANTS = ("joint", "interval_only")
+ALPHA_SWEEP_FIELDS = ("alpha", "variant")
 HPARAM_SWEEP_VARIANTS = ("joint",)
+HPARAM_SWEEP_FIELDS = ("interval_weight", "coverage_penalty", "variant")
 
 
 @dataclass

@@ -18,9 +18,9 @@ import errno
 import os
 import sys
 
-from .bench import (ALPHA_SWEEP_VARIANTS, HPARAM_SWEEP_VARIANTS, _base_path, emit_report,
-                    format_report, load_report, run_alpha_sweep, run_benchmark,
-                    run_hyperparam_sweep)
+from .bench import (ALPHA_SWEEP_FIELDS, ALPHA_SWEEP_VARIANTS, HPARAM_SWEEP_FIELDS,
+                    HPARAM_SWEEP_VARIANTS, _base_path, emit_report, format_report,
+                    load_report, run_alpha_sweep, run_benchmark, run_hyperparam_sweep)
 from .config import GENERATOR_KINDS, VARIANT_READS, DataSpec, check_int, resolve_config
 from .data import generate, save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
@@ -124,16 +124,22 @@ def _overrides_from(args) -> dict:
     return over
 
 
-def _resolve(args, variants=None):
+def _resolve(args, variants=None, grid_fields=()):
     """The run's config; ``variants`` are those the verb trains, by default
-    the config's own.  A flag given for a field none of them reads is refused."""
+    the config's own, and ``grid_fields`` the loss fields its grid sets.  A
+    flag given for a field the grid sets, or that none of them reads, is
+    refused."""
     config = resolve_config(name=args.name, config_path=args.config,
                             overrides=_overrides_from(args))
     variants = variants or (config.loss.variant,)
     declared = {field for reads in VARIANT_READS.values() for field in reads}
+    grid = {f"loss.{name}" for name in grid_fields}
     for flag, field, _, _, _ in _CONFIG_FLAGS:
-        if (_given(args, flag) is not None and field in declared
-                and not any(field in VARIANT_READS[v] for v in variants)):
+        if _given(args, flag) is None:
+            continue
+        if field in grid:
+            raise ConfigError(f"{flag} has no effect under {args.command}, whose grid sets it")
+        if field in declared and not any(field in VARIANT_READS[v] for v in variants):
             raise ConfigError(f"{flag} has no effect under variant "
                               f"{' and '.join(map(repr, variants))}")
     return config
@@ -174,14 +180,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
-    config = _resolve(args, ALPHA_SWEEP_VARIANTS)
+    config = _resolve(args, ALPHA_SWEEP_VARIANTS, ALPHA_SWEEP_FIELDS)
     alphas = _floats(args.alphas)
     base = _out_base(args, config, "alpha_sweep")
     return _finish(run_alpha_sweep(config, alphas), base)
 
 
 def _cmd_sweep_hparam(args) -> int:
-    config = _resolve(args, HPARAM_SWEEP_VARIANTS)
+    config = _resolve(args, HPARAM_SWEEP_VARIANTS, HPARAM_SWEEP_FIELDS)
     weights, penalties = _floats(args.interval_weights), _floats(args.coverage_penalties)
     base = _out_base(args, config, "hparam_sweep")
     return _finish(run_hyperparam_sweep(config, weights, penalties), base)

@@ -180,10 +180,30 @@ def test_ignored_flags_follow_the_run_variant_not_config_files(tmp_path, capsys)
         == EXIT_CONFIG
     assert "--soften has no effect under variant 'gaussian_nll'" in capsys.readouterr().err
     # A sweep refuses a flag only when every variant it trains ignores it:
-    # both sweeps train joint, whatever --variant says.
-    assert main(["sweep-alpha", *FAST, "--splits", "1", "--alphas", "0.1", "--variant",
-                 "gaussian_nll", "--head-bias=2,-2", "--point-loss", "absolute",
+    # both sweeps train joint, whatever variant the config file names.
+    assert main(["sweep-alpha", *FAST, "--splits", "1", "--alphas", "0.1", "--config",
+                 str(cfg), "--head-bias=2,-2", "--point-loss", "absolute",
                  "--out", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("sweep-alpha", "--alpha=0.3"),
+    ("sweep-alpha", "--variant=midpoint"),
+    ("sweep-hparam", "--interval-weight=0.9"),
+    ("sweep-hparam", "--coverage-penalty=9"),
+    ("sweep-hparam", "--variant=midpoint"),
+])
+def test_a_flag_for_a_field_the_sweep_grid_sets_exits_two(tmp_path, capsys, verb, flag):
+    # The grid's own value would replace the flag's, which the report's
+    # config block would still record; refused before any training.
+    out = tmp_path / "sweep"
+    grid = ["--alphas", "0.1"] if verb == "sweep-alpha" else [
+        "--interval-weights", "0.5", "--coverage-penalties", "4"]
+    assert main([verb, *FAST, "--splits", "1", *grid, flag, "--out", str(out)]) == EXIT_CONFIG
+    name = flag.partition("=")[0]
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: {name} has no effect under {verb}, whose grid sets it")
+    assert not out.with_suffix(".json").exists()
 
 
 def test_gen_data_defaults_are_the_data_spec_defaults(tmp_path):
