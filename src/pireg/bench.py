@@ -374,32 +374,28 @@ def _emit_sweep_tables(report: SweepReport, base: str) -> List[str]:
     return written
 
 
-def _with_records(d: dict) -> dict:
-    return {**d, "normalized": MetricsRecord(**d["normalized"]),
-            "denormalized": MetricsRecord(**d["denormalized"])}
-
-
-def _summaries_from(d: dict) -> Dict[str, MetricSummary]:
-    return {k: MetricSummary(**v) for k, v in d.items()}
-
-
-def _checked(value, hint=None, where=""):
-    # The value, once no field declared as a number holds anything but an int
-    # or a float (a bool is not one); else a TypeError naming the field.
-    hint = hint or type(value)
+def _decoded(hint, value, where=""):
+    # ``value``, as parsed from JSON, built into what ``hint`` declares: each
+    # record from its fields' hints, and no field declared as a number holding
+    # anything but an int or a float (a bool is not one); else a TypeError
+    # naming the field.
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
-        for name, field_hint in typing.get_type_hints(hint).items():
-            _checked(getattr(value, name), field_hint, f"{where}.{name}".lstrip("."))
-    elif hint in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if origin is typing.Union:
+        return None if value is None else _decoded(args[0], value, where)
+    if hint in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise TypeError(f"{where} must be a number, got {value!r}")
-    elif origin is typing.Union and value is not None:
-        _checked(value, args[0], where)
-    elif origin in (list, dict):
-        if not isinstance(value, origin):
-            raise TypeError(f"{where} must be a {origin.__name__}, got {value!r}")
-        for key, item in (value.items() if origin is dict else enumerate(value)):
-            _checked(item, args[-1], f"{where}.{key}")
+    shape = dict if dataclasses.is_dataclass(hint) else origin
+    if shape in (list, dict) and not isinstance(value, shape):
+        raise TypeError(f"{where or 'report'} must be a {shape.__name__}, got {value!r}")
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        # A surplus field keeps its value, for the constructor to refuse.
+        return hint(**{name: _decoded(hints.get(name, object), item, f"{where}.{name}".lstrip("."))
+                       for name, item in value.items()})
+    if origin is dict:
+        return {key: _decoded(args[1], item, f"{where}.{key}") for key, item in value.items()}
+    if origin is list:
+        return [_decoded(args[0], item, f"{where}.{i}") for i, item in enumerate(value)]
     return value
 
 
@@ -421,17 +417,11 @@ def load_report(path):
         if version != REPORT_VERSION:
             raise DataError(f"{path}: unsupported report version {version!r}")
         kind = raw.get("kind")
-        if kind == "benchmark":
-            return _checked(RunReport(**{
-                **raw,
-                "splits": [SplitResult(**_with_records(s)) for s in raw["splits"]],
-                "aggregate_normalized": _summaries_from(raw["aggregate_normalized"]),
-                "aggregate_denormalized": _summaries_from(raw["aggregate_denormalized"]),
-            }))
-        if kind in ("alpha_sweep", "hparam_sweep"):
-            return _checked(SweepReport(**{**raw, "cells": [SweepCell(**_with_records(c))
-                                                            for c in raw["cells"]]}))
-    except (KeyError, TypeError, AttributeError, ShapeError) as exc:
+        record = {"benchmark": RunReport, "alpha_sweep": SweepReport,
+                  "hparam_sweep": SweepReport}.get(kind)
+        if record is not None:
+            return _decoded(record, raw)
+    except (TypeError, AttributeError, ShapeError) as exc:
         raise DataError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
     raise DataError(f"{path}: unknown report kind {kind!r}")
 

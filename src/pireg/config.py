@@ -273,21 +273,8 @@ def default_config(name: Optional[str] = None) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-safe nested dict (tuples become lists)."""
-    out = dataclasses.asdict(cfg)
-
-    def fix(value):
-        if isinstance(value, os.PathLike):
-            return os.fspath(value)
-        if isinstance(value, tuple):
-            return [fix(v) for v in value]
-        if isinstance(value, list):
-            return [fix(v) for v in value]
-        if isinstance(value, dict):
-            return {k: fix(v) for k, v in value.items()}
-        return value
-
-    return fix(out)
+    """JSON-safe nested dict (tuples become lists, paths strings)."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg), default=os.fspath))
 
 
 def load_config_file(path) -> dict:

@@ -170,12 +170,18 @@ def test_load_report_rejects_bad_files(tiny_report, tmp_path):
     zero_n["kind"] = "benchmark"
     zero_n["splits"][0]["normalized"]["n"] = 0
     cell = {"params": {"alpha": 0.1}, "denormalized": blob["splits"][0]["denormalized"]}
+    surplus = json.loads(json.dumps(zero_n))
+    surplus["splits"][0]["normalized"] = {**blob["splits"][0]["normalized"], "coverage": 1.0}
+    record_list = json.loads(json.dumps(surplus))
+    record_list["splits"][0]["normalized"] = [1.0, 0.5, 0.1, 0.1, 3]
     malformed = {
         "header_only.json": {"kind": "benchmark", "version": REPORT_VERSION},
         "list.json": [1, 2],
         "cell.json": {"kind": "alpha_sweep", "version": REPORT_VERSION, "name": "s",
                       "config": {}, "cells": [cell], "series": {}, "total_seconds": 0.0},
         "zero_n.json": zero_n,
+        "surplus.json": surplus,
+        "record_list.json": record_list,
     }
     for name, content in malformed.items():
         (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")

@@ -243,6 +243,28 @@ def test_config_to_dict_is_json_safe_and_round_trips():
     assert blob["out_dir"] == "runs" and config_from_dict(blob).out_dir == "runs"
 
 
+def _plain(value):
+    # Oracle: a recursive JSON-safe copy, paths as strings, tuples as lists.
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("name", [None, *CATALOG])
+@pytest.mark.parametrize("out_dir", [None, "runs", Path("runs") / "a"])
+def test_config_to_dict_matches_a_recursive_plain_copy(name, out_dir):
+    cfg = dataclasses.replace(default_config(name), out_dir=out_dir)
+    expected = _plain(dataclasses.asdict(cfg))
+    blob = config_to_dict(cfg)
+    assert blob == expected and json.dumps(blob) == json.dumps(expected)
+    assert isinstance(blob["model"]["hidden_sizes"], list)
+    assert isinstance(blob["model"]["head_bias"], list)
+
+
 def test_loss_config_reachable_through_section():
     cfg = config_from_dict({"loss": {"variant": "interval_only", "point_loss": "absolute"}})
     assert isinstance(cfg.loss, LossConfig)
