@@ -12,8 +12,8 @@ a single predictive normal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -29,51 +29,13 @@ class EnsembleOutput:
     value: np.ndarray
 
 
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients), refined below by one Halley step against the erfc-based CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _poly(coeffs, x):
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, absolute error well under 1e-8."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"quantile argument must lie in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = _poly(_C, q) / (_poly(_D, q) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = _poly(_A, r) * q / (_poly(_B, r) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -_poly(_C, q) / (_poly(_D, q) * q + 1.0)
-    # One Halley refinement using the exact CDF via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
-
-
 def z_score(alpha: float) -> float:
     """Two-sided standard-normal multiplier: the 1 - alpha/2 quantile."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    return normal_quantile(1.0 - alpha / 2.0)
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ConfigError(f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1")
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def _members(*arrays):

@@ -1,8 +1,8 @@
 """Ensemble-aggregation tests.
 
 The quantile oracle is an independent bisection against the exact normal
-CDF Phi(x) = erfc(-x / sqrt(2)) / 2, refined to ~1e-13; the package's
-rational-approximation path never enters the oracle.
+CDF Phi(x) = erfc(-x / sqrt(2)) / 2, refined to ~1e-13; the standard
+library's quantile, which the package calls, never enters the oracle.
 """
 
 import dataclasses
@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pireg.ensemble import (EnsembleOutput, aggregate_gaussian, aggregate_pi,
-                            normal_quantile, z_score)
+from pireg.ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi, z_score
 from pireg.errors import ConfigError, ShapeError
 
 
@@ -57,25 +56,25 @@ def test_z_score_alpha_near_one_tends_to_zero():
     assert abs(z_score(0.999999)) < 1e-5
 
 
-def test_normal_quantile_against_bisection_grid():
-    ps = [1e-9, 1e-6, 0.001, 0.02, 0.02425, 0.1, 0.25, 0.5, 0.6827,
-          0.95, 0.975, 0.99, 0.999999, 1 - 1e-9]
+def test_z_score_against_bisection_grid():
+    # z_score reads only the upper tail: alpha = 2(1 - p) for each p > 0.5.
+    ps = [0.6827, 0.95, 0.975, 0.99, 0.999999, 1 - 1e-9]
     for p in ps:
-        assert abs(normal_quantile(p) - bisect_quantile(p)) <= 1e-8
+        alpha = 2.0 * (1.0 - p)
+        assert abs(z_score(alpha) - bisect_quantile(1.0 - alpha / 2.0)) <= 1e-8
 
 
-def test_normal_quantile_median_and_symmetry():
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-    for p in (0.01, 0.2, 0.4):
-        assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=1e-10)
-
-
-def test_quantile_argument_validation():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ConfigError):
-            normal_quantile(bad)
-        with pytest.raises(ConfigError):
+def test_z_score_argument_validation():
+    for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
+        with pytest.raises(ConfigError, match="must lie in"):
             z_score(bad)
+    # An alpha whose 1 - alpha/2 rounds to 1 has no finite quantile.  The
+    # least alpha above those is checked by symmetry, where the CDF oracle
+    # keeps its precision.
+    for tiny in (1e-17, 2.0 ** -53):
+        with pytest.raises(ConfigError, match="too small"):
+            z_score(tiny)
+    assert abs(z_score(2.0 ** -52) + bisect_quantile(2.0 ** -53)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
