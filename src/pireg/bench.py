@@ -384,7 +384,7 @@ def _decoded(hint, value, where=""):
         return None if value is None else _decoded(args[0], value, where)
     if hint in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise TypeError(f"{where} must be a number, got {value!r}")
-    shape = dict if dataclasses.is_dataclass(hint) else origin
+    shape = dict if dataclasses.is_dataclass(hint) else origin or hint
     if shape in (list, dict) and not isinstance(value, shape):
         raise TypeError(f"{where or 'report'} must be a {shape.__name__}, got {value!r}")
     if dataclasses.is_dataclass(hint):

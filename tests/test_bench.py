@@ -182,6 +182,10 @@ def test_load_report_rejects_bad_files(tiny_report, tmp_path):
         "zero_n.json": zero_n,
         "surplus.json": surplus,
         "record_list.json": record_list,
+        "params_list.json": {"kind": "alpha_sweep", "version": REPORT_VERSION, "name": "s",
+                             "config": {}, "cells": [{**cell, "params": ["alpha"],
+                                                      "normalized": cell["denormalized"]}],
+                             "series": {}, "total_seconds": 0.0},
     }
     for name, content in malformed.items():
         (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
