@@ -14,13 +14,15 @@ checkout's ``src``:
   on a 3,000 x 12 table (11 features whose scales span seven orders of
   magnitude, target last) that this script writes from a fixed seed, so
   multi-column normalization is covered too;
-* ``scripts/sine_demo.py``.
+* ``scripts/sine_demo.py``;
+* ``pireg report`` on the ``bench_sine`` and ``sweep_alpha_sine`` reports,
+  its stdout saved as ``<run>_report.txt``.
 
 Every run uses its default seed.  The ``seconds`` and ``total_seconds``
 fields of JSON reports are wall-clock times, so they are set to null and
-the report re-encoded before hashing; every other file is hashed as
-written.  Two checkouts whose fixed-seed outputs agree print the same
-lines.  Takes no options.
+the report re-encoded, in the file's key order and indentation, before
+hashing; every other file is hashed as written.  Two checkouts whose
+fixed-seed outputs agree print the same lines.  Takes no options.
 
 The output opens with the fingerprint the digests depend on besides the
 code (Python, numpy, BLAS, CPU model), one ``#`` line each.  The expected
@@ -62,6 +64,8 @@ RUNS = [
                      "2", "--max-epochs", "30"]),
     ("sine_demo", [str(ROOT / "scripts" / "sine_demo.py")]),
 ]
+# Runs whose JSON report ``pireg report`` prints, into ``<run>_report.txt``.
+PRINTED = ("bench_sine", "sweep_alpha_sine")
 
 
 TABLE, TABLE_ROWS, TABLE_FEATURES = "table.csv", 3000, 11
@@ -93,7 +97,7 @@ def _digest(path):
     data = path.read_bytes()
     if path.suffix == ".json":
         report = _blank_timings(json.loads(data))
-        data = json.dumps(report, sort_keys=True).encode("utf-8")
+        data = json.dumps(report, indent=1).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
@@ -122,6 +126,10 @@ def run_digests(out, names=None):
         if names is None or name in names:
             subprocess.run([sys.executable, *args, "--out", str(out / name)],
                            env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
+            if name in PRINTED:
+                with open(out / f"{name}_report.txt", "wb") as fh:
+                    subprocess.run([sys.executable, *CLI, "report", f"{name}.json"],
+                                   env=env, cwd=out, check=True, stdout=fh)
     return {path.relative_to(out).as_posix(): _digest(path)
             for path in sorted(out.rglob("*")) if path.is_file() and path.name != TABLE}
 
