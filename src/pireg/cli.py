@@ -19,12 +19,12 @@ import os
 import sys
 
 from .bench import (ALPHA_SWEEP_FIELDS, ALPHA_SWEEP_VARIANTS, HPARAM_SWEEP_FIELDS,
-                    HPARAM_SWEEP_VARIANTS, _base_path, emit_report, format_report,
-                    load_report, run_alpha_sweep, run_benchmark, run_hyperparam_sweep)
+                    HPARAM_SWEEP_VARIANTS, run_alpha_sweep, run_benchmark, run_hyperparam_sweep)
 from .config import GENERATOR_KINDS, VARIANT_READS, DataSpec, check_int, resolve_config
 from .data import generate, save_delimited
 from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import POINT_LOSSES, VARIANTS
+from .report import _base_path, emit_report, format_report, load_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -13,13 +13,8 @@ import pytest
 
 from pireg.bench import (
     CURVE_SAMPLE_CAP,
-    REPORT_VERSION,
-    RunReport,
-    emit_report,
     ensemble_predict,
-    format_report,
     load_dataset,
-    load_report,
     run_alpha_sweep,
     run_benchmark,
     run_hyperparam_sweep,
@@ -33,6 +28,7 @@ from pireg.errors import ConfigError, DataError, TrainingDiverged
 from pireg.losses import MIX_EPS, VARIANCE_FLOOR, LossConfig
 from pireg.metrics import METRIC_NAMES, aggregate_splits
 from pireg.network import FeedForwardModel, init_model
+from pireg.report import REPORT_VERSION, RunReport, emit_report, format_report, load_report
 
 
 def tiny_config(**kwargs):
@@ -218,7 +214,7 @@ def test_format_report_mentions_the_essentials(tiny_report):
     assert "benchmark tiny" in text
     assert "picp" in text and "normalized" in text
     assert "[partial]" not in text
-    with pytest.raises(ConfigError):
+    with pytest.raises(AttributeError):  # a non-record is no report kind
         format_report({"not": "a report"})
 
 

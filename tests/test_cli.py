@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import pireg
-from pireg.bench import load_report
 from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_IO,
                        EXIT_OK, OUT_DIR_ENV, main)
 from pireg.config import VARIANT_READS, DataSpec, ExperimentConfig, config_to_dict
 from pireg.data import load_delimited
 from pireg.losses import VARIANTS
+from pireg.report import load_report
 
 FAST = ["--data-n", "40", "--hidden", "8", "--max-epochs", "8",
         "--batch-size", "10", "--ensemble-size", "1", "--lr", "0.02"]
@@ -405,6 +405,25 @@ def test_report_verb_rejects_tampered_version(tmp_path, capsys):
     blob["version"] = 99
     (tmp_path / "v.json").write_text(json.dumps(blob), encoding="utf-8")
     assert main(["report", str(tmp_path / "v.json")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("name",), 5), (("partial",), "yes"), (("errors",), [1]),
+    (("splits", 0, "normalized", "n"), 3.5), (("splits", 0, "member_epochs"), [1.5])])
+def test_report_verb_refuses_a_mistyped_field(tmp_path, capsys, keys, value):
+    # A str or bool field holds that JSON type, and an int field an int.
+    out = tmp_path / "r"
+    assert main(["train", *FAST, "--out", str(out)]) == EXIT_OK
+    blob = json.loads((tmp_path / "r.json").read_text())
+    target = blob
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    (tmp_path / "r.json").write_text(json.dumps(blob), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", f"{out}.json"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "malformed report" in err and ".".join(map(str, keys)) in err
 
 
 def test_sweep_alpha_verb(tmp_path):

@@ -17,8 +17,8 @@ import typing
 from pathlib import Path
 
 import pireg
-from pireg.bench import RunReport, SweepReport
 from pireg.config import ExperimentConfig
+from pireg.report import RunReport, SweepReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pireg"
