@@ -23,7 +23,7 @@ from .losses import gaussian_link, interval_link
 from .metrics import METRIC_NAMES, MetricsRecord, aggregate_splits, metrics_record
 from .network import forward
 from .report import (REPORT_VERSION, RunReport, SplitResult, SweepCell, SweepReport,
-                     load_report)  # load_report: perfbench reads reports as pireg.bench's
+                     load_report)  # perfbench's report checks call pireg.bench.load_report
 from .training import carve_validation, train_ensemble
 
 CURVE_SAMPLE_CAP = 50

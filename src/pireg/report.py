@@ -186,23 +186,22 @@ def emit_report(report, path) -> List[str]:
     return [json_path] + _KINDS[report.kind][1](report, base)
 
 
-# The JSON types a declared leaf field accepts: a float takes an int too,
-# and a bool is neither an int nor a float.
-_LEAVES = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
+# The JSON types each declared shape accepts: a float takes an int too, and
+# a bool is neither an int nor a float.
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,), bool: (bool,),
+               list: (list,), dict: (dict,)}
 
 
 def _decoded(hint, value, where=""):
     # ``value``, as parsed from JSON, built into what ``hint`` declares: each
-    # record from its fields' hints, and every leaf of one of _LEAVES' JSON
-    # types; else a TypeError naming the field.
+    # record from its fields' hints, and every value of a declared shape of
+    # one of its _JSON_TYPES; else a TypeError naming the field.
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
         return None if value is None else _decoded(args[0], value, where)
-    if hint in _LEAVES and type(value) not in _LEAVES[hint]:
-        raise TypeError(f"{where} must be {hint.__name__}, got {value!r}")
     shape = dict if dataclasses.is_dataclass(hint) else origin or hint
-    if shape in (list, dict) and not isinstance(value, shape):
-        raise TypeError(f"{where or 'report'} must be a {shape.__name__}, got {value!r}")
+    if shape in _JSON_TYPES and type(value) not in _JSON_TYPES[shape]:
+        raise TypeError(f"{where or 'report'} must be {shape.__name__}, got {value!r}")
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         # A surplus field keeps its value, for the constructor to refuse.
