@@ -1,21 +1,25 @@
 """Benchmark harness: multi-split runs and parameter sweeps.
 
-A benchmark run draws `splits.count` shuffled train/test splits, fits
-normalization on each training portion, trains an ensemble per split, and
-scores the aggregated intervals on the held-out rows in both normalized and
-original units, as the records of ``pireg.report``.
+A benchmark run draws `splits.count` shuffled train/test splits and runs
+them in three phases: it prepares each split (its rows, normalization fit
+on the training portion, a carved validation copy), trains the ensembles
+of every prepared split as one stack, then scores each split from its own
+rows of that stack on its held-out rows, in both normalized and original
+units, as the records of ``pireg.report``.  A split that fails in any
+phase is recorded and the others go on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .config import DataSpec, ExperimentConfig, config_to_dict
-from .data import (Dataset, NormalizedRows, apply_normalize, denormalize_targets,
+from .data import (Dataset, NormalizedRows, NormStats, apply_normalize, denormalize_targets,
                    fit_normalize, generate, load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
 from .errors import ConfigError, PiregError, TrainingDiverged
@@ -65,8 +69,20 @@ def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
     return [[float(i + 1), history.train_loss[i], history.val_loss[i]] for i in idxs]
 
 
-def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> SplitResult:
-    """Train and score one shuffled train/test split."""
+@dataclass
+class _Prepared:
+    """A split between its prepare and score phases."""
+
+    index: int
+    stats: NormStats
+    train: NormalizedRows
+    valid: Optional[Dataset]
+    test_rows: np.ndarray
+    seconds: float
+
+
+def _prepare_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> _Prepared:
+    """A split's rows, their statistics and its validation copy."""
     started = time.perf_counter()
     # Split and carve pick row indices, and the split holds no table-sized
     # copy beside the dataset: the trainer reads its rows through a
@@ -79,12 +95,21 @@ def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> S
     train_rows, valid_rows = carve_validation(train_rows, config.optimizer.validation_fraction,
                                               config.seed, split_index)
     valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
-    train = NormalizedRows(dataset, stats, train_rows)
+    return _Prepared(split_index, stats, NormalizedRows(dataset, stats, train_rows), valid,
+                     test_rows, time.perf_counter() - started)
 
-    base_seed = config.seed + 1000 * split_index
-    stack, histories = train_ensemble(config, train, valid, base_seed)
 
-    test = apply_normalize(dataset, stats, test_rows)
+def run_split(config: ExperimentConfig, dataset: Dataset, prepared: _Prepared, trained,
+              train_seconds: float) -> SplitResult:
+    """Score a prepared split's trained (stack, histories) on its held-out rows.
+
+    ``seconds`` is the split's own prepare and score time plus
+    ``train_seconds``, its share of the stack's training time.
+    """
+    started = time.perf_counter()
+    stack, histories = trained
+    stats = prepared.stats
+    test = apply_normalize(dataset, stats, prepared.test_rows)
     ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
     normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
     denormalized = metrics_record(*(denormalize_targets(a, stats) for a in
@@ -96,8 +121,8 @@ def run_split(config: ExperimentConfig, dataset: Dataset, split_index: int) -> S
                        for yy, ll, uu, vv in zip(test.targets, ens.lower,
                                                  ens.upper, ens.value)]
     return SplitResult(
-        split_index=split_index,
-        seconds=time.perf_counter() - started,
+        split_index=prepared.index,
+        seconds=prepared.seconds + train_seconds + time.perf_counter() - started,
         member_epochs=[h.epochs_run for h in histories],
         normalized=normalized,
         denormalized=denormalized,
@@ -113,14 +138,34 @@ def run_benchmark(config: ExperimentConfig) -> RunReport:
 
 
 def _run_splits(config: ExperimentConfig, dataset: Dataset, started: float) -> RunReport:
-    """Every split of ``dataset``; total_seconds counts from ``started``."""
-    splits: List[SplitResult] = []
-    errors: List[str] = []
+    """Every split of ``dataset``, in the three phases the module docstring
+    names; total_seconds counts from ``started``."""
+    failed: Dict[int, PiregError] = {}
+    prepared: List[_Prepared] = []
     for i in range(config.splits.count):
         try:
-            splits.append(run_split(config, dataset, i))
+            prepared.append(_prepare_split(config, dataset, i))
         except PiregError as exc:
-            errors.append(f"split {i}: {exc}")
+            failed[i] = exc
+    train_started = time.perf_counter()
+    try:
+        outcomes = train_ensemble(config, [p.train for p in prepared],
+                                  [p.valid for p in prepared],
+                                  [config.seed + 1000 * p.index for p in prepared]
+                                  ) if prepared else []
+    except PiregError as exc:
+        outcomes = [exc] * len(prepared)
+    train_share = (time.perf_counter() - train_started) / max(len(prepared), 1)
+    splits: List[SplitResult] = []
+    for p, outcome in zip(prepared, outcomes):
+        if isinstance(outcome, PiregError):
+            failed[p.index] = outcome
+            continue
+        try:
+            splits.append(run_split(config, dataset, p, outcome, train_share))
+        except PiregError as exc:
+            failed[p.index] = exc
+    errors = [f"split {i}: {failed[i]}" for i in sorted(failed)]
     if not splits:
         raise TrainingDiverged("every split failed: " + "; ".join(errors))
     return RunReport(

@@ -121,6 +121,11 @@ def _forward_cached(model, x):
 STACK_FORWARD_BYTES = 2 ** 21
 
 
+def _stack_bytes(model, rows):
+    # Bytes of a stack's hidden activations on ``rows`` rows per member.
+    return len(model.flat) * rows * sum(model.layer_sizes[1:-1]) * 8
+
+
 def forward(model, features):
     """Raw head (..., n, k) with no link functions applied; k = layer_sizes[-1].
 
@@ -129,13 +134,11 @@ def forward(model, features):
     that.  Both give the same bits: a stacked product is one gemm per member.
     """
     x = _check_features(model, features)
-    if model.flat.ndim == 2:
-        hidden = len(model.flat) * x.shape[-2] * sum(model.layer_sizes[1:-1])
-        if hidden * x.itemsize > STACK_FORWARD_BYTES:
-            own_rows = x.ndim == 3
-            return np.stack([_forward_cached(FeedForwardModel(model.layer_sizes, flat),
-                                             x[j] if own_rows else x)[0]
-                             for j, flat in enumerate(model.flat)])
+    if model.flat.ndim == 2 and _stack_bytes(model, x.shape[-2]) > STACK_FORWARD_BYTES:
+        own_rows = x.ndim == 3
+        return np.stack([_forward_cached(FeedForwardModel(model.layer_sizes, flat),
+                                         x[j] if own_rows else x)[0]
+                         for j, flat in enumerate(model.flat)])
     return _forward_cached(model, x)[0]
 
 

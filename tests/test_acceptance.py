@@ -279,13 +279,15 @@ def test_criterion_04_ensemble_identities():
 # ---------------------------------------------------------------------------
 # Synthetic-task protocol shared by criteria 5, 8, 9: train on 100 noisy sine
 # points, evaluate on a large fresh draw from the same law, ensembles of 5,
-# full-batch Adam annealed to convergence (no early stopping).
+# full-batch Adam annealed to convergence (no early stopping).  Each seed's
+# ensemble is one group of a stack that trains every seed of a cell at once,
+# bit for bit as if each trained alone.
 
 
 EVAL_SEED = 99991
 
 
-def _synthetic_record(loss_cfg, seed, eval_set):
+def _synthetic_records(loss_cfg, seeds, eval_set):
     cfg = ExperimentConfig(
         name="acceptance",
         data=DataSpec(kind="sine", n=100),
@@ -296,24 +298,28 @@ def _synthetic_record(loss_cfg, seed, eval_set):
                                 validation_fraction=0.0),
         ensemble_size=5,
     )
-    train = generate(DataSpec(n=100), seed)
-    stats = fit_normalize(train)
-    train_n = apply_normalize(train, stats)
-    eval_n = apply_normalize(eval_set, stats)
-    stack, _ = train_ensemble(cfg, train_n, None, base_seed=seed * 100)
-    ens = ensemble_predict(stack, eval_n.features, cfg.loss.variant, cfg.loss.alpha)
-    return metrics_record(eval_n.targets, ens.lower, ens.upper, ens.value)
+    trains, evals = [], []
+    for seed in seeds:
+        train = generate(DataSpec(n=100), seed)
+        stats = fit_normalize(train)
+        trains.append(apply_normalize(train, stats))
+        evals.append(apply_normalize(eval_set, stats))
+    outcomes = train_ensemble(cfg, trains, [None] * len(seeds), [seed * 100 for seed in seeds])
+    records = []
+    for outcome, eval_n in zip(outcomes, evals):
+        if isinstance(outcome, Exception):
+            raise outcome
+        ens = ensemble_predict(outcome[0], eval_n.features, cfg.loss.variant, cfg.loss.alpha)
+        records.append(metrics_record(eval_n.targets, ens.lower, ens.upper, ens.value))
+    return records
 
 
 def test_criterion_05_synthetic_sine_directional():
     started = time.perf_counter()
     eval_set = generate(DataSpec(n=4000), EVAL_SEED)
     seeds = list(range(1, 11))
-    joint, baseline = [], []
-    for seed in seeds:
-        joint.append(_synthetic_record(LossConfig(variant="joint"), seed, eval_set))
-        baseline.append(_synthetic_record(LossConfig(variant="interval_only"), seed,
-                                          eval_set))
+    joint = _synthetic_records(LossConfig(variant="joint"), seeds, eval_set)
+    baseline = _synthetic_records(LossConfig(variant="interval_only"), seeds, eval_set)
     mean_picp = float(np.mean([r.picp for r in joint]))
     wins = sum(j.rmse < b.rmse for j, b in zip(joint, baseline))
     elapsed = time.perf_counter() - started
@@ -416,8 +422,7 @@ def test_criterion_08_interval_weight_sweep():
     seeds = [1, 2, 3, 4, 5]
     cells = {}
     for beta in (0.1, 0.99):
-        recs = [_synthetic_record(LossConfig(interval_weight=beta), s, eval_set)
-                for s in seeds]
+        recs = _synthetic_records(LossConfig(interval_weight=beta), seeds, eval_set)
         cells[beta] = (float(np.mean([r.mpiw for r in recs])),
                        float(np.mean([r.rmse for r in recs])))
     mpiw_lo, rmse_lo = cells[0.1]
@@ -449,8 +454,7 @@ def test_criterion_09_coverage_penalty_sweep():
     grid = [1.0, 4.0, 15.0, 40.0]
     means = []
     for penalty in grid:
-        recs = [_synthetic_record(LossConfig(coverage_penalty=penalty), s, eval_set)
-                for s in seeds]
+        recs = _synthetic_records(LossConfig(coverage_penalty=penalty), seeds, eval_set)
         means.append(float(np.mean([r.picp for r in recs])))
     diffs = np.diff(means)
     ok = bool(np.all(diffs >= -0.02))

@@ -18,17 +18,19 @@ from pireg.bench import (
     run_alpha_sweep,
     run_benchmark,
     run_hyperparam_sweep,
-    run_split,
 )
 from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
                           SplitPlan, config_to_dict)
-from pireg.data import Dataset
+from pireg.data import (Dataset, NormalizedRows, apply_normalize, denormalize_targets,
+                        fit_normalize, split)
 from pireg.ensemble import z_score
-from pireg.errors import ConfigError, DataError, TrainingDiverged
-from pireg.losses import MIX_EPS, VARIANCE_FLOOR, LossConfig
-from pireg.metrics import METRIC_NAMES, aggregate_splits
+from pireg.errors import ConfigError, DataError, PiregError, TrainingDiverged
+from pireg.losses import MIX_EPS, VARIANCE_FLOOR, VARIANTS, LossConfig
+from pireg.metrics import METRIC_NAMES, aggregate_splits, metrics_record
 from pireg.network import FeedForwardModel, init_model
-from pireg.report import REPORT_VERSION, RunReport, emit_report, format_report, load_report
+from pireg.report import (REPORT_VERSION, RunReport, SplitResult, emit_report, format_report,
+                          load_report)
+from pireg.training import carve_validation, train_ensemble
 
 
 def tiny_config(**kwargs):
@@ -219,13 +221,14 @@ def test_format_report_mentions_the_essentials(tiny_report):
 
 
 def test_failed_splits_are_recorded_partial(monkeypatch):
+    # A split whose score phase fails, after the stack trained.
     import pireg.bench as bench_mod
     real = bench_mod.run_split
 
-    def flaky(config, dataset, split_index):
-        if split_index == 0:
+    def flaky(config, dataset, prepared, trained, train_seconds):
+        if prepared.index == 0:
             raise TrainingDiverged("synthetic failure", epoch=1)
-        return real(config, dataset, split_index)
+        return real(config, dataset, prepared, trained, train_seconds)
 
     monkeypatch.setattr(bench_mod, "run_split", flaky)
     report = bench_mod.run_benchmark(tiny_config())
@@ -236,12 +239,14 @@ def test_failed_splits_are_recorded_partial(monkeypatch):
 
 
 def test_all_splits_failing_raises(monkeypatch):
+    # Every split's prepare phase fails, so nothing trains.
     import pireg.bench as bench_mod
 
     def doomed(config, dataset, split_index):
         raise TrainingDiverged("synthetic failure", epoch=1)
 
-    monkeypatch.setattr(bench_mod, "run_split", doomed)
+    monkeypatch.setattr(bench_mod, "_prepare_split", doomed)
+    monkeypatch.setattr(bench_mod, "train_ensemble", None)
     with pytest.raises(TrainingDiverged, match="every split failed"):
         bench_mod.run_benchmark(tiny_config())
 
@@ -269,11 +274,8 @@ def test_split_whose_normalized_rows_overflow_is_recorded(monkeypatch):
                              for i in (0, 1, 3)]
 
 
-def test_run_split_seeds_members_by_split(tmp_path):
-    cfg = tiny_config()
-    dataset = load_dataset(cfg.data, cfg.seed)
-    a = run_split(cfg, dataset, 0)
-    b = run_split(cfg, dataset, 1)
+def test_run_split_seeds_members_by_split(tiny_report):
+    a, b = tiny_report.splits
     assert a.normalized != b.normalized  # different membership and member seeds
 
 
@@ -285,15 +287,18 @@ def test_run_split_holds_no_copy_of_the_training_rows():
     # small temporaries.  Measured 0.49x, peaking in the held-out prediction;
     # the bound adds 0.06x of margin.  One normalized copy of the training
     # rows (0.72x) measured 1.21x.
+    import pireg.bench as bench_mod
+
     rng = np.random.default_rng(11)
     dataset = Dataset(rng.standard_normal((20_000, 40)), rng.standard_normal(20_000))
     cfg = tiny_config(model=ModelSpec(hidden_sizes=(8,)), ensemble_size=2,
                       optimizer=OptimizerSpec(batch_size=1000, max_epochs=1, patience=1,
                                               validation_fraction=0.1))
+    cfg = dataclasses.replace(cfg, splits=SplitPlan(count=1, test_fraction=0.2))
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        run_split(cfg, dataset, 0)
+        bench_mod._run_splits(cfg, dataset, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,7 +335,7 @@ def test_run_split_rows_match_a_copy_per_stage_bitwise(monkeypatch, layout):
     real_predict = bench_mod.ensemble_predict
 
     def train_spy(config, train, valid, base_seed):
-        seen["train"], seen["valid"] = train, valid
+        seen["train"], seen["valid"] = train[1], valid[1]
         return real_train(config, train, valid, base_seed)
 
     def predict_spy(stack, features, variant, alpha):
@@ -339,7 +344,7 @@ def test_run_split_rows_match_a_copy_per_stage_bitwise(monkeypatch, layout):
 
     monkeypatch.setattr(bench_mod, "train_ensemble", train_spy)
     monkeypatch.setattr(bench_mod, "ensemble_predict", predict_spy)
-    run_split(cfg, dataset, 1)
+    bench_mod._run_splits(cfg, dataset, 0.0)  # splits 0 and 1; split 1 is scored last
 
     perm = np.random.default_rng([cfg.seed, 1]).permutation(900)
     train_rows, test_rows = perm[:720], perm[720:]
@@ -358,6 +363,193 @@ def test_run_split_rows_match_a_copy_per_stage_bitwise(monkeypatch, layout):
         assert got[name][0].tobytes() == ((x[rows] - mean) / std).tobytes()
         assert got[name][1].tobytes() == ((y[rows] - tmean) / tstd).tobytes()
     assert seen["test"].tobytes() == ((dataset.features[test_rows] - mean) / std).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The stacked run against the per-split composition it replaced: one split
+# after another is split, fit, carved, trained as its own stack, predicted
+# and scored.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_curve(history, cap=CURVE_SAMPLE_CAP):
+    total = len(history.train_loss)
+    idxs = (range(total) if total <= cap
+            else sorted(set(np.linspace(0, total - 1, cap).astype(int).tolist())))
+    return [[float(i + 1), history.train_loss[i], history.val_loss[i]] for i in idxs]
+
+
+def oracle_split(config, dataset, split_index):
+    """One split alone: its (stack, histories) and its SplitResult (seconds 0)."""
+    train_rows, test_rows = split(dataset, config.splits.test_fraction, config.seed,
+                                  split_index)
+    stats = fit_normalize(dataset, train_rows)
+    train_rows, valid_rows = carve_validation(train_rows, config.optimizer.validation_fraction,
+                                              config.seed, split_index)
+    valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
+    train = NormalizedRows(dataset, stats, train_rows)
+    stack, histories = train_ensemble(config, train, valid, config.seed + 1000 * split_index)
+
+    test = apply_normalize(dataset, stats, test_rows)
+    ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
+    columns = (test.targets, ens.lower, ens.upper, ens.value)
+    predictions = None
+    if config.store_predictions:
+        predictions = [[float(v) for v in row] for row in zip(*columns)]
+    return (stack, histories), SplitResult(
+        split_index=split_index,
+        seconds=0.0,
+        member_epochs=[h.epochs_run for h in histories],
+        normalized=metrics_record(*columns),
+        denormalized=metrics_record(*(denormalize_targets(a, stats) for a in columns)),
+        loss_curve=_oracle_curve(histories[0]),
+        predictions=predictions,
+    )
+
+
+def oracle_run(config, dataset):
+    """Every split one after another: ({split: (stack, histories)}, report)."""
+    trained, splits, errors = {}, [], []
+    for i in range(config.splits.count):
+        try:
+            trained[i], result = oracle_split(config, dataset, i)
+        except PiregError as exc:
+            errors.append(f"split {i}: {exc}")
+            continue
+        splits.append(result)
+    report = RunReport(
+        kind="benchmark", version=REPORT_VERSION, name=config.name,
+        config=config_to_dict(config), splits=splits,
+        aggregate_normalized=aggregate_splits([s.normalized for s in splits]),
+        aggregate_denormalized=aggregate_splits([s.denormalized for s in splits]),
+        partial=bool(errors), errors=errors, total_seconds=0.0)
+    return trained, report
+
+
+def stacked_run(monkeypatch, config, dataset):
+    """The run as pireg.bench does it: ({split: outcome}, report with timing zeroed)."""
+    import pireg.bench as bench_mod
+
+    real_train = bench_mod.train_ensemble
+    outcomes = {}
+
+    def train_spy(config, train, valid, base_seeds):
+        got = real_train(config, train, valid, base_seeds)
+        outcomes.update(((seed - config.seed) // 1000, o) for seed, o in zip(base_seeds, got))
+        return got
+
+    monkeypatch.setattr(bench_mod, "train_ensemble", train_spy)
+    report = bench_mod._run_splits(config, dataset, 0.0)
+    return outcomes, dataclasses.replace(
+        report, total_seconds=0.0,
+        splits=[dataclasses.replace(s, seconds=0.0) for s in report.splits])
+
+
+def assert_stacked_run_matches_the_oracle(monkeypatch, config, dataset):
+    trained, want = oracle_run(config, dataset)
+    outcomes, got = stacked_run(monkeypatch, config, dataset)
+    assert got == want
+    assert set(trained) <= set(outcomes)
+    for i, (want_stack, want_histories) in trained.items():
+        stack, histories = outcomes[i]
+        assert stack.flat.tobytes() == want_stack.flat.tobytes()
+        assert histories == want_histories
+    return outcomes, got
+
+
+def _middle_target_table(tmp_path):
+    # Three features around the target column "y", which loads as a copy.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(70, 3)) * [1.0, 50.0, 0.01]
+    y = np.sin(x[:, 0]) + x[:, 1] / 50.0 + rng.normal(0.0, 0.1, 70)
+    rows = [f"{a!r},{b!r},{t!r},{c!r}" for (a, b, c), t in zip(x.tolist(), y.tolist())]
+    path = tmp_path / "middle.csv"
+    path.write_text("a,b,y,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return DataSpec(kind="file", path=str(path), target_column="y")
+
+
+def uneven_config(**kwargs):
+    # Three splits of three members with validation and short patience, so
+    # members stop early at uneven epochs.
+    base = dict(optimizer=OptimizerSpec(learning_rate=0.03, batch_size=15, max_epochs=80,
+                                        patience=3, validation_fraction=0.15),
+                splits=SplitPlan(count=3, test_fraction=0.2), ensemble_size=3)
+    base.update(kwargs)
+    return tiny_config(**base)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_splits_match_the_per_split_run(monkeypatch, variant):
+    cfg = uneven_config(loss=LossConfig(variant=variant))
+    _, report = assert_stacked_run_matches_the_oracle(
+        monkeypatch, cfg, load_dataset(cfg.data, cfg.seed))
+    epochs = [e for s in report.splits for e in s.member_epochs]
+    assert len(report.splits) == 3 and len(set(epochs)) > 2 and max(epochs) < 80
+
+
+@pytest.mark.parametrize("case", ["middle_target", "no_validation", "one_split",
+                                  "no_predictions"])
+def test_stacked_splits_match_the_per_split_run_on_each_layout(monkeypatch, tmp_path, case):
+    # A table whose target is a middle column, --validation-fraction 0,
+    # --splits 1 and --no-predictions.
+    cfg = uneven_config()
+    if case == "middle_target":
+        cfg = dataclasses.replace(cfg, data=_middle_target_table(tmp_path))
+    elif case == "no_validation":
+        cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
+            cfg.optimizer, validation_fraction=0.0))
+    elif case == "one_split":
+        cfg = dataclasses.replace(cfg, splits=SplitPlan(count=1, test_fraction=0.2))
+    else:
+        cfg = dataclasses.replace(cfg, store_predictions=False)
+    _, report = assert_stacked_run_matches_the_oracle(
+        monkeypatch, cfg, load_dataset(cfg.data, cfg.seed))
+    assert len(report.splits) == cfg.splits.count
+
+
+class _PoisonedRows:
+    """A split's training rows whose ``call``-th batch gather turns one
+    member's batch to NaN, so that member's loss does too."""
+
+    def __init__(self, rows, call, member):
+        self.n, self.dim, self.targets = rows.n, rows.dim, rows.targets
+        self.features = self
+        self._rows, self._call, self._member, self._calls = rows, call, member, 0
+
+    def __getitem__(self, idx):
+        batch = self._rows.features[idx]
+        self._calls += 1
+        if self._calls == self._call:
+            batch[self._member] = np.nan
+        return batch
+
+
+def test_a_member_diverging_mid_training_fails_only_its_split(monkeypatch):
+    # Member 1 of split 1 gets a NaN batch at the first batch of epoch 5
+    # (41 training rows, three batches an epoch).  Its split fails with the
+    # error it raises alone, and splits 0 and 2 report exactly what an
+    # undisturbed run reports.
+    import pireg.bench as bench_mod
+
+    cfg = uneven_config(optimizer=OptimizerSpec(learning_rate=0.03, batch_size=20,
+                                                max_epochs=40, patience=10,
+                                                validation_fraction=0.15))
+    dataset = load_dataset(cfg.data, cfg.seed)
+    _, clean = oracle_run(cfg, dataset)
+    built = []
+
+    def poisoned_rows(dataset, stats, rows, real=NormalizedRows):
+        # Both runs build their splits' rows in split order, so split 1's
+        # are the second of every three.
+        built.append(real(dataset, stats, rows))
+        return _PoisonedRows(built[-1], 13, 1) if len(built) % 3 == 2 else built[-1]
+
+    monkeypatch.setattr(bench_mod, "NormalizedRows", poisoned_rows)
+    monkeypatch.setitem(globals(), "NormalizedRows", poisoned_rows)
+    _, report = assert_stacked_run_matches_the_oracle(monkeypatch, cfg, dataset)
+    assert report.errors == ["split 1: member 1: diverged at epoch 5, batch 0: "
+                             "non-finite loss nan"]
+    assert report.partial and report.splits == [clean.splits[0], clean.splits[2]]
 
 
 def test_load_dataset_kinds(tmp_path):

@@ -366,7 +366,7 @@ def test_sweep_grid_is_validated_before_training(tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("loaded data or trained before validating the whole grid")
 
-    for name in ("load_dataset", "run_split"):
+    for name in ("load_dataset", "_prepare_split", "train_ensemble", "run_split"):
         monkeypatch.setattr(f"pireg.bench.{name}", must_not_run)
     out = ["--out", str(tmp_path / "sweep")]
     assert main(["sweep-alpha", *FAST, "--alphas", "0.05,1.5", *out]) == EXIT_CONFIG
@@ -485,6 +485,18 @@ def run_pireg(*args, stdout=subprocess.PIPE, **env_vars):
     return subprocess.run([sys.executable, "-c", _WRAPPER, entry.group(1), *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env=child_env(**env_vars))
+
+
+def test_every_split_diverging_exits_4_with_only_the_located_error(tmp_path):
+    # Steps of 1e300 overflow every member at its first validation pass; the
+    # trainer reports that itself, so numpy warns about none of it.
+    proc = run_pireg("bench", "--name", "sine", "--splits", "2", "--max-epochs", "3",
+                     "--lr", "1e300", "--out", str(tmp_path / "diverged"))
+    assert proc.returncode == EXIT_DIVERGED
+    assert proc.stderr == ("training diverged: every split failed: split 0: member 0: "
+                           "non-finite validation loss nan at epoch 1; split 1: member 0: "
+                           "non-finite validation loss nan at epoch 1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_installed_entry_point_help():

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from pireg.bench import ensemble_predict
-from pireg.config import (DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec)
+from pireg.config import DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec, SplitPlan
 from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, generate
-from pireg.errors import TrainingDiverged
+from pireg.errors import ShapeError, TrainingDiverged
 from pireg.losses import (VARIANTS, LossConfig, hard_capture, head_loss_and_grad, initial_head,
                           interval_link)
 from pireg.network import FeedForwardModel, backward, forward, loss_value
@@ -429,6 +429,80 @@ def test_stacked_divergence_raises_the_sequential_error(learning_rate):
     assert got == raised(sequential_ensemble, cfg, data, None, 11)
 
 
+def assert_groups_train_like_each_alone(config, groups):
+    outcomes = train_ensemble(config, *(list(parts) for parts in zip(*groups)))
+    assert len(outcomes) == len(groups)
+    for (train, valid, base_seed), got in zip(groups, outcomes):
+        if isinstance(got, TrainingDiverged):
+            want = raised(train_ensemble, config, train, valid, base_seed)
+            assert (got.member, got.epoch, got.batch_index, str(got)) == want
+            continue
+        stack, histories = got
+        want_stack, want_histories = train_ensemble(config, train, valid, base_seed)
+        assert stack.flat.tobytes() == want_stack.flat.tobytes()
+        assert histories == want_histories
+    return outcomes
+
+
+def group_rows(seed, n=70, width=2):
+    # One group's rows: sine targets beside noise columns, carved like a split.
+    data = sine_train(n=n, seed=seed)
+    noise = np.random.default_rng(seed).normal(size=(n, width - 1))
+    return carve(Dataset(np.column_stack([data.features, noise]), data.targets),
+                 0.25, seed=seed, split_index=0)
+
+
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, one_pass):
+    # Four groups on their own rows, members stopping at uneven epochs, so
+    # the stack's groups shrink at different times.  Validation is scored in
+    # one pass over copies repeated per member, or, with no stack fitting
+    # STACK_FORWARD_BYTES, one pass per group on its own copy.
+    if not one_pass:
+        monkeypatch.setattr("pireg.training.STACK_FORWARD_BYTES", 0)
+    cfg = stack_config(hidden=(16,), members=3, batch_size=12, max_epochs=120, patience=3,
+                       learning_rate=0.05)
+    groups = [(*group_rows(seed), 10 * seed) for seed in (3, 4, 5, 6)]
+    outcomes = assert_groups_train_like_each_alone(cfg, groups)
+    epochs = [h.epochs_run for _, histories in outcomes for h in histories]
+    assert len(set(epochs)) > 3 and max(epochs) < 120
+
+
+@pytest.mark.parametrize("variant", ["gaussian_nll", "interval_only"])
+def test_groups_without_validation_train_like_each_group_alone(variant):
+    cfg = stack_config(variant, hidden=(8,), members=2, batch_size=25, max_epochs=30,
+                       patience=4)
+    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2, 3)]
+    assert_groups_train_like_each_alone(cfg, groups)
+
+
+def test_a_diverging_group_fails_alone():
+    # Group 1's validation rows overflow every member's head, and group 3's
+    # training rows overflow at the first batch; groups 0 and 2 train on as
+    # if alone, and each failing group reports the error it raises alone.
+    cfg = stack_config(hidden=(8,), members=3, batch_size=20, max_epochs=25, patience=4)
+    groups = [(*group_rows(seed, width=1), seed) for seed in (7, 8, 9, 10)]
+    train, valid, base = groups[1]
+    groups[1] = (train, Dataset(valid.features * 1e300, valid.targets), base)
+    train, valid, base = groups[3]
+    groups[3] = (Dataset(train.features * 1e300, train.targets), valid, base)
+    outcomes = assert_groups_train_like_each_alone(cfg, groups)
+    assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False, True]
+    assert "non-finite validation loss" in str(outcomes[1])
+    assert "diverged at epoch 1, batch 0" in str(outcomes[3])
+
+
+def test_groups_must_hold_equally_many_rows():
+    cfg = stack_config(members=2)
+    (train, valid), (short, _) = group_rows(3), group_rows(4, n=60)
+    with pytest.raises(ShapeError, match="unequal"):
+        train_ensemble(cfg, [train, short], [None, None], [1, 2])
+    with pytest.raises(ShapeError, match="unequal"):
+        train_ensemble(cfg, [train, train], [valid, None], [1, 2])
+    with pytest.raises(ShapeError, match="2 training sets, 1 validation sets"):
+        train_ensemble(cfg, [train, train], [None], [1, 2])
+
+
 def test_stacked_validation_divergence_raises_the_sequential_error():
     data = sine_train()
     valid = Dataset(data.features * 1e300, data.targets)
@@ -490,14 +564,17 @@ def test_normalized_rows_without_validation_train_like_a_normalized_copy():
 
 
 def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
-    # The whole split, report included, against run_split handing the
+    # Every split, reports included, against the prepare phase handing the
     # trainer apply_normalize's copy of the training rows.
     import pireg.bench as bench_mod
 
     dataset = strided_table(n=120)
-    cfg = stack_config(hidden=(8,), members=3, batch_size=16, max_epochs=40, patience=3,
-                       validation_fraction=0.2)
-    got = bench_mod.run_split(cfg, dataset, 2)
+    cfg = dataclasses.replace(
+        stack_config(hidden=(8,), members=3, batch_size=16, max_epochs=40, patience=3,
+                     validation_fraction=0.2), splits=SplitPlan(count=3, test_fraction=0.1))
+    got = bench_mod._run_splits(cfg, dataset, 0.0)
     monkeypatch.setattr(bench_mod, "NormalizedRows", apply_normalize)
-    want = bench_mod.run_split(cfg, dataset, 2)
-    assert dataclasses.replace(got, seconds=0.0) == dataclasses.replace(want, seconds=0.0)
+    want = bench_mod._run_splits(cfg, dataset, 0.0)
+    assert [dataclasses.replace(s, seconds=0.0) for s in got.splits] \
+        == [dataclasses.replace(s, seconds=0.0) for s in want.splits]
+    assert len(got.splits) == 3 and got.errors == []
