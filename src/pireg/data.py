@@ -138,7 +138,7 @@ def _is_numeric_row(cells):
 
 def _header(path, delimiter):
     """The first csv record, stripped, when it is non-blank and not numeric."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         cells = [c.strip() for c in next(csv.reader(fh, delimiter=delimiter), [])]
     if any(cells) and not _is_numeric_row(cells):
         return cells
@@ -157,7 +157,7 @@ def _vectorized_read(path, delimiter, skiprows):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            matrix = np.loadtxt(path, delimiter=delimiter, comments=None, encoding="utf-8",
+            matrix = np.loadtxt(path, delimiter=delimiter, comments=None, encoding="utf-8-sig",
                                 ndmin=2, skiprows=skiprows, dtype=float)
     except UnicodeDecodeError:
         raise
@@ -177,7 +177,7 @@ def _read_records(path, delimiter, skip):
     """Cell-by-cell read of the records after the first ``skip``, blank ones
     dropped: (record number, stripped cells) pairs, all of one width."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line_no, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
             cells = [c.strip() for c in cells]
             if line_no > skip and any(cells):

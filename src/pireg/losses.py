@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import z_score
 from .errors import ConfigError, ShapeError
 
 VARIANTS = ("joint", "interval_only", "midpoint", "decoupled", "gaussian_nll")
@@ -89,8 +90,7 @@ class LossConfig:
     point_loss: str = "squared"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        z_score(self.alpha)  # refuses an alpha no interval can be aggregated at
         for name in ("coverage_penalty", "soften"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):

@@ -129,26 +129,36 @@ def _stack_bytes(model, rows):
 def forward(model, features):
     """Raw head (..., n, k) with no link functions applied; k = layer_sizes[-1].
 
-    A stack of M members is forwarded in one call while its hidden
-    activations fit in STACK_FORWARD_BYTES, and one member at a time above
-    that.  Both give the same bits: a stacked product is one gemm per member.
+    A stack of M members reads one shared (n, d) matrix, an (M, n, d) array
+    or a list of M (n, d) matrices.  It is forwarded in one call while its
+    hidden activations fit in STACK_FORWARD_BYTES, and one member at a time
+    on its own rows above that, so a list is stacked only below it.  Both
+    give the same bits: a stacked product is one gemm per member.
     """
-    x = _check_features(model, features)
-    if model.flat.ndim == 2 and _stack_bytes(model, x.shape[-2]) > STACK_FORWARD_BYTES:
-        own_rows = x.ndim == 3
+    if isinstance(features, list):
+        x = [_check_features(model, f) for f in features]
+        if len(x) != len(model.flat) or len({f.shape for f in x}) > 1:
+            raise ShapeError(f"{len(model.flat)} members but rows {[f.shape for f in x]}")
+        rows, own_rows = x[0].shape[-2], True
+    else:
+        x = _check_features(model, features)
+        rows, own_rows = x.shape[-2], x.ndim == 3
+    if model.flat.ndim == 2 and _stack_bytes(model, rows) > STACK_FORWARD_BYTES:
         return np.stack([_forward_cached(FeedForwardModel(model.layer_sizes, flat),
                                          x[j] if own_rows else x)[0]
                          for j, flat in enumerate(model.flat)])
-    return _forward_cached(model, x)[0]
+    return _forward_cached(model, np.stack(x) if isinstance(x, list) else x)[0]
 
 
 def loss_value(model, features, targets, cfg: LossConfig):
     """Loss of the configured variant on one batch, one per member.
 
-    The loss-only pass of ``head_loss_and_grad``: ``backward``'s loss, bit for
-    bit, with no gradient built.
+    ``features`` as ``forward`` reads them, ``targets`` (n,), (M, n) or a
+    list of M (n,) vectors.  The loss-only pass of ``head_loss_and_grad``:
+    ``backward``'s loss, bit for bit, with no gradient built.
     """
-    return head_loss_and_grad(forward(model, features), targets, cfg, gradient=False)[0]
+    y = np.stack(targets) if isinstance(targets, list) else targets
+    return head_loss_and_grad(forward(model, features), y, cfg, gradient=False)[0]
 
 
 def _first_bad(finite):

@@ -14,16 +14,21 @@ computed by the same arithmetic as for a single model, so the result is
 bit-identical to training the members one after another, group by group.
 
 Each epoch shuffles every member's rows with its own seeded stream, walks
-the batches, then scores the validation set.  The best-validation
-parameters are kept and restored at the end, so each member's row of the
-returned stack is its early-stopping winner, not its last iterate.
-Non-finite losses or gradients fail the member's group with the
-member/epoch/batch context attached, and the other groups train on.
+the batches, then scores the validation set in one ``loss_value`` call,
+each member reading its own group's copy; ``network.forward`` alone
+decides whether the stack meets those rows in one pass or member by
+member.  The best-validation parameters are kept and restored at the end,
+so each member's row of the returned stack is its early-stopping winner,
+not its last iterate.  A member whose batch loss, gradient or validation
+score is non-finite fails by one rule: its group records the error with
+the member/epoch/batch context attached, it and the group's higher
+members leave the stack, and everyone else trains on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -33,8 +38,7 @@ from .config import ExperimentConfig
 from .data import Dataset, NormalizedRows
 from .errors import ShapeError, TrainingDiverged
 from .losses import initial_head
-from .network import (STACK_FORWARD_BYTES, FeedForwardModel, _first_bad, _stack_bytes, backward,
-                      init_model, loss_value)
+from .network import FeedForwardModel, backward, init_model, loss_value
 from .optim import adam_step, init_adam
 
 
@@ -51,49 +55,40 @@ def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardMo
     return init_model([input_dim, *config.model.hidden_sizes, len(head)], seed, head)
 
 
-def _diverged(member, message, cause, epoch, batch_index=None):
-    error = TrainingDiverged(f"member {member}: {message}", epoch=epoch,
-                             batch_index=batch_index, member=member)
+# The one failure rule: a failing member's group records its error, and the
+# member and the group's higher members leave.  Lower members train on, and
+# a failure of one of them becomes the group's error.
+def _fail(failures, size, member, message, cause, epoch, batch_index=None):
+    error = TrainingDiverged(f"member {member % size}: {message}", epoch=epoch,
+                             batch_index=batch_index, member=member % size)
     error.__cause__ = cause
-    return error
+    failures[member // size] = error
 
 
-def _keep(stack, state, rows):
-    # The stack and its optimizer state restricted to the given member rows.
+def _failed(failures, size, member):
+    error = failures[member // size]
+    return error is not None and member % size >= error.member
+
+
+def _keep(stack, state, active, rows):
+    # The members at the given stack rows, and the stack and its optimizer
+    # state restricted to them.
     state.first_moment = state.first_moment[rows]
     state.second_moment = state.second_moment[rows]
-    return FeedForwardModel(stack.layer_sizes, stack.flat[rows])
+    return [active[k] for k in rows], FeedForwardModel(stack.layer_sizes, stack.flat[rows])
 
 
-def _blocks(active, size):
-    # (group, first row, end row) of each group's run of stack rows.  Member
-    # s * size + j is group s's member j, and rows keep member order.
-    blocks, lo = [], 0
+def _batch(trains, active, idx, size):
+    # The stack's (features, targets) batch for the (rows, batch) index
+    # array ``idx``: each group's run of stack rows gathers its members' rows
+    # from the group's training set in one call.  Member s * size + j is
+    # group s's member j, and rows keep member order.
+    parts, lo = [], 0
     for group, run in itertools.groupby(active, lambda member: member // size):
         hi = lo + len(list(run))
-        blocks.append((group, lo, hi))
+        parts.append((trains[group].features[idx[lo:hi]], trains[group].targets[idx[lo:hi]]))
         lo = hi
-    return blocks
-
-
-def _stacked(parts):
-    # One array over the stack's rows from its groups' parts, in row order.
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _validation_loss(stack, blocks, valids, cfg):
-    # Each member's loss on its own group's validation copy.  While the
-    # stack's activations fit in STACK_FORWARD_BYTES, one pass reads every
-    # group's copy repeated for its members; above that, one pass per group
-    # reads the group's copy, which ``forward`` takes one member at a time.
-    if len(blocks) > 1 and _stack_bytes(stack, valids[0].n) <= STACK_FORWARD_BYTES:
-        x, y = (np.concatenate([np.repeat(getattr(valids[s], name)[None], hi - lo, axis=0)
-                                for s, lo, hi in blocks])
-                for name in ("features", "targets"))
-        return loss_value(stack, x, y, cfg)
-    return _stacked([loss_value(FeedForwardModel(stack.layer_sizes, stack.flat[lo:hi]),
-                                valids[s].features, valids[s].targets, cfg)
-                     for s, lo, hi in blocks])
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 _Rows = Union[Dataset, NormalizedRows]
@@ -121,10 +116,11 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     per group: that (stack, histories) pair, or the ``TrainingDiverged``
     the group raises when trained alone.
 
-    If member j of a group diverges, the group's members j and above leave
-    the stack and the rest train on; j's error is the group's once they
-    finish, unless a lower member of the group diverges too.  That is the
-    error the group's members would raise trained one after another.
+    If member j of a group diverges, on a batch or on its validation score,
+    the group's members j and above leave the stack and the rest train on;
+    j's error is the group's once they finish, unless a lower member of the
+    group diverges too.  That is the error the group's members would raise
+    trained one after another.
     """
     grouped = isinstance(train, (list, tuple))
     if grouped and not len(train) == len(valid) == len(base_seed):
@@ -157,69 +153,55 @@ def _train_groups(config, groups):
     best = [np.inf] * len(seeds)
     bad = [0] * len(seeds)
     active = list(range(len(seeds)))  # the member in each stack row
-    blocks = _blocks(active, size)
     failures = [None] * len(groups)
 
     starts = range(0, n, opt.batch_size)
+    # Row j holds member j's shuffle, and its batch losses in one contiguous
+    # row, so its epoch mean sums in the order a lone model's would.
     perm = np.empty((len(seeds), n), dtype=np.intp)
+    losses = np.empty((len(seeds), len(starts)))
     # Every loss, gradient and validation score is checked for non-finite
     # values below, so numpy's own warnings about them would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, opt.max_epochs + 1):
-            if not active:
-                break
             # Shuffling arange(n) in place is Generator.permutation(n), draw for draw.
-            perm[:len(active)] = np.arange(n)
-            for k, j in enumerate(active):
-                shuffles[j].shuffle(perm[k])
-            # One contiguous row of batch losses per member, so each member's
-            # epoch mean sums in the order a lone model's would.
-            losses = np.empty((len(active), len(starts)))
+            perm[active] = np.arange(n)
+            for j in active:
+                shuffles[j].shuffle(perm[j])
             for batch_index, start in enumerate(starts):
                 while active:
-                    idx = perm[:len(active), start:start + opt.batch_size]
                     try:
-                        x = _stacked([trains[s].features[idx[lo:hi]] for s, lo, hi in blocks])
-                        y = _stacked([trains[s].targets[idx[lo:hi]] for s, lo, hi in blocks])
+                        x, y = _batch(trains, active, perm[active, start:start + opt.batch_size],
+                                      size)
                         loss, grads = backward(stack, x, y, config.loss)
                         adam_step(state, stack, grads)
                     except TrainingDiverged as exc:
-                        member = active[exc.member]
-                        group = member // size
-                        failures[group] = _diverged(
-                            member % size, f"diverged at epoch {epoch}, batch {batch_index}: "
-                            f"{exc}", exc, epoch, batch_index)
-                        rows = [k for k, m in enumerate(active) if m // size != group or m < member]
-                        perm[:len(rows)] = perm[rows]
-                        losses = losses[rows]
-                        active = [active[k] for k in rows]
-                        blocks = _blocks(active, size)
-                        stack = _keep(stack, state, rows)
+                        _fail(failures, size, active[exc.member], f"diverged at epoch {epoch}, "
+                              f"batch {batch_index}: {exc}", exc, epoch, batch_index)
+                        rows = [k for k, j in enumerate(active) if not _failed(failures, size, j)]
+                        active, stack = _keep(stack, state, active, rows)
                         continue
-                    losses[:, batch_index] = loss
+                    losses[active, batch_index] = loss
                     break
             if not active:
                 break
-            epoch_loss = losses.sum(axis=-1) / len(starts)
+            epoch_loss = losses[active].sum(axis=-1) / len(starts)
 
             if n_valid:
-                score = _validation_loss(stack, blocks, valids, config.loss)
+                own = [valids[j // size] for j in active]
+                score = loss_value(stack, [v.features for v in own], [v.targets for v in own],
+                                   config.loss)
             else:
                 score = epoch_loss
-            finite = np.isfinite(score)
-            stays = np.ones(len(active), dtype=bool)
-            for group, lo, hi in blocks:
-                if not finite[lo:hi].all():
-                    k = lo + _first_bad(finite[lo:hi])
-                    failures[group] = _diverged(
-                        active[k] % size, f"non-finite validation loss {float(score[k])!r} "
-                        f"at epoch {epoch}", None, epoch)
-                    stays[k:hi] = False
-
             rows = []
             epoch_losses, scores = epoch_loss.tolist(), score.tolist()
-            for k in np.flatnonzero(stays).tolist():
-                j = active[k]
+            for k, j in enumerate(active):
+                if _failed(failures, size, j):
+                    continue
+                if not math.isfinite(scores[k]):
+                    _fail(failures, size, j, f"non-finite validation loss {scores[k]!r} "
+                          f"at epoch {epoch}", None, epoch)
+                    continue
                 history = histories[j]
                 history.train_loss.append(epoch_losses[k])
                 history.val_loss.append(scores[k])
@@ -234,9 +216,7 @@ def _train_groups(config, groups):
                         continue
                 rows.append(k)
             if len(rows) < len(active):
-                active = [active[k] for k in rows]
-                blocks = _blocks(active, size)
-                stack = _keep(stack, state, rows)
+                active, stack = _keep(stack, state, active, rows)
             state.learning_rate *= opt.decay
 
     return [failures[s] if failures[s] is not None else

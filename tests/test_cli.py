@@ -376,6 +376,21 @@ def test_sweep_grid_is_validated_before_training(tmp_path, monkeypatch, capsys):
     assert "coverage_penalty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, flags", [("bench", ["--splits", "2", "--alpha", "1e-17"]),
+                                         ("sweep-alpha", ["--alphas", "1e-17"])])
+def test_an_alpha_too_small_to_aggregate_exits_2_before_training(tmp_path, monkeypatch,
+                                                                  capsys, verb, flags):
+    # 1 - 1e-17/2 rounds to 1, so no interval can be widened at this alpha;
+    # the loss config refuses it before any data is loaded or member trained.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("loaded data or trained at an alpha that cannot be aggregated")
+
+    for name in ("load_dataset", "_prepare_split", "train_ensemble", "run_split"):
+        monkeypatch.setattr(f"pireg.bench.{name}", must_not_run)
+    assert main([verb, *FAST, *flags, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "alpha 1e-17 is too small: 1 - alpha/2 rounds to 1" in capsys.readouterr().err
+
+
 def test_gen_data_round_trip_and_determinism(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

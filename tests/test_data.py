@@ -377,7 +377,7 @@ def cell_by_cell_load(path, target_column=-1, delimiter=","):
     rows = []
     header = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             for line_no, cells in enumerate(reader, start=1):
                 cells = [c.strip() for c in cells if c is not None]
@@ -532,6 +532,23 @@ def test_clean_numeric_table_skips_the_cell_by_cell_parse(tmp_path, monkeypatch)
         assert loaded.features.tobytes() == oracle.features.tobytes()
         assert loaded.targets.tobytes() == oracle.targets.tobytes()
         assert loaded.feature_names == oracle.feature_names
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, monkeypatch):
+    # Excel's "CSV UTF-8" export opens the file with a byte-order mark.  It
+    # must not turn a headerless table's first row into a header, nor stick
+    # to a header's first name; both clean tables load without the per-cell
+    # parse, so the vectorized read strips the mark too.
+    headerless = _write(tmp_path, "\ufeff1.0,2.0\n3,4\n5,6\n", "headerless.csv")
+    named = _write(tmp_path, "\ufeffyear,x\n1990,0.5\n2000,1.5\n", "named.csv")
+    monkeypatch.setattr(pireg.data, "_parse_cell", None)
+    data = load_delimited(headerless)
+    assert data.feature_names is None
+    assert data.features.tolist() == [[1.0], [3.0], [5.0]]
+    assert data.targets.tolist() == [2.0, 4.0, 6.0]
+    data = load_delimited(named, target_column="year")
+    assert data.feature_names == ["x"]
+    assert data.targets.tolist() == [1990.0, 2000.0]
 
 
 # ---------------------------------------------------------------------------

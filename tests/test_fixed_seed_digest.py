@@ -3,12 +3,23 @@ checked in beside it: a multi-split ``gaussian_nll`` bench and the bench on
 the script's widely scaled 3,000 x 12 table, about 4 s together.  Their
 reports, CSV tables and predictions must hash as the file says.  Under
 another fingerprint (Python, numpy, BLAS, CPU model) the test skips, since
-another BLAS may round differently without any defect."""
+another BLAS may round differently without any defect.
+
+Both runs train several splits as one stack, and their validation passes
+fall on either side of ``STACK_FORWARD_BYTES``: the first is forwarded in
+one call, the second member by member, so the subset pins the bits of
+both paths."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pireg.cli import _resolve, build_parser
+from pireg.data import Dataset, split
+from pireg.network import STACK_FORWARD_BYTES, FeedForwardModel, _stack_bytes
+from pireg.training import build_model, carve_validation
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_seed_digest.py"
 # No other run's name begins with one of these, so a path's prefix names its run.
@@ -34,3 +45,26 @@ def test_subset_matches_the_checked_in_digest(tmp_path):
     subset = {path: digest for path, digest in expected.items() if path.startswith(SUBSET)}
     assert len(subset) == 8
     assert script.run_digests(tmp_path, SUBSET) == subset
+
+
+def validation_stack(script, name):
+    # (splits, bytes of the hidden activations of the stacked validation
+    # pass) of one of the script's runs: every split's members at once, each
+    # on its own split's validation rows.
+    args = build_parser().parse_args(dict(script.RUNS)[name][len(script.CLI):])
+    config = _resolve(args)
+    n = script.TABLE_ROWS if args.data_path else config.data.n
+    train, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
+                     config.seed, 0)
+    _, valid = carve_validation(train, config.optimizer.validation_fraction, config.seed, 0)
+    member = build_model(config, 1, 0)
+    stack = FeedForwardModel(member.layer_sizes, np.zeros(
+        (config.splits.count * config.ensemble_size, len(member.flat))))
+    return config.splits.count, _stack_bytes(stack, len(valid))
+
+
+def test_subset_validates_on_both_sides_of_the_stack_budget():
+    script = _script()
+    one_call, member_by_member = (validation_stack(script, name) for name in SUBSET)
+    assert one_call[0] > 1 and member_by_member[0] > 1
+    assert one_call[1] <= STACK_FORWARD_BYTES < member_by_member[1]

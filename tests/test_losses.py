@@ -255,7 +255,7 @@ def test_interval_link_shapes_and_derived_value():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"alpha": 0.0}, {"alpha": 1.0}, {"coverage_penalty": 0.0},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": 1e-17}, {"coverage_penalty": 0.0},
     {"coverage_penalty": -1.0}, {"soften": 0.0}, {"interval_weight": -0.1},
     {"interval_weight": 1.1}, {"variant": "nope"}, {"point_loss": "huber"},
 ])

@@ -226,19 +226,42 @@ def stack_of(sizes, members, head=INTERVAL_BIAS):
 
 
 @pytest.mark.parametrize("rows", [40, 4000])
-@pytest.mark.parametrize("own_rows", [False, True])
+@pytest.mark.parametrize("own_rows", [False, True, "list"])
 def test_stack_forward_matches_member_forwards_bitwise(rows, own_rows):
     # 40 rows fit the one-call budget and 4000 do not; either way each member's
-    # head carries the bits of that member forwarded alone.
+    # head carries the bits of that member forwarded alone, whether the
+    # members share one matrix or read their own rows, as an (M, n, d) array
+    # or as a list of M matrices.
     stack = stack_of((3, 16, 8, 3), 4)
     assert (4 * rows * 24 * 8 > STACK_FORWARD_BYTES) == (rows == 4000)
     rng = np.random.default_rng(rows)
     x = rng.normal(size=(4, rows, 3) if own_rows else (rows, 3))
-    heads = forward(stack, x)
+    heads = forward(stack, list(x) if own_rows == "list" else x)
     assert heads.shape == (4, rows, 3)
     for j, flat in enumerate(stack.flat):
         alone = forward(FeedForwardModel(stack.layer_sizes, flat), x[j] if own_rows else x)
         assert heads[j].tobytes() == alone.tobytes()
+
+
+def test_forward_refuses_a_list_that_does_not_fit_the_stack():
+    stack = stack_of((3, 8, 3), 2)
+    with pytest.raises(ShapeError, match="2 members"):
+        forward(stack, [np.zeros((5, 3))] * 3)
+    with pytest.raises(ShapeError, match="2 members"):
+        forward(stack, [np.zeros((5, 3)), np.zeros((4, 3))])
+
+
+def traced_peak(fn, *args):
+    # Bytes allocated at the peak of fn(*args) above what was held before;
+    # returns (result, peak).
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - baseline
 
 
 def test_loss_value_holds_one_members_activations_at_a_time():
@@ -247,14 +270,26 @@ def test_loss_value_holds_one_members_activations_at_a_time():
     stack = stack_of((1, 100, 3), 5)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(4000, 1)), rng.normal(size=4000)
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        loss_value(stack, x, y, LossConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - baseline <= 2 * 4000 * 100 * 8
+    _, peak = traced_peak(loss_value, stack, x, y, LossConfig())
+    assert peak <= 2 * 4000 * 100 * 8
+
+
+def test_validation_of_groups_copies_no_members_rows():
+    # Two groups of three members, each reading its group's (4000, 40)
+    # validation copy through a list, above the one-call budget: one
+    # member's activations, 3.2 MB, are held at a time, and no member's
+    # rows are copied (six copies would take 7.7 MB).
+    stack = stack_of((40, 100, 3), 6)
+    rng = np.random.default_rng(1)
+    groups = [(rng.normal(size=(4000, 40)), rng.normal(size=4000)) for _ in range(2)]
+    assert 6 * 4000 * 100 * 8 > STACK_FORWARD_BYTES
+    rows = [groups[j // 3] for j in range(6)]
+    loss, peak = traced_peak(loss_value, stack, [x for x, _ in rows], [y for _, y in rows],
+                             LossConfig())
+    assert peak <= 2 * 4000 * 100 * 8
+    for s, (x, y) in enumerate(groups):
+        group = FeedForwardModel(stack.layer_sizes, stack.flat[3 * s:3 * s + 3])
+        assert loss[3 * s:3 * s + 3].tobytes() == loss_value(group, x, y, LossConfig()).tobytes()
 
 
 def test_backward_matches_separate_delta_temporaries_bitwise():

@@ -452,14 +452,14 @@ def group_rows(seed, n=70, width=2):
                  0.25, seed=seed, split_index=0)
 
 
-@pytest.mark.parametrize("one_pass", [True, False])
-def test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, one_pass):
+@pytest.mark.parametrize("member_by_member", [False, True])
+def test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, member_by_member):
     # Four groups on their own rows, members stopping at uneven epochs, so
-    # the stack's groups shrink at different times.  Validation is scored in
-    # one pass over copies repeated per member, or, with no stack fitting
-    # STACK_FORWARD_BYTES, one pass per group on its own copy.
-    if not one_pass:
-        monkeypatch.setattr("pireg.training.STACK_FORWARD_BYTES", 0)
+    # the stack's groups shrink at different times.  Validation forwards the
+    # stack in one call on its members' rows stacked, or, with no stack
+    # fitting STACK_FORWARD_BYTES, member by member on its group's own copy.
+    if member_by_member:
+        monkeypatch.setattr("pireg.network.STACK_FORWARD_BYTES", 0)
     cfg = stack_config(hidden=(16,), members=3, batch_size=12, max_epochs=120, patience=3,
                        learning_rate=0.05)
     groups = [(*group_rows(seed), 10 * seed) for seed in (3, 4, 5, 6)]
