@@ -2,10 +2,13 @@
 
 The acceptance module records one PASS/FAIL line per criterion; this hook
 replays them in the terminal summary so the verdict survives pytest's
-output capture.
+output capture.  ``forked_chunks`` lets the trainer's and the benchmark's
+tests train a stack's groups over forked workers at any size.
 """
 
 import sys
+
+import pytest
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -17,3 +20,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.section("acceptance criteria")
             for line in lines:
                 terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def forked_chunks(monkeypatch):
+    """``workers(k)`` lets ``train_ensemble`` fork k processes at any work
+    size; the returned list records the group count of each chunk trained
+    through ``_train_forked``."""
+    import pireg.training as training
+
+    chunks = []
+    real = training._train_forked
+
+    def spy(config, parts):
+        chunks.append([len(part) for part in parts])
+        return real(config, parts)
+
+    def workers(k):
+        monkeypatch.setattr(training, "_cpus", lambda: k)
+        monkeypatch.setattr(training, "FORK_MIN_WORK", 0)
+        monkeypatch.setattr(training, "_train_forked", spy)
+        return chunks
+
+    return workers

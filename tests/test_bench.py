@@ -552,6 +552,23 @@ def test_a_member_diverging_mid_training_fails_only_its_split(monkeypatch):
     assert report.partial and report.splits == [clean.splits[0], clean.splits[2]]
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forked_splits_match_the_per_split_run(monkeypatch, forked_chunks, workers, variant):
+    chunks = forked_chunks(workers)
+    test_stacked_splits_match_the_per_split_run(monkeypatch, variant)
+    assert chunks == ([] if workers == 1 else [[1, 1, 1]])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_forked_member_diverging_mid_training_fails_only_its_split(monkeypatch, forked_chunks,
+                                                                     workers):
+    # At 3 workers, split 1 and its poisoned member train in a child.
+    chunks = forked_chunks(workers)
+    test_a_member_diverging_mid_training_fails_only_its_split(monkeypatch)
+    assert chunks == ([] if workers == 1 else [[1, 1, 1]])
+
+
 def test_load_dataset_kinds(tmp_path):
     sine = load_dataset(DataSpec(kind="sine", n=30), seed=1)
     assert sine.n == 30 and sine.dim == 1

@@ -22,7 +22,7 @@ from pireg.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, 
 from pireg.config import VARIANT_READS, DataSpec, ExperimentConfig, config_to_dict
 from pireg.data import load_delimited
 from pireg.losses import VARIANTS
-from pireg.report import load_report
+from pireg.report import format_report, load_report
 
 FAST = ["--data-n", "40", "--hidden", "8", "--max-epochs", "8",
         "--batch-size", "10", "--ensemble-size", "1", "--lr", "0.02"]
@@ -512,6 +512,28 @@ def test_every_split_diverging_exits_4_with_only_the_located_error(tmp_path):
                            "non-finite validation loss nan at epoch 1; split 1: member 0: "
                            "non-finite validation loss nan at epoch 1\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_forked_bench_prints_its_table_once(tmp_path, monkeypatch):
+    # Two splits of five members for up to 200 epochs on 81 rows (162,000
+    # member-epoch-rows) train over forked workers.  With stdout a pipe, and
+    # so block-buffered, a buffer a fork copied would print twice.
+    import pireg.training as training
+
+    argv = ["bench", "--name", "sine", "--splits", "2", "--max-epochs", "200"]
+    proc = run_pireg(*argv, "--out", str(tmp_path / "piped"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    table = format_report(load_report(tmp_path / "piped.json")) + "\n"
+    assert proc.stdout.startswith(table)
+    wrote = proc.stdout[len(table):].splitlines()
+    assert sorted(wrote) == sorted(f"wrote {path}" for path in tmp_path.glob("piped*"))
+
+    forked = []
+    real = training._train_forked
+    monkeypatch.setattr(training, "_train_forked",
+                        lambda config, chunks: forked.append(len(chunks)) or real(config, chunks))
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == EXIT_OK
+    assert forked == ([2] if training._cpus() > 1 else [])
 
 
 def test_installed_entry_point_help():

@@ -8,7 +8,9 @@ another BLAS may round differently without any defect.
 Both runs train several splits as one stack, and their validation passes
 fall on either side of ``STACK_FORWARD_BYTES``: the first is forwarded in
 one call, the second member by member, so the subset pins the bits of
-both paths."""
+both paths.  The first also trains its splits over forked workers, while the
+second's batch products are large enough for threaded BLAS and train in
+process."""
 
 import importlib.util
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pireg.training as training
 from pireg.cli import _resolve, build_parser
 from pireg.data import Dataset, split
 from pireg.network import STACK_FORWARD_BYTES, FeedForwardModel, _stack_bytes
@@ -47,20 +50,27 @@ def test_subset_matches_the_checked_in_digest(tmp_path):
     assert script.run_digests(tmp_path, SUBSET) == subset
 
 
+def split_rows(script, name):
+    # One of the script's runs: its config and split 0's training and
+    # validation rows, as zero datasets of the run's width.
+    args = build_parser().parse_args(dict(script.RUNS)[name][len(script.CLI):])
+    config = _resolve(args)
+    n, dim = (script.TABLE_ROWS, script.TABLE_FEATURES) if args.data_path else (config.data.n, 1)
+    train, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
+                     config.seed, 0)
+    train, valid = carve_validation(train, config.optimizer.validation_fraction, config.seed, 0)
+    return config, [Dataset(np.zeros((len(r), dim)), np.zeros(len(r))) for r in (train, valid)]
+
+
 def validation_stack(script, name):
     # (splits, bytes of the hidden activations of the stacked validation
     # pass) of one of the script's runs: every split's members at once, each
     # on its own split's validation rows.
-    args = build_parser().parse_args(dict(script.RUNS)[name][len(script.CLI):])
-    config = _resolve(args)
-    n = script.TABLE_ROWS if args.data_path else config.data.n
-    train, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
-                     config.seed, 0)
-    _, valid = carve_validation(train, config.optimizer.validation_fraction, config.seed, 0)
+    config, (_, valid) = split_rows(script, name)
     member = build_model(config, 1, 0)
     stack = FeedForwardModel(member.layer_sizes, np.zeros(
         (config.splits.count * config.ensemble_size, len(member.flat))))
-    return config.splits.count, _stack_bytes(stack, len(valid))
+    return config.splits.count, _stack_bytes(stack, valid.n)
 
 
 def test_subset_validates_on_both_sides_of_the_stack_budget():
@@ -68,3 +78,17 @@ def test_subset_validates_on_both_sides_of_the_stack_budget():
     one_call, member_by_member = (validation_stack(script, name) for name in SUBSET)
     assert one_call[0] > 1 and member_by_member[0] > 1
     assert one_call[1] <= STACK_FORWARD_BYTES < member_by_member[1]
+
+
+def training_workers(script, name):
+    # How many processes train one of the script's runs on 2 CPUs.
+    config, rows = split_rows(script, name)
+    return training._workers(config, [(*rows, i) for i in range(config.splits.count)])
+
+
+def test_subset_trains_over_forked_workers_and_in_process(monkeypatch):
+    # bench_flat_skew_gaussian_nll: 25 members x 2,000 epochs x 81 rows, over
+    # FORK_MIN_WORK; bench_table: batches of 1,000 rows x 11 x 100 units,
+    # over FORK_MAX_PRODUCT.
+    monkeypatch.setattr(training, "_cpus", lambda: 2)
+    assert [training_workers(_script(), name) for name in SUBSET] == [2, 1]

@@ -7,12 +7,17 @@ the members one after another, each alone through the single-model path of
 """
 
 import dataclasses
+import multiprocessing
+import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pireg.training as training
 from pireg.bench import ensemble_predict
 from pireg.config import DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec, SplitPlan
 from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, generate
@@ -578,3 +583,123 @@ def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
     assert [dataclasses.replace(s, seconds=0.0) for s in got.splits] \
         == [dataclasses.replace(s, seconds=0.0) for s in want.splits]
     assert len(got.splits) == 3 and got.errors == []
+
+
+# ---------------------------------------------------------------------------
+# Groups spread over forked workers.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("member_by_member", [False, True])
+def test_forked_groups_train_like_each_group_alone(monkeypatch, forked_chunks, workers,
+                                                   member_by_member):
+    chunks = forked_chunks(workers)
+    test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, member_by_member)
+    assert chunks == ([] if workers == 1 else [[1, 1, 2]])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_forked_diverging_group_fails_alone(forked_chunks, workers):
+    # Groups 1 and 3 fail; at 3 workers (chunks [0], [1], [2, 3]) both fail
+    # in children, so their errors come back through the pipes.
+    chunks = forked_chunks(workers)
+    test_a_diverging_group_fails_alone()
+    assert chunks == ([] if workers == 1 else [[1, 1, 2]])
+
+
+def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
+    chunks = forked_chunks(2)
+    cfg = stack_config(hidden=(8,), members=2, batch_size=25, max_epochs=10)
+    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2, 3)]
+    monkeypatch.setattr(training, "FORK_MIN_WORK", 3 * 2 * 10 * 50 + 1)
+    assert_groups_train_like_each_alone(cfg, groups)
+    monkeypatch.setattr(training, "FORK_MIN_WORK", 3 * 2 * 10 * 50)
+    assert_groups_train_like_each_alone(cfg, groups)
+    assert chunks == [[1, 2]]
+
+
+def test_a_product_large_enough_for_threaded_blas_trains_in_process(monkeypatch,
+                                                                    forked_chunks):
+    chunks = forked_chunks(2)
+    cfg = stack_config(hidden=(8,), members=2, batch_size=25, max_epochs=10)
+    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2)]
+    # The widest product is a batch of 25 rows through the 8 x 3 head.
+    monkeypatch.setattr(training, "FORK_MAX_PRODUCT", 25 * 8 * 3 - 1)
+    assert_groups_train_like_each_alone(cfg, groups)
+    monkeypatch.setattr(training, "FORK_MAX_PRODUCT", 25 * 8 * 3)
+    assert_groups_train_like_each_alone(cfg, groups)
+    assert chunks == [[1, 1]]
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+def train_failing_chunk(monkeypatch, fail, error, others=lambda: None):
+    """train_ensemble on three groups of base seeds 1, 2 and 3 over three
+    workers, where the chunk holding group ``fail`` raises ``error()`` and
+    every other chunk calls ``others()`` first: group 1 trains in the
+    parent, groups 2 and 3 in the two children."""
+    real = training._train_groups
+
+    def train_groups(config, groups):
+        if any(seed == fail for _, _, seed in groups):
+            raise error()
+        others()
+        return real(config, groups)
+
+    monkeypatch.setattr(training, "_train_groups", train_groups)
+    cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
+    data = sine_train(n=50)
+    train_ensemble(cfg, [data] * 3, [None] * 3, [1, 2, 3])
+
+
+@pytest.mark.parametrize("fail", [1, 3])
+def test_no_worker_outlives_a_raising_train_ensemble(monkeypatch, forked_chunks, fail):
+    # When the parent's own chunk raises, both children are still busy.
+    chunks = forked_chunks(3)
+    busy = (lambda: time.sleep(60)) if fail == 1 else (lambda: None)
+    started = time.perf_counter()
+    with pytest.raises(KeyError, match="boom"):
+        train_failing_chunk(monkeypatch, fail, lambda: KeyError("boom"), busy)
+    assert time.perf_counter() - started < 30
+    assert chunks == [[1, 1, 1]]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_raises_its_error_in_the_parent_with_sigint_ignored(monkeypatch, forked_chunks):
+    forked_chunks(3)
+    with pytest.raises(LookupError) as err:
+        train_failing_chunk(monkeypatch, 2, lambda: LookupError(signal.getsignal(signal.SIGINT)))
+    assert err.value.args == (signal.SIG_IGN,)
+    assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+    assert multiprocessing.active_children() == []
+
+
+def test_an_unpicklable_child_error_comes_back_as_its_traceback(monkeypatch, forked_chunks):
+    forked_chunks(3)
+    with pytest.raises(RuntimeError, match="(?s)a training worker raised:.*"
+                                           "_Unpicklable: lost in transit"):
+        train_failing_chunk(monkeypatch, 3, lambda: _Unpicklable("lost in transit"))
+
+
+def test_a_child_that_dies_without_an_answer_fails_the_call(monkeypatch, forked_chunks):
+    # Group 3 trains in the last child forked, which the parent holds no
+    # writing end of once it has started.
+    forked_chunks(3)
+    parent = os.getpid()
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        train_failing_chunk(monkeypatch, 3, lambda: os._exit(7) if os.getpid() != parent
+                            else RuntimeError("trained in the parent"))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_forked_training_diverged_keeps_its_location(monkeypatch, forked_chunks):
+    forked_chunks(3)
+    with pytest.raises(TrainingDiverged) as err:
+        train_failing_chunk(monkeypatch, 3, lambda: TrainingDiverged(
+            "member 1: diverged", epoch=4, batch_index=2, member=1))
+    exc = err.value
+    assert (exc.member, exc.epoch, exc.batch_index, str(exc)) == (1, 4, 2, "member 1: diverged")
