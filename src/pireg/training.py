@@ -29,9 +29,12 @@ contiguous chunks of near-equal size, one per CPU, and the calling process
 trains the first chunk while a forked child trains each other one through
 the same code.  Since a group trains alike in any stack, the outcomes are
 the ones one stack gives, bit for bit.  Training stays in process for one
-group or one CPU, with other Python threads alive, on a platform that
-cannot fork, and when forking would not pay: work below FORK_MIN_WORK, or
-matrix products above FORK_MAX_PRODUCT, which BLAS threads itself.
+group, for one CPU (a platform without os.sched_getaffinity, which every
+platform that cannot fork lacks, counts as one), with other Python threads
+alive, and when forking would not pay: work below FORK_MIN_WORK, or
+a matrix product above FORK_MAX_PRODUCT, where BLAS threads contend.  The
+children assume a BLAS that survives a fork, which was checked with
+pthreads OpenBLAS only; ``taskset -c 0`` keeps every group in process.
 """
 
 from __future__ import annotations
@@ -146,12 +149,13 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
         raise ShapeError(f"{len(train)} training sets, {len(valid)} validation sets "
                          f"and {len(base_seed)} base seeds")
     groups = list(zip(train, valid, base_seed)) if grouped else [(train, valid, base_seed)]
-    k = _workers(config, groups)
+    shape = _shape(groups)
+    k = _workers(config, len(groups), shape)
     if k == 1:
-        outcomes = _train_groups(config, groups)
+        outcomes = _train_groups(config, groups, shape)
     else:
-        outcomes = _train_forked(config, [groups[len(groups) * i // k:len(groups) * (i + 1) // k]
-                                          for i in range(k)])
+        outcomes = _train_forked(config, shape, [
+            groups[len(groups) * i // k:len(groups) * (i + 1) // k] for i in range(k)])
     if grouped:
         return outcomes
     if isinstance(outcomes[0], TrainingDiverged):
@@ -166,13 +170,18 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
 # at 50,625; at 101,250 +20.4 and -26.0 ms, at 151,875 +11.8, -24.7 and
 # -35.9 ms in three sets; -60 to -98 ms at 202,500.
 FORK_MIN_WORK = 150_000
-# Forking stops paying when one member's matrix product (rows x fan-in x
-# fan-out, over the batch and the validation rows) is large enough for BLAS to
-# run it on several threads, since two processes' threads then contend for
-# the same cores.  Two groups of five members on 2,430 rows of 11 features
-# (one hidden layer of 100, 8 epochs), forked against in process, medians of
-# 5-7: -76 ms at batch 400 (440,000 multiply-adds), -83 ms at batch 800
-# (880,000), but +1,695 ms at batch 1,000 (1,100,000): 1.86 s against 0.17 s.
+# Forking stops paying once BLAS runs a member's largest matrix product (rows
+# x fan-in x fan-out, the rows being a batch or the validation rows) on
+# several threads, since the two processes' threads then contend for the same
+# cores.  Two groups of five members, each on 2,700 training and validation
+# rows of a table, forked over 2 cores against in process (scipy-openblas
+# 0.3.31, AVX-512), medians of 5-7: with hidden layers of 100 and 100, -278
+# and -450 ms at 520,000 multiply-adds, +95 and +304 ms at 530,000 and +0.2 to
+# +7.4 s from 550,000 to 800,000; with one hidden layer of 100 on 11 features,
+# -8 to -85 ms from 440,000 to 990,000 and +0.2 to +1.1 s from 1,017,500 to
+# 1,100,000.  Under OPENBLAS_NUM_THREADS=1 forking won at 530,000 and 800,000
+# (100 x 100) and at 1,100,000 (11 x 100).  The bound sits at the lower of the
+# two crossovers; other BLAS builds, layer shapes and CPU counts are untested.
 FORK_MAX_PRODUCT = 2 ** 19
 
 
@@ -180,22 +189,23 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(config, groups):
-    # How many processes train the groups: one per CPU this process may use,
-    # at most one per group, and only one when forking cannot pay or is unsafe.
-    n, dim, n_valid = _shape(groups)
+def _workers(config, count, shape):
+    # How many processes train ``count`` groups of the given _shape: one per
+    # CPU this process may use, at most one per group, and only one when
+    # forking cannot pay or is unsafe.
+    n, dim, n_valid = shape
     widths = [dim, *config.model.hidden_sizes,
               len(initial_head(config.loss.variant, config.model.head_bias))]
     product = max(min(n, config.optimizer.batch_size), n_valid) * max(
         a * b for a, b in zip(widths, widths[1:]))
-    work = len(groups) * config.ensemble_size * config.optimizer.max_epochs * n
-    if (len(groups) < 2 or work < FORK_MIN_WORK or product > FORK_MAX_PRODUCT
-            or threading.active_count() > 1 or not hasattr(os, "fork")):
+    work = count * config.ensemble_size * config.optimizer.max_epochs * n
+    if (count < 2 or work < FORK_MIN_WORK or product > FORK_MAX_PRODUCT
+            or threading.active_count() > 1):
         return 1
-    return min(len(groups), _cpus())
+    return min(count, _cpus())
 
 
-def _train_forked(config, chunks):
+def _train_forked(config, shape, chunks):
     # The first chunk trains here while a forked child trains each other one;
     # the outcomes come back in group order.  No child outlives this call.
     # multiprocessing is imported here, so that only a run that forks pays for
@@ -207,11 +217,11 @@ def _train_forked(config, chunks):
     try:
         for chunk in chunks[1:]:
             receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_train_child, args=(send, config, chunk))
+            child = context.Process(target=_train_child, args=(send, config, chunk, shape))
             child.start()
             send.close()  # so that a child that dies without sending ends recv
             children.append((child, receive))
-        outcomes = _train_groups(config, chunks[0])
+        outcomes = _train_groups(config, chunks[0], shape)
         for child, receive in children:
             try:
                 got, error = receive.recv()
@@ -230,12 +240,12 @@ def _train_forked(config, chunks):
             receive.close()
 
 
-def _train_child(send, config, groups):
+def _train_child(send, config, groups, shape):
     # A forked child's body: send back (outcomes, None), or (None, the
     # exception), carried as its traceback text when it does not pickle.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (_train_groups(config, groups), None)
+        reply = (_train_groups(config, groups, shape), None)
     except BaseException as exc:  # raised again in the parent
         try:
             pickle.loads(pickle.dumps(exc))
@@ -254,11 +264,11 @@ def _shape(groups):
     return shapes.pop()
 
 
-def _train_groups(config, groups):
+def _train_groups(config, groups, shape):
     opt, size = config.optimizer, config.ensemble_size
-    n, dim, n_valid = _shape(groups)
+    n, dim, n_valid = shape
     trains = [t for t, _, _ in groups]
-    valids = [v for _, v, _ in groups]
+    valids = [None if v is None or v.n == 0 else v for _, v, _ in groups]
     seeds = [base_seed + j for _, _, base_seed in groups for j in range(size)]
     members = [build_model(config, dim, seed) for seed in seeds]
     stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))

@@ -32,9 +32,9 @@ def forked_chunks(monkeypatch):
     chunks = []
     real = training._train_forked
 
-    def spy(config, parts):
+    def spy(config, shape, parts):
         chunks.append([len(part) for part in parts])
-        return real(config, parts)
+        return real(config, shape, parts)
 
     def workers(k):
         monkeypatch.setattr(training, "_cpus", lambda: k)

@@ -531,7 +531,8 @@ def test_a_forked_bench_prints_its_table_once(tmp_path, monkeypatch):
     forked = []
     real = training._train_forked
     monkeypatch.setattr(training, "_train_forked",
-                        lambda config, chunks: forked.append(len(chunks)) or real(config, chunks))
+                        lambda config, shape, chunks: forked.append(len(chunks))
+                        or real(config, shape, chunks))
     assert main([*argv, "--out", str(tmp_path / "in_process")]) == EXIT_OK
     assert forked == ([2] if training._cpus() > 1 else [])
 

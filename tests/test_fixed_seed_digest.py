@@ -82,8 +82,8 @@ def test_subset_validates_on_both_sides_of_the_stack_budget():
 
 def training_workers(script, name):
     # How many processes train one of the script's runs on 2 CPUs.
-    config, rows = split_rows(script, name)
-    return training._workers(config, [(*rows, i) for i in range(config.splits.count)])
+    config, (train, valid) = split_rows(script, name)
+    return training._workers(config, config.splits.count, (train.n, train.dim, valid.n))
 
 
 def test_subset_trains_over_forked_workers_and_in_process(monkeypatch):

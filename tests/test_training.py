@@ -644,11 +644,11 @@ def train_failing_chunk(monkeypatch, fail, error, others=lambda: None):
     parent, groups 2 and 3 in the two children."""
     real = training._train_groups
 
-    def train_groups(config, groups):
+    def train_groups(config, groups, shape):
         if any(seed == fail for _, _, seed in groups):
             raise error()
         others()
-        return real(config, groups)
+        return real(config, groups, shape)
 
     monkeypatch.setattr(training, "_train_groups", train_groups)
     cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
