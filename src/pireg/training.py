@@ -24,17 +24,22 @@ score is non-finite fails by one rule: its group records the error with
 the member/epoch/batch context attached, it and the group's higher
 members leave the stack, and everyone else trains on.
 
-Several groups spread over the CPUs this process may use: they split into
-contiguous chunks of near-equal size, one per CPU, and the calling process
-trains the first chunk while a forked child trains each other one through
-the same code.  Since a group trains alike in any stack, the outcomes are
-the ones one stack gives, bit for bit.  Training stays in process for one
-group, for one CPU (a platform without os.sched_getaffinity, which every
-platform that cannot fork lacks, counts as one), with other Python threads
-alive, and when forking would not pay: work below FORK_MIN_WORK, or
-a matrix product above FORK_MAX_PRODUCT, where BLAS threads contend.  The
-children assume a BLAS that survives a fork, which was checked with
-pthreads OpenBLAS only; ``taskset -c 0`` keeps every group in process.
+A stack's members, every group's in group order, spread over the CPUs
+this process may use: they split into contiguous chunks of near-equal
+member count, one per CPU, and the calling process trains the first chunk
+while a forked child trains each other one through the same code.  A group
+may be split between chunks; each chunk trains its piece of the group,
+members keeping their index j in the group, and the pieces join in member
+order.  Since a member trains alike in any stack, the outcomes are the
+ones one stack gives, bit for bit, and a group whose pieces fail takes the
+error of its lowest failing member, as in one stack.  Training stays in
+process for one member, for one CPU (a platform without
+os.sched_getaffinity, which every platform that cannot fork lacks, counts
+as one), with other Python threads alive, and when forking would not pay:
+work below FORK_MIN_WORK, or a matrix product above FORK_MAX_PRODUCT,
+where BLAS threads contend.  The children assume a BLAS that survives a
+fork, which was checked with pthreads OpenBLAS only; ``taskset -c 0``
+keeps every member in process.
 """
 
 from __future__ import annotations
@@ -74,17 +79,19 @@ def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardMo
 
 # The one failure rule: a failing member's group records its error, and the
 # member and the group's higher members leave.  Lower members train on, and
-# a failure of one of them becomes the group's error.
-def _fail(failures, size, member, message, cause, epoch, batch_index=None):
-    error = TrainingDiverged(f"member {member % size}: {message}", epoch=epoch,
-                             batch_index=batch_index, member=member % size)
+# a failure of one of them becomes the group's error.  ``piece`` indexes the
+# member's piece (its group's share of this stack), ``j`` is its index in
+# the group.
+def _fail(failures, piece, j, message, cause, epoch, batch_index=None):
+    error = TrainingDiverged(f"member {j}: {message}", epoch=epoch,
+                             batch_index=batch_index, member=j)
     error.__cause__ = cause
-    failures[member // size] = error
+    failures[piece] = error
 
 
-def _failed(failures, size, member):
-    error = failures[member // size]
-    return error is not None and member % size >= error.member
+def _failed(failures, piece, j):
+    error = failures[piece]
+    return error is not None and j >= error.member
 
 
 def _keep(stack, state, active, rows):
@@ -95,15 +102,15 @@ def _keep(stack, state, active, rows):
     return [active[k] for k in rows], FeedForwardModel(stack.layer_sizes, stack.flat[rows])
 
 
-def _batch(trains, active, idx, size):
+def _batch(trains, members, active, idx):
     # The stack's (features, targets) batch for the (rows, batch) index
-    # array ``idx``: each group's run of stack rows gathers its members' rows
-    # from the group's training set in one call.  Member s * size + j is
-    # group s's member j, and rows keep member order.
+    # array ``idx``: each piece's run of stack rows gathers its members' rows
+    # from the piece's training set in one call.  Stack member m belongs to
+    # piece members[m][0], and rows keep member order.
     parts, lo = [], 0
-    for group, run in itertools.groupby(active, lambda member: member // size):
+    for piece, run in itertools.groupby(active, lambda m: members[m][0]):
         hi = lo + len(list(run))
-        parts.append((trains[group].features[idx[lo:hi]], trains[group].targets[idx[lo:hi]]))
+        parts.append((trains[piece].features[idx[lo:hi]], trains[piece].targets[idx[lo:hi]]))
         lo = hi
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
@@ -139,10 +146,11 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     group diverges too.  That is the error the group's members would raise
     trained one after another.
 
-    Groups may train in forked workers (see the module docstring).  Any
-    other exception a worker raises is raised here, as a ``RuntimeError``
-    holding the worker's traceback when it does not pickle, and no worker
-    outlives the call.
+    Members may train in forked workers, a group's members split between
+    two of them or more (see the module docstring), with the same outcomes.
+    Any other exception a worker raises is raised here, as a
+    ``RuntimeError`` holding the worker's traceback when it does not
+    pickle, and no worker outlives the call.
     """
     grouped = isinstance(train, (list, tuple))
     if grouped and not len(train) == len(valid) == len(base_seed):
@@ -150,12 +158,23 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
                          f"and {len(base_seed)} base seeds")
     groups = list(zip(train, valid, base_seed)) if grouped else [(train, valid, base_seed)]
     shape = _shape(groups)
-    k = _workers(config, len(groups), shape)
-    if k == 1:
-        outcomes = _train_groups(config, groups, shape)
-    else:
-        outcomes = _train_forked(config, shape, [
-            groups[len(groups) * i // k:len(groups) * (i + 1) // k] for i in range(k)])
+    size = config.ensemble_size
+    total = len(groups) * size
+    k = _workers(config, total, shape)
+    # k contiguous runs of near-equal member count over every group's
+    # members in group order; each run holds one piece per group it meets:
+    # the group's index and the range of member indices j it trains there.
+    bounds = [total * i // k for i in range(k + 1)]
+    owned = [[(g, range(max(lo - g * size, 0), min(hi - g * size, size)))
+              for g in range(lo // size, (hi - 1) // size + 1)]
+             for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [[(*groups[g], js) for g, js in chunk] for chunk in owned]
+    pieces = (_train_groups(config, chunks[0], shape) if k == 1
+              else _train_forked(config, shape, chunks))
+    parts = [[] for _ in groups]
+    for (g, _), piece in zip(itertools.chain(*owned), pieces):
+        parts[g].append(piece)
+    outcomes = [_join(part) for part in parts]
     if grouped:
         return outcomes
     if isinstance(outcomes[0], TrainingDiverged):
@@ -163,12 +182,30 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     return outcomes[0]
 
 
+def _join(pieces):
+    # One group's outcome from its pieces' outcomes in member order.  Each
+    # piece's error is its lowest failing member's, so the first error is the
+    # group's; otherwise the pieces' stacks and histories join end to end.
+    for piece in pieces:
+        if isinstance(piece, TrainingDiverged):
+            return piece
+    stacks, histories = zip(*pieces)
+    return (FeedForwardModel(stacks[0].layer_sizes, np.concatenate([s.flat for s in stacks])),
+            [h for part in histories for h in part])
+
+
 # Forking pays only above this much work, in members x max_epochs x training
 # rows.  Five groups of five members on 81 rows of sine (one hidden layer of
 # 100, validation every epoch, no early stop), forked over 2 cores against in
 # process, medians of 15 per set: +10.6 ms at 10,125 (5 epochs) and +16.6 ms
 # at 50,625; at 101,250 +20.4 and -26.0 ms, at 151,875 +11.8, -24.7 and
-# -35.9 ms in three sets; -60 to -98 ms at 202,500.
+# -35.9 ms in three sets; -60 to -98 ms at 202,500.  One group of 2 members
+# (chunks of 1 + 1) and of 5 (2 + 3) on the same rows, 9 validation rows,
+# medians of paired differences over 15 and then 25 alternating pairs: 2
+# members -45.8 and +1.4 ms at 99,954, -27.8 and -22.9 at 150,012, -14.4 and
+# -65.3 at 200,070; 5 members -18.5 and -5.0 at 100,035, -4.9 and -25.9 at
+# 149,850, -11.7 and -70.4 at 200,070.  Forking wins clearly only above the
+# bound, and no smaller one was better in both sets.
 FORK_MIN_WORK = 150_000
 # Forking stops paying once BLAS runs a member's largest matrix product (rows
 # x fan-in x fan-out, the rows being a batch or the validation rows) on
@@ -189,25 +226,26 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(config, count, shape):
-    # How many processes train ``count`` groups of the given _shape: one per
-    # CPU this process may use, at most one per group, and only one when
+def _workers(config, members, shape):
+    # How many processes train ``members`` members of the given _shape: one
+    # per CPU this process may use, at most one per member, and only one when
     # forking cannot pay or is unsafe.
     n, dim, n_valid = shape
     widths = [dim, *config.model.hidden_sizes,
               len(initial_head(config.loss.variant, config.model.head_bias))]
     product = max(min(n, config.optimizer.batch_size), n_valid) * max(
         a * b for a, b in zip(widths, widths[1:]))
-    work = count * config.ensemble_size * config.optimizer.max_epochs * n
-    if (count < 2 or work < FORK_MIN_WORK or product > FORK_MAX_PRODUCT
+    work = members * config.optimizer.max_epochs * n
+    if (members < 2 or work < FORK_MIN_WORK or product > FORK_MAX_PRODUCT
             or threading.active_count() > 1):
         return 1
-    return min(count, _cpus())
+    return min(members, _cpus())
 
 
 def _train_forked(config, shape, chunks):
     # The first chunk trains here while a forked child trains each other one;
-    # the outcomes come back in group order.  No child outlives this call.
+    # the pieces' outcomes come back in member order.  No child outlives this
+    # call.
     # multiprocessing is imported here, so that only a run that forks pays for
     # it (about 9 ms).
     import multiprocessing
@@ -240,12 +278,12 @@ def _train_forked(config, shape, chunks):
             receive.close()
 
 
-def _train_child(send, config, groups, shape):
+def _train_child(send, config, pieces, shape):
     # A forked child's body: send back (outcomes, None), or (None, the
     # exception), carried as its traceback text when it does not pickle.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (_train_groups(config, groups, shape), None)
+        reply = (_train_groups(config, pieces, shape), None)
     except BaseException as exc:  # raised again in the parent
         try:
             pickle.loads(pickle.dumps(exc))
@@ -264,14 +302,18 @@ def _shape(groups):
     return shapes.pop()
 
 
-def _train_groups(config, groups, shape):
-    opt, size = config.optimizer, config.ensemble_size
+def _train_groups(config, pieces, shape):
+    # Trains pieces (training rows, validation rows, base seed, range of
+    # member indices j) as one stack: one outcome per piece, its stack and
+    # histories or the error of its lowest failing member.
+    opt = config.optimizer
     n, dim, n_valid = shape
-    trains = [t for t, _, _ in groups]
-    valids = [None if v is None or v.n == 0 else v for _, v, _ in groups]
-    seeds = [base_seed + j for _, _, base_seed in groups for j in range(size)]
-    members = [build_model(config, dim, seed) for seed in seeds]
-    stack = FeedForwardModel(members[0].layer_sizes, np.stack([m.flat for m in members]))
+    trains = [t for t, _, _, _ in pieces]
+    valids = [None if v is None or v.n == 0 else v for _, v, _, _ in pieces]
+    members = [(p, j) for p, (*_, js) in enumerate(pieces) for j in js]  # (piece, j) of each
+    seeds = [pieces[p][2] + j for p, j in members]
+    models = [build_model(config, dim, seed) for seed in seeds]
+    stack = FeedForwardModel(models[0].layer_sizes, np.stack([m.flat for m in models]))
     state = init_adam(stack, opt)
     shuffles = [np.random.default_rng([seed, 1]) for seed in seeds]
     histories = [TrainingHistory() for _ in seeds]
@@ -279,11 +321,11 @@ def _train_groups(config, groups, shape):
     best = [np.inf] * len(seeds)
     bad = [0] * len(seeds)
     active = list(range(len(seeds)))  # the member in each stack row
-    failures = [None] * len(groups)
+    failures = [None] * len(pieces)
 
     starts = range(0, n, opt.batch_size)
-    # Row j holds member j's shuffle, and its batch losses in one contiguous
-    # row, so its epoch mean sums in the order a lone model's would.
+    # Row m holds stack member m's shuffle, and its batch losses in one
+    # contiguous row, so its epoch mean sums in the order a lone model's would.
     perm = np.empty((len(seeds), n), dtype=np.intp)
     losses = np.empty((len(seeds), len(starts)))
     # Every loss, gradient and validation score is checked for non-finite
@@ -292,19 +334,20 @@ def _train_groups(config, groups, shape):
         for epoch in range(1, opt.max_epochs + 1):
             # Shuffling arange(n) in place is Generator.permutation(n), draw for draw.
             perm[active] = np.arange(n)
-            for j in active:
-                shuffles[j].shuffle(perm[j])
+            for m in active:
+                shuffles[m].shuffle(perm[m])
             for batch_index, start in enumerate(starts):
                 while active:
                     try:
-                        x, y = _batch(trains, active, perm[active, start:start + opt.batch_size],
-                                      size)
+                        x, y = _batch(trains, members, active,
+                                      perm[active, start:start + opt.batch_size])
                         loss, grads = backward(stack, x, y, config.loss)
                         adam_step(state, stack, grads)
                     except TrainingDiverged as exc:
-                        _fail(failures, size, active[exc.member], f"diverged at epoch {epoch}, "
-                              f"batch {batch_index}: {exc}", exc, epoch, batch_index)
-                        rows = [k for k, j in enumerate(active) if not _failed(failures, size, j)]
+                        _fail(failures, *members[active[exc.member]], f"diverged at epoch "
+                              f"{epoch}, batch {batch_index}: {exc}", exc, epoch, batch_index)
+                        rows = [k for k, m in enumerate(active)
+                                if not _failed(failures, *members[m])]
                         active, stack = _keep(stack, state, active, rows)
                         continue
                     losses[active, batch_index] = loss
@@ -314,41 +357,41 @@ def _train_groups(config, groups, shape):
             epoch_loss = losses[active].sum(axis=-1) / len(starts)
 
             if n_valid:
-                own = [valids[j // size] for j in active]
+                own = [valids[members[m][0]] for m in active]
                 score = loss_value(stack, [v.features for v in own], [v.targets for v in own],
                                    config.loss)
             else:
                 score = epoch_loss
             rows = []
             epoch_losses, scores = epoch_loss.tolist(), score.tolist()
-            for k, j in enumerate(active):
-                if _failed(failures, size, j):
+            for k, m in enumerate(active):
+                if _failed(failures, *members[m]):
                     continue
                 if not math.isfinite(scores[k]):
-                    _fail(failures, size, j, f"non-finite validation loss {scores[k]!r} "
+                    _fail(failures, *members[m], f"non-finite validation loss {scores[k]!r} "
                           f"at epoch {epoch}", None, epoch)
                     continue
-                history = histories[j]
+                history = histories[m]
                 history.train_loss.append(epoch_losses[k])
                 history.val_loss.append(scores[k])
                 history.epochs_run = epoch
-                if scores[k] < best[j]:
-                    best[j] = scores[k]
-                    best_flat[j] = stack.flat[k]
-                    bad[j] = 0
+                if scores[k] < best[m]:
+                    best[m] = scores[k]
+                    best_flat[m] = stack.flat[k]
+                    bad[m] = 0
                 else:
-                    bad[j] += 1
-                    if bad[j] > opt.patience:
+                    bad[m] += 1
+                    if bad[m] > opt.patience:
                         continue
                 rows.append(k)
             if len(rows) < len(active):
                 active, stack = _keep(stack, state, active, rows)
             state.learning_rate *= opt.decay
 
-    return [failures[s] if failures[s] is not None else
-            (FeedForwardModel(stack.layer_sizes, best_flat[s * size:(s + 1) * size]),
-             histories[s * size:(s + 1) * size])
-            for s in range(len(groups))]
+    edges = list(itertools.accumulate((len(js) for *_, js in pieces), initial=0))
+    return [failures[p] if failures[p] is not None else
+            (FeedForwardModel(stack.layer_sizes, best_flat[lo:hi]), histories[lo:hi])
+            for p, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
 
 def carve_validation(rows, fraction: float, seed, split_index: int

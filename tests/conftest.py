@@ -3,7 +3,7 @@
 The acceptance module records one PASS/FAIL line per criterion; this hook
 replays them in the terminal summary so the verdict survives pytest's
 output capture.  ``forked_chunks`` lets the trainer's and the benchmark's
-tests train a stack's groups over forked workers at any size.
+tests train a stack's members over forked workers at any size.
 """
 
 import sys
@@ -25,15 +25,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def forked_chunks(monkeypatch):
     """``workers(k)`` lets ``train_ensemble`` fork k processes at any work
-    size; the returned list records the group count of each chunk trained
-    through ``_train_forked``."""
+    size; the returned list records, for each call of ``_train_forked``, the
+    member count of each of its chunks."""
     import pireg.training as training
 
     chunks = []
     real = training._train_forked
 
     def spy(config, shape, parts):
-        chunks.append([len(part) for part in parts])
+        chunks.append([sum(len(members) for *_, members in part) for part in parts])
         return real(config, shape, parts)
 
     def workers(k):

@@ -7,10 +7,12 @@ import json
 import math
 import statistics
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import pireg.training as training
 from pireg.bench import (
     CURVE_SAMPLE_CAP,
     ensemble_predict,
@@ -388,7 +390,8 @@ def oracle_split(config, dataset, split_index):
                                               config.seed, split_index)
     valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
     train = NormalizedRows(dataset, stats, train_rows)
-    stack, histories = train_ensemble(config, train, valid, config.seed + 1000 * split_index)
+    with mock.patch.object(training, "_cpus", lambda: 1):  # in process, whatever the test forks
+        stack, histories = train_ensemble(config, train, valid, config.seed + 1000 * split_index)
 
     test = apply_normalize(dataset, stats, test_rows)
     ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
@@ -557,7 +560,7 @@ def test_a_member_diverging_mid_training_fails_only_its_split(monkeypatch):
 def test_forked_splits_match_the_per_split_run(monkeypatch, forked_chunks, workers, variant):
     chunks = forked_chunks(workers)
     test_stacked_splits_match_the_per_split_run(monkeypatch, variant)
-    assert chunks == ([] if workers == 1 else [[1, 1, 1]])
+    assert chunks == ([] if workers == 1 else [[3, 3, 3]])
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -566,7 +569,7 @@ def test_a_forked_member_diverging_mid_training_fails_only_its_split(monkeypatch
     # At 3 workers, split 1 and its poisoned member train in a child.
     chunks = forked_chunks(workers)
     test_a_member_diverging_mid_training_fails_only_its_split(monkeypatch)
-    assert chunks == ([] if workers == 1 else [[1, 1, 1]])
+    assert chunks == ([] if workers == 1 else [[3, 3, 3]])
 
 
 def test_load_dataset_kinds(tmp_path):

@@ -8,9 +8,9 @@ another BLAS may round differently without any defect.
 Both runs train several splits as one stack, and their validation passes
 fall on either side of ``STACK_FORWARD_BYTES``: the first is forwarded in
 one call, the second member by member, so the subset pins the bits of
-both paths.  The first also trains its splits over forked workers, while the
-second's batch products are large enough for threaded BLAS and train in
-process."""
+both paths.  The first also trains its members over forked workers, split
+2's members divided between them, while the second's batch products are
+large enough for threaded BLAS and train in process."""
 
 import importlib.util
 from pathlib import Path
@@ -50,10 +50,10 @@ def test_subset_matches_the_checked_in_digest(tmp_path):
     assert script.run_digests(tmp_path, SUBSET) == subset
 
 
-def split_rows(script, name):
-    # One of the script's runs: its config and split 0's training and
-    # validation rows, as zero datasets of the run's width.
-    args = build_parser().parse_args(dict(script.RUNS)[name][len(script.CLI):])
+def split_rows(script, argv):
+    # The config of a run of these CLI arguments and its split 0's training
+    # and validation rows, as zero datasets of the run's width.
+    args = build_parser().parse_args(argv)
     config = _resolve(args)
     n, dim = (script.TABLE_ROWS, script.TABLE_FEATURES) if args.data_path else (config.data.n, 1)
     train, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
@@ -62,11 +62,16 @@ def split_rows(script, name):
     return config, [Dataset(np.zeros((len(r), dim)), np.zeros(len(r))) for r in (train, valid)]
 
 
+def run_argv(script, name):
+    # The CLI arguments of one of the script's runs.
+    return dict(script.RUNS)[name][len(script.CLI):]
+
+
 def validation_stack(script, name):
     # (splits, bytes of the hidden activations of the stacked validation
     # pass) of one of the script's runs: every split's members at once, each
     # on its own split's validation rows.
-    config, (_, valid) = split_rows(script, name)
+    config, (_, valid) = split_rows(script, run_argv(script, name))
     member = build_model(config, 1, 0)
     stack = FeedForwardModel(member.layer_sizes, np.zeros(
         (config.splits.count * config.ensemble_size, len(member.flat))))
@@ -80,15 +85,20 @@ def test_subset_validates_on_both_sides_of_the_stack_budget():
     assert one_call[1] <= STACK_FORWARD_BYTES < member_by_member[1]
 
 
-def training_workers(script, name):
-    # How many processes train one of the script's runs on 2 CPUs.
-    config, (train, valid) = split_rows(script, name)
-    return training._workers(config, config.splits.count, (train.n, train.dim, valid.n))
+def training_workers(script, argv, splits=None):
+    # How many processes train a run of these CLI arguments, of its own
+    # split count or of ``splits`` splits, on 2 CPUs.
+    config, (train, valid) = split_rows(script, argv)
+    members = (splits or config.splits.count) * config.ensemble_size
+    return training._workers(config, members, (train.n, train.dim, valid.n))
 
 
 def test_subset_trains_over_forked_workers_and_in_process(monkeypatch):
     # bench_flat_skew_gaussian_nll: 25 members x 2,000 epochs x 81 rows, over
     # FORK_MIN_WORK; bench_table: batches of 1,000 rows x 11 x 100 units,
-    # over FORK_MAX_PRODUCT.
+    # over FORK_MAX_PRODUCT.  `pireg train --name sine` trains one split's
+    # 5 members, 5 x 2,000 epochs x 81 rows, over FORK_MIN_WORK too.
     monkeypatch.setattr(training, "_cpus", lambda: 2)
-    assert [training_workers(_script(), name) for name in SUBSET] == [2, 1]
+    script = _script()
+    assert [training_workers(script, run_argv(script, name)) for name in SUBSET] == [2, 1]
+    assert training_workers(script, ["train", "--name", "sine"], splits=1) == 2

@@ -13,6 +13,7 @@ import re
 import signal
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -413,6 +414,19 @@ def raised(train_fn, *args):
     return exc.member, exc.epoch, exc.batch_index, str(exc)
 
 
+def diverging_epochs(config, data, base_seed):
+    # The epoch at which each member diverges trained alone, or None.
+    epochs = []
+    for j in range(config.ensemble_size):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                sequential_member(config, data, None, base_seed + j)
+                epochs.append(None)
+            except TrainingDiverged as exc:
+                epochs.append(exc.epoch)
+    return epochs
+
+
 @pytest.mark.parametrize("learning_rate", [8e52, 3.5e53])
 def test_stacked_divergence_raises_the_sequential_error(learning_rate):
     # Steps this large overflow a member's network after a number of epochs
@@ -422,16 +436,16 @@ def test_stacked_divergence_raises_the_sequential_error(learning_rate):
     data = sine_train()
     cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
                        learning_rate=learning_rate, decay=1.0)
-    epochs = set()
-    for j in range(cfg.ensemble_size):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                sequential_member(cfg, data, None, 11 + j)
-            except TrainingDiverged as exc:
-                epochs.add(exc.epoch)
-    assert len(epochs) > 1
+    assert len(set(diverging_epochs(cfg, data, 11)) - {None}) > 1
     got = raised(train_ensemble, cfg, data, None, 11)
     assert got == raised(sequential_ensemble, cfg, data, None, 11)
+
+
+def train_in_process(config, train, valid, base_seed):
+    """train_ensemble with every member in this process: the oracle of a
+    run that forks."""
+    with mock.patch.object(training, "_cpus", lambda: 1):
+        return train_ensemble(config, train, valid, base_seed)
 
 
 def assert_groups_train_like_each_alone(config, groups):
@@ -439,11 +453,11 @@ def assert_groups_train_like_each_alone(config, groups):
     assert len(outcomes) == len(groups)
     for (train, valid, base_seed), got in zip(groups, outcomes):
         if isinstance(got, TrainingDiverged):
-            want = raised(train_ensemble, config, train, valid, base_seed)
+            want = raised(train_in_process, config, train, valid, base_seed)
             assert (got.member, got.epoch, got.batch_index, str(got)) == want
             continue
         stack, histories = got
-        want_stack, want_histories = train_ensemble(config, train, valid, base_seed)
+        want_stack, want_histories = train_in_process(config, train, valid, base_seed)
         assert stack.flat.tobytes() == want_stack.flat.tobytes()
         assert histories == want_histories
     return outcomes
@@ -586,7 +600,7 @@ def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Groups spread over forked workers.
+# Members spread over forked workers.
 # ---------------------------------------------------------------------------
 
 
@@ -594,18 +608,83 @@ def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
 @pytest.mark.parametrize("member_by_member", [False, True])
 def test_forked_groups_train_like_each_group_alone(monkeypatch, forked_chunks, workers,
                                                    member_by_member):
+    # Four groups of three members: at 3 workers groups 1 and 2 straddle two
+    # chunks each.
     chunks = forked_chunks(workers)
     test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, member_by_member)
-    assert chunks == ([] if workers == 1 else [[1, 1, 2]])
+    assert chunks == ([] if workers == 1 else [[4, 4, 4]])
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_forked_diverging_group_fails_alone(forked_chunks, workers):
-    # Groups 1 and 3 fail; at 3 workers (chunks [0], [1], [2, 3]) both fail
-    # in children, so their errors come back through the pipes.
+    # Groups 1 and 3 fail.  At 3 workers the chunks hold members 0-3, 4-7
+    # and 8-11: group 1 (members 3-5) fails in the parent and in the first
+    # child, group 3 (members 9-11) in the second child, so their errors come
+    # back through the pipes and join.
     chunks = forked_chunks(workers)
     test_a_diverging_group_fails_alone()
-    assert chunks == ([] if workers == 1 else [[1, 1, 2]])
+    assert chunks == ([] if workers == 1 else [[4, 4, 4]])
+
+
+# (groups, members per group, workers): the member count of each chunk.
+STRADDLED = {(1, 5, 2): [2, 3], (1, 5, 3): [1, 2, 2], (3, 2, 2): [3, 3]}
+
+
+@pytest.mark.parametrize("layout", list(STRADDLED),
+                         ids=[f"{g}x{m}-over-{k}" for g, m, k in STRADDLED])
+@pytest.mark.parametrize("validation", ["none", "one_call", "member_by_member"])
+def test_straddled_groups_train_like_in_process(monkeypatch, forked_chunks, layout, validation):
+    # A group split between chunks trains its members j in each piece, and
+    # the pieces join into the stack and histories one process gives, with
+    # no validation, with the stack validated in one call, or member by
+    # member.
+    if validation == "member_by_member":
+        monkeypatch.setattr("pireg.network.STACK_FORWARD_BYTES", 0)
+    count, members, workers = layout
+    cfg = stack_config(hidden=(16,), members=members, batch_size=12, max_epochs=60,
+                       patience=3, learning_rate=0.05)
+    rows = [group_rows(seed) for seed in range(3, 3 + count)]
+    args = ([train for train, _ in rows], [None if validation == "none" else valid
+                                           for _, valid in rows],
+            [10 * seed for seed in range(3, 3 + count)])
+    want = train_in_process(cfg, *args)
+    chunks = forked_chunks(workers)
+    got = train_ensemble(cfg, *args)
+    assert chunks == [STRADDLED[layout]]
+    for (stack, histories), (want_stack, want_histories) in zip(got, want, strict=True):
+        assert stack.flat.shape == (members, want_stack.flat.shape[1])
+        assert stack.flat.tobytes() == want_stack.flat.tobytes()
+        assert histories == want_histories
+    epochs = {h.epochs_run for _, histories in got for h in histories}
+    assert len(epochs) > 1 and max(epochs) < 60
+
+
+@pytest.mark.parametrize("workers, base_seed, epochs, member", [
+    # Chunks [0, 1] and [2, 3, 4]: the parent's piece trains through and the
+    # child's fails, its member 3 before member 2.
+    pytest.param(2, 11, [None, None, 8, 5, 10], 2, id="child-fails"),
+    # The parent's piece fails and the child's trains through.
+    pytest.param(2, 27, [9, 8, None, None, None], 0, id="parent-fails"),
+    # Both fail, member 2 in the child three epochs before member 1.
+    pytest.param(2, 8, [None, 8, 5, None, None], 1, id="higher-member-fails-first"),
+    # Chunks [0], [1, 2] and [3, 4]: both children's pieces fail, member 3
+    # in the second child three epochs before member 2 in the first.
+    pytest.param(3, 11, [None, None, 8, 5, 10], 2, id="two-children-fail"),
+])
+def test_a_straddled_group_raises_its_lowest_failing_members_error(forked_chunks, workers,
+                                                                   base_seed, epochs, member):
+    # Steps this large overflow a member's network after a number of epochs
+    # that depends on its seed.
+    data = sine_train()
+    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
+                       learning_rate=8e52, decay=1.0)
+    assert diverging_epochs(cfg, data, base_seed) == epochs
+    want = raised(train_in_process, cfg, data, None, base_seed)
+    assert want == raised(sequential_ensemble, cfg, data, None, base_seed)
+    chunks = forked_chunks(workers)
+    got = raised(train_ensemble, cfg, data, None, base_seed)
+    assert chunks == [STRADDLED[1, 5, workers]]
+    assert got == want and got[:2] == (member, epochs[member])
 
 
 def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
@@ -616,7 +695,7 @@ def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
     assert_groups_train_like_each_alone(cfg, groups)
     monkeypatch.setattr(training, "FORK_MIN_WORK", 3 * 2 * 10 * 50)
     assert_groups_train_like_each_alone(cfg, groups)
-    assert chunks == [[1, 2]]
+    assert chunks == [[3, 3]]
 
 
 def test_a_product_large_enough_for_threaded_blas_trains_in_process(monkeypatch,
@@ -629,7 +708,7 @@ def test_a_product_large_enough_for_threaded_blas_trains_in_process(monkeypatch,
     assert_groups_train_like_each_alone(cfg, groups)
     monkeypatch.setattr(training, "FORK_MAX_PRODUCT", 25 * 8 * 3)
     assert_groups_train_like_each_alone(cfg, groups)
-    assert chunks == [[1, 1]]
+    assert chunks == [[2, 2]]
 
 
 class _Unpicklable(Exception):
@@ -638,17 +717,17 @@ class _Unpicklable(Exception):
 
 
 def train_failing_chunk(monkeypatch, fail, error, others=lambda: None):
-    """train_ensemble on three groups of base seeds 1, 2 and 3 over three
-    workers, where the chunk holding group ``fail`` raises ``error()`` and
-    every other chunk calls ``others()`` first: group 1 trains in the
-    parent, groups 2 and 3 in the two children."""
+    """train_ensemble on three groups of two members, base seeds 1, 2 and
+    3, over three workers, where the chunk holding group ``fail`` raises
+    ``error()`` and every other chunk calls ``others()`` first: group 1
+    trains in the parent, groups 2 and 3 in the two children."""
     real = training._train_groups
 
-    def train_groups(config, groups, shape):
-        if any(seed == fail for _, _, seed in groups):
+    def train_groups(config, pieces, shape):
+        if any(seed == fail for _, _, seed, _ in pieces):
             raise error()
         others()
-        return real(config, groups, shape)
+        return real(config, pieces, shape)
 
     monkeypatch.setattr(training, "_train_groups", train_groups)
     cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
@@ -665,7 +744,7 @@ def test_no_worker_outlives_a_raising_train_ensemble(monkeypatch, forked_chunks,
     with pytest.raises(KeyError, match="boom"):
         train_failing_chunk(monkeypatch, fail, lambda: KeyError("boom"), busy)
     assert time.perf_counter() - started < 30
-    assert chunks == [[1, 1, 1]]
+    assert chunks == [[2, 2, 2]]
     assert multiprocessing.active_children() == []
 
 
