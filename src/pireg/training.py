@@ -32,18 +32,29 @@ may be split between chunks; each chunk trains its piece of the group,
 members keeping their index j in the group, and the pieces join in member
 order.  Since a member trains alike in any stack, the outcomes are the
 ones one stack gives, bit for bit, and a group whose pieces fail takes the
-error of its lowest failing member, as in one stack.  Training stays in
-process for one member, for one CPU (a platform without
-os.sched_getaffinity, which every platform that cannot fork lacks, counts
-as one), with other Python threads alive, and when forking would not pay:
-work below FORK_MIN_WORK, or a matrix product above FORK_MAX_PRODUCT,
-where BLAS threads contend.  The children assume a BLAS that survives a
-fork, which was checked with pthreads OpenBLAS only; ``taskset -c 0``
-keeps every member in process.
+error of its lowest failing member, as in one stack.
+
+Every call trains at one BLAS thread in every process, and the caller
+gets its own thread count back once every child has been joined.  Two
+processes each running OpenBLAS's own threads on 1,000-row batches
+contend for the same cores (unpinned, a forked run lost up to 7.4 s on 2
+cores), and the number of threads that ran a product moves its last bits,
+so a pinned run has the same bits on any CPU count.  The pin calls,
+through ctypes, the thread controls of the OpenBLAS this process has
+loaded; forked children inherit it.  Training forks when its work reaches
+FORK_MIN_WORK, the stack has more than one member, more than one CPU is
+allowed (a platform without os.sched_getaffinity, which every platform
+that cannot fork lacks, counts as one), no other Python thread is alive,
+and the controls were found in an OpenBLAS built with pthreads or without
+threads, which survives a fork.  Anything else trains in process, as
+``taskset -c 0`` does, and unpinned where no controls were found.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 import os
@@ -148,6 +159,8 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
 
     Members may train in forked workers, a group's members split between
     two of them or more (see the module docstring), with the same outcomes.
+    BLAS runs at one thread during the call, in every process, and the
+    caller's thread count is back when it returns or raises.
     Any other exception a worker raises is raised here, as a
     ``RuntimeError`` holding the worker's traceback when it does not
     pickle, and no worker outlives the call.
@@ -160,7 +173,7 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     shape = _shape(groups)
     size = config.ensemble_size
     total = len(groups) * size
-    k = _workers(config, total, shape)
+    k = _workers(config, total, shape[0])
     # k contiguous runs of near-equal member count over every group's
     # members in group order; each run holds one piece per group it meets:
     # the group's index and the range of member indices j it trains there.
@@ -169,8 +182,9 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
               for g in range(lo // size, (hi - 1) // size + 1)]
              for lo, hi in zip(bounds, bounds[1:])]
     chunks = [[(*groups[g], js) for g, js in chunk] for chunk in owned]
-    pieces = (_train_groups(config, chunks[0], shape) if k == 1
-              else _train_forked(config, shape, chunks))
+    with _one_blas_thread():
+        pieces = (_train_groups(config, chunks[0], shape) if k == 1
+                  else _train_forked(config, shape, chunks))
     parts = [[] for _ in groups]
     for (g, _), piece in zip(itertools.chain(*owned), pieces):
         parts[g].append(piece)
@@ -207,37 +221,77 @@ def _join(pieces):
 # 149,850, -11.7 and -70.4 at 200,070.  Forking wins clearly only above the
 # bound, and no smaller one was better in both sets.
 FORK_MIN_WORK = 150_000
-# Forking stops paying once BLAS runs a member's largest matrix product (rows
-# x fan-in x fan-out, the rows being a batch or the validation rows) on
-# several threads, since the two processes' threads then contend for the same
-# cores.  Two groups of five members, each on 2,700 training and validation
-# rows of a table, forked over 2 cores against in process (scipy-openblas
-# 0.3.31, AVX-512), medians of 5-7: with hidden layers of 100 and 100, -278
-# and -450 ms at 520,000 multiply-adds, +95 and +304 ms at 530,000 and +0.2 to
-# +7.4 s from 550,000 to 800,000; with one hidden layer of 100 on 11 features,
-# -8 to -85 ms from 440,000 to 990,000 and +0.2 to +1.1 s from 1,017,500 to
-# 1,100,000.  Under OPENBLAS_NUM_THREADS=1 forking won at 530,000 and 800,000
-# (100 x 100) and at 1,100,000 (11 x 100).  The bound sits at the lower of the
-# two crossovers; other BLAS builds, layer shapes and CPU counts are untested.
-FORK_MAX_PRODUCT = 2 ** 19
 
 
 def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(config, members, shape):
-    # How many processes train ``members`` members of the given _shape: one
-    # per CPU this process may use, at most one per member, and only one when
-    # forking cannot pay or is unsafe.
-    n, dim, n_valid = shape
-    widths = [dim, *config.model.hidden_sizes,
-              len(initial_head(config.loss.variant, config.model.head_bias))]
-    product = max(min(n, config.optimizer.batch_size), n_valid) * max(
-        a * b for a, b in zip(widths, widths[1:]))
-    work = members * config.optimizer.max_epochs * n
-    if (members < 2 or work < FORK_MIN_WORK or product > FORK_MAX_PRODUCT
-            or threading.active_count() > 1):
+@functools.cache
+def _blas_threads():
+    # The (get, set) thread-count calls of the OpenBLAS this process has
+    # loaded, if it is built with pthreads or without threads (its
+    # get_parallel reads 1 or 0, where OpenMP reads 2); otherwise None.
+    # Builds prefix and suffix the names differently: numpy's wheel calls
+    # them scipy_openblas_get_num_threads64_ and so on.
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            try:
+                get, put, parallel = (getattr(lib, f"{prefix}_{name}{suffix}") for name in
+                                      ("get_num_threads", "set_num_threads", "get_parallel"))
+            except AttributeError:
+                continue
+            if parallel() in (0, 1):
+                return get, put
+    return None
+
+
+# How many train_ensemble calls run pinned now, and the thread count the
+# last of them to finish gives back, so that calls from several threads
+# keep one thread until all are done.
+_pin_lock = threading.Lock()
+_pins = [0, None]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # BLAS runs on one thread inside the block, where its controls were found.
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if not _pins[0]:
+            _pins[1] = get()
+            put(1)
+        _pins[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins[0] -= 1
+            if not _pins[0]:
+                put(_pins[1])
+
+
+def _workers(config, members, rows):
+    # How many processes train ``members`` members on ``rows`` training rows
+    # each: one per CPU this process may use, at most one per member, and
+    # only one when forking cannot pay or is unsafe.  At one BLAS thread per
+    # process (_one_blas_thread) the matrix products' size does not matter.
+    work = members * config.optimizer.max_epochs * rows
+    if (members < 2 or work < FORK_MIN_WORK or threading.active_count() > 1
+            or _blas_threads() is None):
         return 1
     return min(members, _cpus())
 

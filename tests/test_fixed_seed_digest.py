@@ -8,11 +8,16 @@ another BLAS may round differently without any defect.
 Both runs train several splits as one stack, and their validation passes
 fall on either side of ``STACK_FORWARD_BYTES``: the first is forwarded in
 one call, the second member by member, so the subset pins the bits of
-both paths.  The first also trains its members over forked workers, split
-2's members divided between them, while the second's batch products are
-large enough for threaded BLAS and train in process."""
+both paths.  Both train their members over forked workers, a split's
+members divided between them, at one BLAS thread per process.  The table
+bench's batch products are large enough for OpenBLAS to thread them, so
+it is also rerun with one CPU allowed, and must keep its bits."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +41,54 @@ def _script():
     return module
 
 
-def test_subset_matches_the_checked_in_digest(tmp_path):
-    script = _script()
+def expected_digests(script, names):
+    """The checked-in digests of the named runs; skips under another
+    fingerprint."""
     prints, expected = script.read_digest()
     here = script.fingerprint()
     differ = sorted(key for key in prints.keys() | here.keys() if prints.get(key) != here.get(key))
     if differ:
         pytest.skip("digest made under another fingerprint: " + "; ".join(
             f"{key} {prints.get(key)!r}, here {here.get(key)!r}" for key in differ))
-    assert set(SUBSET) <= {name for name, _ in script.RUNS}
-    subset = {path: digest for path, digest in expected.items() if path.startswith(SUBSET)}
+    assert set(names) <= {name for name, _ in script.RUNS}
+    return {path: digest for path, digest in expected.items() if path.startswith(names)}
+
+
+def test_subset_matches_the_checked_in_digest(tmp_path):
+    script = _script()
+    subset = expected_digests(script, SUBSET)
     assert len(subset) == 8
     assert script.run_digests(tmp_path, SUBSET) == subset
+
+
+# Run in a child limited to one CPU: prints how many CPUs it may use and the
+# digests of the table bench, which its own children run.
+ON_ONE_CPU = """
+import importlib.util, json, os, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("fixed_seed_digest", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+print(json.dumps([len(os.sched_getaffinity(0)),
+                  script.run_digests(Path(sys.argv[2]), ("bench_table",))]))
+"""
+
+
+def test_the_table_bench_keeps_its_digest_on_one_cpu(tmp_path):
+    # OpenBLAS sizes its thread pool by the CPUs a process may use, and a
+    # product's bits depend on how many threads ran it; the trainer's pin to
+    # one thread must make that count not matter.
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is missing on this platform")
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is allowed, so the digest test above already ran on one")
+    table = expected_digests(_script(), ("bench_table",))
+    assert len(table) == 4
+    proc = subprocess.run([sys.executable, "-c", ON_ONE_CPU, str(SCRIPT), str(tmp_path)],
+                          preexec_fn=lambda: os.sched_setaffinity(0, cpus[:1]),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [1, table]
 
 
 def split_rows(script, argv):
@@ -88,17 +129,20 @@ def test_subset_validates_on_both_sides_of_the_stack_budget():
 def training_workers(script, argv, splits=None):
     # How many processes train a run of these CLI arguments, of its own
     # split count or of ``splits`` splits, on 2 CPUs.
-    config, (train, valid) = split_rows(script, argv)
+    config, (train, _) = split_rows(script, argv)
     members = (splits or config.splits.count) * config.ensemble_size
-    return training._workers(config, members, (train.n, train.dim, valid.n))
+    return training._workers(config, members, train.n)
 
 
-def test_subset_trains_over_forked_workers_and_in_process(monkeypatch):
-    # bench_flat_skew_gaussian_nll: 25 members x 2,000 epochs x 81 rows, over
-    # FORK_MIN_WORK; bench_table: batches of 1,000 rows x 11 x 100 units,
-    # over FORK_MAX_PRODUCT.  `pireg train --name sine` trains one split's
-    # 5 members, 5 x 2,000 epochs x 81 rows, over FORK_MIN_WORK too.
+def test_subset_trains_over_forked_workers(monkeypatch):
+    # bench_flat_skew_gaussian_nll: 25 members x 2,000 epochs x 81 rows;
+    # bench_table: 10 members x 30 epochs x 2,430 rows, whose batches of
+    # 1,000 rows x 11 x 100 units OpenBLAS would thread.  `pireg train --name
+    # sine` trains one split's 5 members, 5 x 2,000 epochs x 81 rows.  All
+    # reach FORK_MIN_WORK.
+    if training._blas_threads() is None:
+        pytest.skip("training forks only with OpenBLAS thread controls, not found here")
     monkeypatch.setattr(training, "_cpus", lambda: 2)
     script = _script()
-    assert [training_workers(script, run_argv(script, name)) for name in SUBSET] == [2, 1]
+    assert [training_workers(script, run_argv(script, name)) for name in SUBSET] == [2, 2]
     assert training_workers(script, ["train", "--name", "sine"], splits=1) == 2

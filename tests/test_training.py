@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import re
 import signal
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -698,17 +699,135 @@ def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
     assert chunks == [[3, 3]]
 
 
-def test_a_product_large_enough_for_threaded_blas_trains_in_process(monkeypatch,
-                                                                    forked_chunks):
+def test_a_stack_whose_products_threaded_blas_would_split_forks(forked_chunks):
+    # Batches of 300 rows through a 60 x 64 layer are 1,152,000 multiply-adds
+    # a member, above the 2**19 at which two processes each running OpenBLAS
+    # threads once lost seconds; at one thread a process, the stack forks
+    # and trains as it does in one process.
+    cfg = stack_config(hidden=(64,), members=3, batch_size=300, max_epochs=4)
+    train, valid = group_rows(5, n=600, width=60)
+    want_stack, want_histories = train_in_process(cfg, train, valid, 9)
     chunks = forked_chunks(2)
-    cfg = stack_config(hidden=(8,), members=2, batch_size=25, max_epochs=10)
-    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2)]
-    # The widest product is a batch of 25 rows through the 8 x 3 head.
-    monkeypatch.setattr(training, "FORK_MAX_PRODUCT", 25 * 8 * 3 - 1)
-    assert_groups_train_like_each_alone(cfg, groups)
-    monkeypatch.setattr(training, "FORK_MAX_PRODUCT", 25 * 8 * 3)
-    assert_groups_train_like_each_alone(cfg, groups)
-    assert chunks == [[2, 2]]
+    stack, histories = train_ensemble(cfg, train, valid, 9)
+    assert chunks == [[1, 2]]
+    assert stack.flat.tobytes() == want_stack.flat.tobytes()
+    assert histories == want_histories
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of the BLAS thread count that ``train_ensemble`` pins, with
+    the count at 2 for the test and given back after it."""
+    if training._blas_threads() is None:
+        pytest.skip("no OpenBLAS thread controls found in this process")
+    get, put = training._blas_threads()
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def record_blas_threads(monkeypatch, get, log):
+    """Make each ``_train_groups`` call, in this process or a forked child,
+    append its pid and BLAS thread count to file ``log``; return a reader
+    of the (pid, count) pairs."""
+    real = training._train_groups
+
+    def train_groups(config, pieces, shape):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()} {get()}\n")
+        return real(config, pieces, shape)
+
+    monkeypatch.setattr(training, "_train_groups", train_groups)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_members_train_at_one_blas_thread_in_the_parent_and_in_children(
+        monkeypatch, tmp_path, forked_chunks, blas_threads):
+    chunks = forked_chunks(2)
+    records = record_blas_threads(monkeypatch, blas_threads, tmp_path / "threads")
+    train_ensemble(stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5),
+                   sine_train(n=50), None, 1)
+    assert chunks == [[1, 1]]
+    threads = dict(records())  # by pid; the child may write first
+    assert threads.pop(os.getpid()) == 1
+    assert list(threads.values()) == [1]
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("diverges", [False, True], ids=["returns", "diverges"])
+def test_the_callers_blas_threads_are_back_after_training(forked_chunks, blas_threads, workers,
+                                                          diverges):
+    # At 8e52 members 2, 3 and 4 diverge, so the call raises member 2's error.
+    chunks = forked_chunks(workers)
+    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
+                       learning_rate=8e52 if diverges else 0.02, decay=1.0)
+    if diverges:
+        assert raised(train_ensemble, cfg, sine_train(), None, 11)[0] == 2
+    else:
+        train_ensemble(cfg, sine_train(), None, 11)
+    assert chunks == ([] if workers == 1 else [[2, 3]])
+    assert blas_threads() == 2
+
+
+def test_the_callers_blas_threads_are_back_after_a_child_raises(monkeypatch, forked_chunks,
+                                                                blas_threads):
+    forked_chunks(3)
+    with pytest.raises(KeyError, match="boom"):
+        train_failing_chunk(monkeypatch, 3, lambda: KeyError("boom"))
+    assert blas_threads() == 2
+
+
+def test_threads_training_at_once_keep_one_blas_thread_until_the_last_returns(
+        monkeypatch, blas_threads):
+    # Call 1 is pinned first and returns first, while call 2 is pinned too;
+    # call 2 must keep its one thread, and the count it found set must not
+    # outlive it.
+    entered, overlapped, returned = (threading.Event() for _ in range(3))
+    seen = []
+    real = training._train_groups
+
+    def train_groups(config, pieces, shape):
+        if pieces[0][2] == 1:
+            entered.set()
+            overlapped.wait(30)
+        else:
+            overlapped.set()
+            returned.wait(30)
+            seen.append(blas_threads())
+        return real(config, pieces, shape)
+
+    monkeypatch.setattr(training, "_train_groups", train_groups)
+    cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
+    calls = [threading.Thread(target=train_ensemble, args=(cfg, sine_train(n=50), None, seed))
+             for seed in (1, 2)]
+    calls[0].start()
+    entered.wait(30)
+    calls[1].start()
+    calls[0].join()
+    returned.set()
+    calls[1].join()
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_without_blas_controls_a_stack_trains_in_process_unpinned(monkeypatch, tmp_path,
+                                                                  forked_chunks, blas_threads):
+    # Criterion 5's sine stack, shortened: its products are below OpenBLAS's
+    # own threading sizes, so the pin moves none of its bits.
+    cfg = stack_config(hidden=(100,), members=5, batch_size=100, max_epochs=40)
+    data = sine_train(n=100)
+    chunks = forked_chunks(2)
+    want_stack, want_histories = train_ensemble(cfg, data, None, 100)
+    assert chunks == [[2, 3]]
+    monkeypatch.setattr(training, "_blas_threads", lambda: None)
+    assert training._workers(cfg, 5, data.n) == 1
+    records = record_blas_threads(monkeypatch, blas_threads, tmp_path / "threads")
+    stack, histories = train_ensemble(cfg, data, None, 100)
+    assert chunks == [[2, 3]] and records() == [(os.getpid(), 2)]
+    assert stack.flat.tobytes() == want_stack.flat.tobytes()
+    assert histories == want_histories
 
 
 class _Unpicklable(Exception):
