@@ -151,8 +151,7 @@ def _run_splits(config: ExperimentConfig, dataset: Dataset, started: float) -> R
     try:
         outcomes = train_ensemble(config, [p.train for p in prepared],
                                   [p.valid for p in prepared],
-                                  [config.seed + 1000 * p.index for p in prepared]
-                                  ) if prepared else []
+                                  [config.seed + 1000 * p.index for p in prepared])
     except PiregError as exc:
         outcomes = [exc] * len(prepared)
     train_share = (time.perf_counter() - train_started) / max(len(prepared), 1)

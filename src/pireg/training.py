@@ -20,19 +20,19 @@ decides whether the stack meets those rows in one pass or member by
 member.  The best-validation parameters are kept and restored at the end,
 so each member's row of the returned stack is its early-stopping winner,
 not its last iterate.  A member whose batch loss, gradient or validation
-score is non-finite fails by one rule: its group records the error with
-the member/epoch/batch context attached, it and the group's higher
-members leave the stack, and everyone else trains on.
+score is non-finite fails alone: it records its own error with the
+member/epoch/batch context attached, leaves the stack, and everyone else
+trains on.  A group's error is its lowest failing member's, the one its
+members raise trained one after another, since no member's bits depend on
+the rest of the stack.
 
-A stack's members, every group's in group order, spread over the CPUs
-this process may use: they split into contiguous chunks of near-equal
-member count, one per CPU, and the calling process trains the first chunk
-while a forked child trains each other one through the same code.  A group
-may be split between chunks; each chunk trains its piece of the group,
-members keeping their index j in the group, and the pieces join in member
-order.  Since a member trains alike in any stack, the outcomes are the
-ones one stack gives, bit for bit, and a group whose pieces fail takes the
-error of its lowest failing member, as in one stack.
+A stack's members, every group's in group order, form one list, and that
+list spreads over the CPUs this process may use: it splits into contiguous
+chunks of near-equal member count, one per CPU, and the calling process
+trains the first chunk while a forked child trains each other one through
+the same code.  Each chunk gives one outcome per member, and the outcomes,
+in member order, are the ones one stack gives, bit for bit, since a member
+trains alike in any stack.
 
 Every call trains at one BLAS thread in every process, and the caller
 gets its own thread count back once every child has been joined.  Two
@@ -88,23 +88,6 @@ def build_model(config: ExperimentConfig, input_dim: int, seed) -> FeedForwardMo
     return init_model([input_dim, *config.model.hidden_sizes, len(head)], seed, head)
 
 
-# The one failure rule: a failing member's group records its error, and the
-# member and the group's higher members leave.  Lower members train on, and
-# a failure of one of them becomes the group's error.  ``piece`` indexes the
-# member's piece (its group's share of this stack), ``j`` is its index in
-# the group.
-def _fail(failures, piece, j, message, cause, epoch, batch_index=None):
-    error = TrainingDiverged(f"member {j}: {message}", epoch=epoch,
-                             batch_index=batch_index, member=j)
-    error.__cause__ = cause
-    failures[piece] = error
-
-
-def _failed(failures, piece, j):
-    error = failures[piece]
-    return error is not None and j >= error.member
-
-
 def _keep(stack, state, active, rows):
     # The members at the given stack rows, and the stack and its optimizer
     # state restricted to them.
@@ -113,15 +96,16 @@ def _keep(stack, state, active, rows):
     return [active[k] for k in rows], FeedForwardModel(stack.layer_sizes, stack.flat[rows])
 
 
-def _batch(trains, members, active, idx):
+def _batch(members, active, idx):
     # The stack's (features, targets) batch for the (rows, batch) index
-    # array ``idx``: each piece's run of stack rows gathers its members' rows
-    # from the piece's training set in one call.  Stack member m belongs to
-    # piece members[m][0], and rows keep member order.
+    # array ``idx``: each group's run of stack rows gathers its members' rows
+    # from the group's training set in one call.  Stack member m belongs to
+    # group members[m][0], and rows keep member order.
     parts, lo = [], 0
-    for piece, run in itertools.groupby(active, lambda m: members[m][0]):
-        hi = lo + len(list(run))
-        parts.append((trains[piece].features[idx[lo:hi]], trains[piece].targets[idx[lo:hi]]))
+    for _, run in itertools.groupby(active, lambda m: members[m][0]):
+        run = list(run)
+        train, hi = members[run[0]][1], lo + len(run)
+        parts.append((train.features[idx[lo:hi]], train.targets[idx[lo:hi]]))
         lo = hi
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
@@ -152,10 +136,9 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     the group raises when trained alone.
 
     If member j of a group diverges, on a batch or on its validation score,
-    the group's members j and above leave the stack and the rest train on;
-    j's error is the group's once they finish, unless a lower member of the
-    group diverges too.  That is the error the group's members would raise
-    trained one after another.
+    j alone leaves the stack and the rest train on; the group's error is
+    that of its lowest diverging member, the error its members raise
+    trained one after another.  A call with no groups gives no outcomes.
 
     Members may train in forked workers, a group's members split between
     two of them or more (see the module docstring), with the same outcomes.
@@ -170,25 +153,19 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
         raise ShapeError(f"{len(train)} training sets, {len(valid)} validation sets "
                          f"and {len(base_seed)} base seeds")
     groups = list(zip(train, valid, base_seed)) if grouped else [(train, valid, base_seed)]
+    if not groups:
+        return []
     shape = _shape(groups)
     size = config.ensemble_size
-    total = len(groups) * size
-    k = _workers(config, total, shape[0])
-    # k contiguous runs of near-equal member count over every group's
-    # members in group order; each run holds one piece per group it meets:
-    # the group's index and the range of member indices j it trains there.
-    bounds = [total * i // k for i in range(k + 1)]
-    owned = [[(g, range(max(lo - g * size, 0), min(hi - g * size, size)))
-              for g in range(lo // size, (hi - 1) // size + 1)]
-             for lo, hi in zip(bounds, bounds[1:])]
-    chunks = [[(*groups[g], js) for g, js in chunk] for chunk in owned]
+    members = [(g, t, v, seed + j, j) for g, (t, v, seed) in enumerate(groups)
+               for j in range(size)]
+    k = _workers(config, len(members), shape[0])
+    bounds = [len(members) * i // k for i in range(k + 1)]
+    chunks = [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with _one_blas_thread():
-        pieces = (_train_groups(config, chunks[0], shape) if k == 1
-                  else _train_forked(config, shape, chunks))
-    parts = [[] for _ in groups]
-    for (g, _), piece in zip(itertools.chain(*owned), pieces):
-        parts[g].append(piece)
-    outcomes = [_join(part) for part in parts]
+        results = (_train_members(config, members, shape) if k == 1
+                   else _train_forked(config, shape, chunks))
+    outcomes = [_group(results[lo:lo + size]) for lo in range(0, len(results), size)]
     if grouped:
         return outcomes
     if isinstance(outcomes[0], TrainingDiverged):
@@ -196,16 +173,15 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     return outcomes[0]
 
 
-def _join(pieces):
-    # One group's outcome from its pieces' outcomes in member order.  Each
-    # piece's error is its lowest failing member's, so the first error is the
-    # group's; otherwise the pieces' stacks and histories join end to end.
-    for piece in pieces:
-        if isinstance(piece, TrainingDiverged):
-            return piece
-    stacks, histories = zip(*pieces)
-    return (FeedForwardModel(stacks[0].layer_sizes, np.concatenate([s.flat for s in stacks])),
-            [h for part in histories for h in part])
+def _group(results):
+    # One group's outcome from its members' outcomes in member order: the
+    # first error, else the members' stacked rows and histories.
+    for result in results:
+        if isinstance(result, TrainingDiverged):
+            return result
+    models, histories = zip(*results)
+    return (FeedForwardModel(models[0].layer_sizes, np.concatenate([m.flat for m in models])),
+            list(histories))
 
 
 # Forking pays only above this much work, in members x max_epochs x training
@@ -298,7 +274,7 @@ def _workers(config, members, rows):
 
 def _train_forked(config, shape, chunks):
     # The first chunk trains here while a forked child trains each other one;
-    # the pieces' outcomes come back in member order.  No child outlives this
+    # the members' outcomes come back in member order.  No child outlives this
     # call.
     # multiprocessing is imported here, so that only a run that forks pays for
     # it (about 9 ms).
@@ -313,7 +289,7 @@ def _train_forked(config, shape, chunks):
             child.start()
             send.close()  # so that a child that dies without sending ends recv
             children.append((child, receive))
-        outcomes = _train_groups(config, chunks[0], shape)
+        outcomes = _train_members(config, chunks[0], shape)
         for child, receive in children:
             try:
                 got, error = receive.recv()
@@ -332,12 +308,12 @@ def _train_forked(config, shape, chunks):
             receive.close()
 
 
-def _train_child(send, config, pieces, shape):
+def _train_child(send, config, members, shape):
     # A forked child's body: send back (outcomes, None), or (None, the
     # exception), carried as its traceback text when it does not pickle.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (_train_groups(config, pieces, shape), None)
+        reply = (_train_members(config, members, shape), None)
     except BaseException as exc:  # raised again in the parent
         try:
             pickle.loads(pickle.dumps(exc))
@@ -356,32 +332,33 @@ def _shape(groups):
     return shapes.pop()
 
 
-def _train_groups(config, pieces, shape):
-    # Trains pieces (training rows, validation rows, base seed, range of
-    # member indices j) as one stack: one outcome per piece, its stack and
-    # histories or the error of its lowest failing member.
+def _train_members(config, members, shape):
+    # Trains members (group, training rows, validation rows, seed, index j
+    # in the group) as one stack: one outcome per member, its best model (a
+    # one-member stack) and history, or its own error.
     opt = config.optimizer
     n, dim, n_valid = shape
-    trains = [t for t, _, _, _ in pieces]
-    valids = [None if v is None or v.n == 0 else v for _, v, _, _ in pieces]
-    members = [(p, j) for p, (*_, js) in enumerate(pieces) for j in js]  # (piece, j) of each
-    seeds = [pieces[p][2] + j for p, j in members]
-    models = [build_model(config, dim, seed) for seed in seeds]
+    models = [build_model(config, dim, seed) for *_, seed, _ in members]
     stack = FeedForwardModel(models[0].layer_sizes, np.stack([m.flat for m in models]))
     state = init_adam(stack, opt)
-    shuffles = [np.random.default_rng([seed, 1]) for seed in seeds]
-    histories = [TrainingHistory() for _ in seeds]
+    shuffles = [np.random.default_rng([seed, 1]) for *_, seed, _ in members]
+    histories = [TrainingHistory() for _ in members]
     best_flat = stack.flat.copy()
-    best = [np.inf] * len(seeds)
-    bad = [0] * len(seeds)
-    active = list(range(len(seeds)))  # the member in each stack row
-    failures = [None] * len(pieces)
+    best = [np.inf] * len(members)
+    bad = [0] * len(members)
+    active = list(range(len(members)))  # the member in each stack row
+    errors = [None] * len(members)
+
+    def fail(m, message, epoch, batch_index=None):
+        j = members[m][4]
+        errors[m] = TrainingDiverged(f"member {j}: {message}", epoch=epoch,
+                                     batch_index=batch_index, member=j)
 
     starts = range(0, n, opt.batch_size)
     # Row m holds stack member m's shuffle, and its batch losses in one
     # contiguous row, so its epoch mean sums in the order a lone model's would.
-    perm = np.empty((len(seeds), n), dtype=np.intp)
-    losses = np.empty((len(seeds), len(starts)))
+    perm = np.empty((len(members), n), dtype=np.intp)
+    losses = np.empty((len(members), len(starts)))
     # Every loss, gradient and validation score is checked for non-finite
     # values below, so numpy's own warnings about them would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,16 +370,15 @@ def _train_groups(config, pieces, shape):
             for batch_index, start in enumerate(starts):
                 while active:
                     try:
-                        x, y = _batch(trains, members, active,
+                        x, y = _batch(members, active,
                                       perm[active, start:start + opt.batch_size])
                         loss, grads = backward(stack, x, y, config.loss)
                         adam_step(state, stack, grads)
                     except TrainingDiverged as exc:
-                        _fail(failures, *members[active[exc.member]], f"diverged at epoch "
-                              f"{epoch}, batch {batch_index}: {exc}", exc, epoch, batch_index)
-                        rows = [k for k, m in enumerate(active)
-                                if not _failed(failures, *members[m])]
-                        active, stack = _keep(stack, state, active, rows)
+                        fail(active[exc.member], f"diverged at epoch {epoch}, batch "
+                             f"{batch_index}: {exc}", epoch, batch_index)
+                        active, stack = _keep(stack, state, active,
+                                              [k for k in range(len(active)) if k != exc.member])
                         continue
                     losses[active, batch_index] = loss
                     break
@@ -411,7 +387,7 @@ def _train_groups(config, pieces, shape):
             epoch_loss = losses[active].sum(axis=-1) / len(starts)
 
             if n_valid:
-                own = [valids[members[m][0]] for m in active]
+                own = [members[m][2] for m in active]
                 score = loss_value(stack, [v.features for v in own], [v.targets for v in own],
                                    config.loss)
             else:
@@ -419,11 +395,8 @@ def _train_groups(config, pieces, shape):
             rows = []
             epoch_losses, scores = epoch_loss.tolist(), score.tolist()
             for k, m in enumerate(active):
-                if _failed(failures, *members[m]):
-                    continue
                 if not math.isfinite(scores[k]):
-                    _fail(failures, *members[m], f"non-finite validation loss {scores[k]!r} "
-                          f"at epoch {epoch}", None, epoch)
+                    fail(m, f"non-finite validation loss {scores[k]!r} at epoch {epoch}", epoch)
                     continue
                 history = histories[m]
                 history.train_loss.append(epoch_losses[k])
@@ -442,10 +415,9 @@ def _train_groups(config, pieces, shape):
                 active, stack = _keep(stack, state, active, rows)
             state.learning_rate *= opt.decay
 
-    edges = list(itertools.accumulate((len(js) for *_, js in pieces), initial=0))
-    return [failures[p] if failures[p] is not None else
-            (FeedForwardModel(stack.layer_sizes, best_flat[lo:hi]), histories[lo:hi])
-            for p, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    return [errors[m] if errors[m] is not None else
+            (FeedForwardModel(stack.layer_sizes, best_flat[m:m + 1]), histories[m])
+            for m in range(len(members))]
 
 
 def carve_validation(rows, fraction: float, seed, split_index: int

@@ -247,10 +247,14 @@ def test_all_splits_failing_raises(monkeypatch):
     def doomed(config, dataset, split_index):
         raise TrainingDiverged("synthetic failure", epoch=1)
 
+    calls = []
+    real = bench_mod.train_ensemble
     monkeypatch.setattr(bench_mod, "_prepare_split", doomed)
-    monkeypatch.setattr(bench_mod, "train_ensemble", None)
+    monkeypatch.setattr(bench_mod, "train_ensemble",
+                        lambda *args: calls.append(args[1:]) or real(*args))
     with pytest.raises(TrainingDiverged, match="every split failed"):
         bench_mod.run_benchmark(tiny_config())
+    assert calls == [([], [], [])]
 
 
 def test_split_whose_normalized_rows_overflow_is_recorded(monkeypatch):

@@ -408,10 +408,14 @@ def test_stacked_variants_match_sequential(variant):
                                       patience=5), train, valid)
 
 
-def raised(train_fn, *args):
+def diverged(train_fn, *args):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
         train_fn(*args)
-    exc = err.value
+    return err.value
+
+
+def raised(train_fn, *args):
+    exc = diverged(train_fn, *args)
     return exc.member, exc.epoch, exc.batch_index, str(exc)
 
 
@@ -432,7 +436,7 @@ def diverging_epochs(config, data, base_seed):
 def test_stacked_divergence_raises_the_sequential_error(learning_rate):
     # Steps this large overflow a member's network after a number of epochs
     # that depends on its seed.  At 8e52 members 2, 3 and 4 diverge at epochs
-    # 8, 5 and 10, so the stack drops 3 and 4 first, then 2, and must still
+    # 8, 5 and 10, so the stack drops 3 first, then 2, then 4, and must still
     # report member 2; at 3.5e53 the loss itself turns non-finite.
     data = sine_train()
     cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
@@ -510,6 +514,10 @@ def test_a_diverging_group_fails_alone():
     assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False, True]
     assert "non-finite validation loss" in str(outcomes[1])
     assert "diverged at epoch 1, batch 0" in str(outcomes[3])
+
+
+def test_no_groups_train_to_no_outcomes():
+    assert train_ensemble(stack_config(members=2), [], [], []) == []
 
 
 def test_groups_must_hold_equally_many_rows():
@@ -635,8 +643,8 @@ STRADDLED = {(1, 5, 2): [2, 3], (1, 5, 3): [1, 2, 2], (3, 2, 2): [3, 3]}
                          ids=[f"{g}x{m}-over-{k}" for g, m, k in STRADDLED])
 @pytest.mark.parametrize("validation", ["none", "one_call", "member_by_member"])
 def test_straddled_groups_train_like_in_process(monkeypatch, forked_chunks, layout, validation):
-    # A group split between chunks trains its members j in each piece, and
-    # the pieces join into the stack and histories one process gives, with
+    # A group split between chunks trains its members j in each chunk, and
+    # their outcomes join into the stack and histories one process gives, with
     # no validation, with the stack validated in one call, or member by
     # member.
     if validation == "member_by_member":
@@ -661,14 +669,14 @@ def test_straddled_groups_train_like_in_process(monkeypatch, forked_chunks, layo
 
 
 @pytest.mark.parametrize("workers, base_seed, epochs, member", [
-    # Chunks [0, 1] and [2, 3, 4]: the parent's piece trains through and the
-    # child's fails, its member 3 before member 2.
+    # Chunks [0, 1] and [2, 3, 4]: the parent's members train through and
+    # the child's fail, its member 3 before member 2.
     pytest.param(2, 11, [None, None, 8, 5, 10], 2, id="child-fails"),
-    # The parent's piece fails and the child's trains through.
+    # The parent's members fail and the child's train through.
     pytest.param(2, 27, [9, 8, None, None, None], 0, id="parent-fails"),
     # Both fail, member 2 in the child three epochs before member 1.
     pytest.param(2, 8, [None, 8, 5, None, None], 1, id="higher-member-fails-first"),
-    # Chunks [0], [1, 2] and [3, 4]: both children's pieces fail, member 3
+    # Chunks [0], [1, 2] and [3, 4]: both children's members fail, member 3
     # in the second child three epochs before member 2 in the first.
     pytest.param(3, 11, [None, None, 8, 5, 10], 2, id="two-children-fail"),
 ])
@@ -686,6 +694,10 @@ def test_a_straddled_group_raises_its_lowest_failing_members_error(forked_chunks
     got = raised(train_ensemble, cfg, data, None, base_seed)
     assert chunks == [STRADDLED[1, 5, workers]]
     assert got == want and got[:2] == (member, epochs[member])
+    # The error carries its cause's text and no cause, which a fork would
+    # drop in transit: the same error in process and forked.
+    assert [diverged(train, cfg, data, None, base_seed).__cause__
+            for train in (train_in_process, train_ensemble)] == [None, None]
 
 
 def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
@@ -728,17 +740,17 @@ def blas_threads():
 
 
 def record_blas_threads(monkeypatch, get, log):
-    """Make each ``_train_groups`` call, in this process or a forked child,
+    """Make each ``_train_members`` call, in this process or a forked child,
     append its pid and BLAS thread count to file ``log``; return a reader
     of the (pid, count) pairs."""
-    real = training._train_groups
+    real = training._train_members
 
-    def train_groups(config, pieces, shape):
+    def train_members(config, members, shape):
         with open(log, "a", encoding="ascii") as fh:
             fh.write(f"{os.getpid()} {get()}\n")
-        return real(config, pieces, shape)
+        return real(config, members, shape)
 
-    monkeypatch.setattr(training, "_train_groups", train_groups)
+    monkeypatch.setattr(training, "_train_members", train_members)
     return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
@@ -786,19 +798,19 @@ def test_threads_training_at_once_keep_one_blas_thread_until_the_last_returns(
     # outlive it.
     entered, overlapped, returned = (threading.Event() for _ in range(3))
     seen = []
-    real = training._train_groups
+    real = training._train_members
 
-    def train_groups(config, pieces, shape):
-        if pieces[0][2] == 1:
+    def train_members(config, members, shape):
+        if members[0][3] == 1:
             entered.set()
             overlapped.wait(30)
         else:
             overlapped.set()
             returned.wait(30)
             seen.append(blas_threads())
-        return real(config, pieces, shape)
+        return real(config, members, shape)
 
-    monkeypatch.setattr(training, "_train_groups", train_groups)
+    monkeypatch.setattr(training, "_train_members", train_members)
     cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
     calls = [threading.Thread(target=train_ensemble, args=(cfg, sine_train(n=50), None, seed))
              for seed in (1, 2)]
@@ -837,18 +849,19 @@ class _Unpicklable(Exception):
 
 def train_failing_chunk(monkeypatch, fail, error, others=lambda: None):
     """train_ensemble on three groups of two members, base seeds 1, 2 and
-    3, over three workers, where the chunk holding group ``fail`` raises
-    ``error()`` and every other chunk calls ``others()`` first: group 1
-    trains in the parent, groups 2 and 3 in the two children."""
-    real = training._train_groups
+    3, over three workers, where the chunk holding group ``fail`` (the
+    group of base seed ``fail``) raises ``error()`` and every other chunk
+    calls ``others()`` first: group 1 trains in the parent, groups 2 and 3
+    in the two children."""
+    real = training._train_members
 
-    def train_groups(config, pieces, shape):
-        if any(seed == fail for _, _, seed, _ in pieces):
+    def train_members(config, members, shape):
+        if any(group + 1 == fail for group, *_ in members):
             raise error()
         others()
-        return real(config, pieces, shape)
+        return real(config, members, shape)
 
-    monkeypatch.setattr(training, "_train_groups", train_groups)
+    monkeypatch.setattr(training, "_train_members", train_members)
     cfg = stack_config(hidden=(4,), members=2, batch_size=25, max_epochs=5)
     data = sine_train(n=50)
     train_ensemble(cfg, [data] * 3, [None] * 3, [1, 2, 3])
