@@ -849,10 +849,9 @@ class _Unpicklable(Exception):
 
 def train_failing_chunk(monkeypatch, fail, error, others=lambda: None):
     """train_ensemble on three groups of two members, base seeds 1, 2 and
-    3, over three workers, where the chunk holding group ``fail`` (the
-    group of base seed ``fail``) raises ``error()`` and every other chunk
-    calls ``others()`` first: group 1 trains in the parent, groups 2 and 3
-    in the two children."""
+    3, over three workers, where the chunk holding group ``fail`` raises
+    ``error()`` and every other chunk calls ``others()`` first: group 1
+    trains in the parent, groups 2 and 3 in the two children."""
     real = training._train_members
 
     def train_members(config, members, shape):
