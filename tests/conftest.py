@@ -2,13 +2,17 @@
 
 The acceptance module records one PASS/FAIL line per criterion; this hook
 replays them in the terminal summary so the verdict survives pytest's
-output capture.  ``forked_chunks`` lets the trainer's and the benchmark's
-tests train a stack's members over forked workers at any size.
+output capture.  ``fork_over`` and the ``forked_chunks`` fixture let the
+trainer's and the benchmark's tests train over forked workers at any size.
 """
 
+import contextlib
 import sys
+from unittest import mock
 
 import pytest
+
+import pireg.training as training
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -22,16 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 terminalreporter.write_line(line)
 
 
-@pytest.fixture
-def forked_chunks(monkeypatch):
-    """``workers(k)`` lets ``train_ensemble`` fork k processes at any work
-    size; the returned list records, for each call of ``_train_forked``, the
-    member count of each of its chunks.  Without OpenBLAS thread controls
-    nothing forks, and the test skips."""
-    import pireg.training as training
-
-    if training._blas_threads() is None:
-        pytest.skip("training forks only with OpenBLAS thread controls, not found here")
+@contextlib.contextmanager
+def fork_over(k):
+    """Inside the block ``train_ensemble`` forks k processes at any work
+    size, and the yielded list records the member count of each chunk of
+    each fork; without OpenBLAS thread controls nothing forks.  Unlike a
+    fixture, it patches and restores once per Hypothesis example."""
     chunks = []
     real = training._train_forked
 
@@ -39,10 +39,15 @@ def forked_chunks(monkeypatch):
         chunks.append([len(part) for part in parts])
         return real(config, shape, parts)
 
-    def workers(k):
-        monkeypatch.setattr(training, "_cpus", lambda: k)
-        monkeypatch.setattr(training, "FORK_MIN_WORK", 0)
-        monkeypatch.setattr(training, "_train_forked", spy)
-        return chunks
+    with mock.patch.multiple(training, _cpus=lambda: k, FORK_MIN_WORK=0, _train_forked=spy):
+        yield chunks
 
-    return workers
+
+@pytest.fixture
+def forked_chunks():
+    """``workers(k)``: ``fork_over(k)`` for the rest of the test, and its
+    list of chunk sizes.  Without OpenBLAS thread controls the test skips."""
+    if training._blas_threads() is None:
+        pytest.skip("training forks only with OpenBLAS thread controls, not found here")
+    with contextlib.ExitStack() as stack:
+        yield lambda k: stack.enter_context(fork_over(k))

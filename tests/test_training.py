@@ -3,11 +3,16 @@ diagnostics, ensemble fan-out, and validation carving.
 
 The stacked trainer's oracle is ``sequential_ensemble`` below: it trains
 the members one after another, each alone through the single-model path of
-``backward``, ``adam_step`` and ``loss_value``, and must agree bit for bit.
+``backward``, ``adam_step`` and ``loss_value``.  ``check_layout`` trains a
+``Layout`` through ``train_ensemble`` and requires of every group what the
+oracle gives, bit for bit; a Hypothesis property draws 80 layouts, and a
+table pins 38 hand-picked ones, each with its own extra checks.
 """
 
 import dataclasses
+import math
 import multiprocessing
+import operator
 import os
 import re
 import signal
@@ -18,6 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import pireg.training as training
 from pireg.bench import ensemble_predict
@@ -26,9 +32,11 @@ from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, 
 from pireg.errors import ShapeError, TrainingDiverged
 from pireg.losses import (VARIANTS, LossConfig, hard_capture, head_loss_and_grad, initial_head,
                           interval_link)
-from pireg.network import FeedForwardModel, backward, forward, loss_value
+from pireg.network import STACK_FORWARD_BYTES, FeedForwardModel, backward, forward, loss_value
 from pireg.optim import adam_step, init_adam
 from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
+
+from conftest import fork_over
 
 
 def train_single(config, train, valid, seed):
@@ -124,15 +132,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(model_a.weights[0], model_b.weights[0])
 
 
-def test_history_bookkeeping_without_validation():
-    cfg = small_config(max_epochs=15)
-    _, hist = train_single(cfg, sine_train(), None, seed=4)
-    assert hist.epochs_run == 15
-    assert len(hist.train_loss) == len(hist.val_loss) == 15
-    # no validation set: the epoch-mean training loss drives selection
-    assert hist.val_loss == hist.train_loss
-
-
 def test_patience_zero_stops_at_first_non_improvement():
     # Reference run with patience disabled gives the full score series; the
     # patience=0 run must stop exactly where that series first fails to improve.
@@ -187,57 +186,6 @@ def test_best_validation_parameters_are_restored():
     model, hist = train_single(cfg, train, valid, seed=9)
     recomputed = loss_value(model, valid.features, valid.targets, cfg.loss)
     assert recomputed == min(hist.val_loss)
-
-
-def test_divergence_reports_epoch_and_batch():
-    cfg = small_config(learning_rate=0.02)
-    # feature magnitudes overflow the first matmul into inf immediately
-    bad = Dataset(np.full((12, 1), 1e300), np.zeros(12))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_single(cfg, bad, None, seed=0)
-    assert err.value.epoch == 1
-    assert err.value.batch_index == 0
-    assert "epoch 1" in str(err.value)
-
-
-def test_ensemble_single_member_matches_train_single():
-    cfg = ExperimentConfig(name="unit", data=DataSpec(kind="sine", n=40),
-                           model=ModelSpec(hidden_sizes=(8,)),
-                           optimizer=OptimizerSpec(learning_rate=0.02, max_epochs=10,
-                                                   batch_size=10),
-                           ensemble_size=1)
-    data = sine_train()
-    stack, hists = train_ensemble(cfg, data, None, base_seed=100)
-    solo, solo_hist = train_single(cfg, data, None, seed=100)
-    assert stack.flat.shape == (1,) + solo.flat.shape
-    assert np.array_equal(stack.flat[0], solo.flat)
-    assert hists[0].train_loss == solo_hist.train_loss
-
-
-def test_ensemble_members_use_offset_seeds_and_differ():
-    cfg = ExperimentConfig(name="unit", data=DataSpec(kind="sine", n=40),
-                           model=ModelSpec(hidden_sizes=(8,)),
-                           optimizer=OptimizerSpec(learning_rate=0.02, max_epochs=8,
-                                                   batch_size=10),
-                           ensemble_size=3)
-    data = sine_train()
-    stack, hists = train_ensemble(cfg, data, None, base_seed=50)
-    assert stack.flat.shape[0] == len(hists) == 3
-    member1, _ = train_single(cfg, data, None, seed=51)
-    assert np.array_equal(stack.flat[1], member1.flat)
-    assert not np.array_equal(stack.weights[0][0], stack.weights[0][2])
-
-
-def test_ensemble_divergence_carries_member_index():
-    cfg = ExperimentConfig(name="unit", data=DataSpec(kind="sine", n=12),
-                           model=ModelSpec(hidden_sizes=(4,)),
-                           optimizer=OptimizerSpec(max_epochs=5, batch_size=4),
-                           ensemble_size=2)
-    bad = Dataset(np.full((12, 1), 1e300), np.zeros(12))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_ensemble(cfg, bad, None, base_seed=0)
-    assert err.value.member == 0
-    assert "member 0" in str(err.value)
 
 
 def test_carve_validation_fraction_zero_is_identity():
@@ -344,16 +292,16 @@ def sequential_member(config, train, valid, seed):
 
 
 def sequential_ensemble(config, train, valid, base_seed):
-    models, histories = [], []
+    """Each member's outcome trained alone, one after another: its model
+    and history, or its error as its group reports it."""
+    outcomes = []
     for j in range(config.ensemble_size):
         try:
-            model, history = sequential_member(config, train, valid, base_seed + j)
+            outcomes.append(sequential_member(config, train, valid, base_seed + j))
         except TrainingDiverged as exc:
-            raise TrainingDiverged(f"member {j}: {exc}", epoch=exc.epoch,
-                                   batch_index=exc.batch_index, member=j) from exc
-        models.append(model)
-        histories.append(history)
-    return models, histories
+            outcomes.append(TrainingDiverged(f"member {j}: {exc}", epoch=exc.epoch,
+                                             batch_index=exc.batch_index, member=j))
+    return outcomes
 
 
 def stack_config(variant="joint", hidden=(12,), members=4, **optimizer):
@@ -365,155 +313,252 @@ def stack_config(variant="joint", hidden=(12,), members=4, **optimizer):
                             optimizer=OptimizerSpec(**opt), ensemble_size=members)
 
 
-def assert_same_training(config, train, valid, base_seed=11):
-    stack, histories = train_ensemble(config, train, valid, base_seed)
-    want_models, want_histories = sequential_ensemble(config, train, valid, base_seed)
-    assert len(histories) == config.ensemble_size
-    assert all(stack.layer_sizes == want.layer_sizes for want in want_models)
-    assert np.array_equal(stack.flat, np.stack([want.flat for want in want_models]))
-    for history, want in zip(histories, want_histories):
-        assert history.train_loss == want.train_loss
-        assert history.val_loss == want.val_loss
-        assert history.epochs_run == want.epochs_run
-    return histories
-
-
-def test_stacked_full_batch_joint_matches_sequential():
-    histories = assert_same_training(
-        stack_config(hidden=(32,), members=3, batch_size=40, max_epochs=80, patience=80),
-        sine_train(), None)
-    assert [h.epochs_run for h in histories] == [80, 80, 80]
-
-
-def test_stacked_members_stopping_at_different_epochs_match_sequential():
-    # 52 rows of batch 6: eight full batches and a partial one of 4.  Nine
-    # batch losses per epoch take numpy's unrolled pairwise summation, which
-    # a mean over anything but a contiguous row would reorder.
-    train, valid = carve(sine_train(n=70), 0.25, seed=5, split_index=0)
-    assert train.n % 6 == 4
-    cfg = stack_config(hidden=(16, 8), members=5, batch_size=6, max_epochs=150,
-                       patience=3, learning_rate=0.05)
-    histories = assert_same_training(cfg, train, valid)
-    assert len({h.epochs_run for h in histories}) > 1
-    assert max(h.epochs_run for h in histories) < 150
-
-
-@pytest.mark.parametrize("variant", ["gaussian_nll", "decoupled", "midpoint", "interval_only"])
-def test_stacked_variants_match_sequential(variant):
-    data = sine_train(n=60)
-    rng = np.random.default_rng(2)
-    wide = Dataset(np.column_stack([data.features, rng.normal(size=(data.n, 2))]), data.targets)
-    train, valid = carve(wide, 0.2, seed=5, split_index=1)
-    assert_same_training(stack_config(variant, members=3, batch_size=17, max_epochs=50,
-                                      patience=5), train, valid)
-
-
-def diverged(train_fn, *args):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_fn(*args)
-    return err.value
-
-
-def raised(train_fn, *args):
-    exc = diverged(train_fn, *args)
-    return exc.member, exc.epoch, exc.batch_index, str(exc)
-
-
-def diverging_epochs(config, data, base_seed):
-    # The epoch at which each member diverges trained alone, or None.
-    epochs = []
-    for j in range(config.ensemble_size):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                sequential_member(config, data, None, base_seed + j)
-                epochs.append(None)
-            except TrainingDiverged as exc:
-                epochs.append(exc.epoch)
-    return epochs
-
-
-@pytest.mark.parametrize("learning_rate", [8e52, 3.5e53])
-def test_stacked_divergence_raises_the_sequential_error(learning_rate):
-    # Steps this large overflow a member's network after a number of epochs
-    # that depends on its seed.  At 8e52 members 2, 3 and 4 diverge at epochs
-    # 8, 5 and 10, so the stack drops 3 first, then 2, then 4, and must still
-    # report member 2; at 3.5e53 the loss itself turns non-finite.
-    data = sine_train()
-    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
-                       learning_rate=learning_rate, decay=1.0)
-    assert len(set(diverging_epochs(cfg, data, 11)) - {None}) > 1
-    got = raised(train_ensemble, cfg, data, None, 11)
-    assert got == raised(sequential_ensemble, cfg, data, None, 11)
-
-
-def train_in_process(config, train, valid, base_seed):
-    """train_ensemble with every member in this process: the oracle of a
-    run that forks."""
-    with mock.patch.object(training, "_cpus", lambda: 1):
-        return train_ensemble(config, train, valid, base_seed)
-
-
-def assert_groups_train_like_each_alone(config, groups):
-    outcomes = train_ensemble(config, *(list(parts) for parts in zip(*groups)))
-    assert len(outcomes) == len(groups)
-    for (train, valid, base_seed), got in zip(groups, outcomes):
-        if isinstance(got, TrainingDiverged):
-            want = raised(train_in_process, config, train, valid, base_seed)
-            assert (got.member, got.epoch, got.batch_index, str(got)) == want
-            continue
-        stack, histories = got
-        want_stack, want_histories = train_in_process(config, train, valid, base_seed)
-        assert stack.flat.tobytes() == want_stack.flat.tobytes()
-        assert histories == want_histories
-    return outcomes
-
-
-def group_rows(seed, n=70, width=2):
-    # One group's rows: sine targets beside noise columns, carved like a split.
+def group_rows(seed, n=70, width=2, fraction=0.25):
+    # One group's (train, valid) rows: sine targets beside noise columns,
+    # carved like a split, or all training rows at fraction 0.
     data = sine_train(n=n, seed=seed)
     noise = np.random.default_rng(seed).normal(size=(n, width - 1))
-    return carve(Dataset(np.column_stack([data.features, noise]), data.targets),
-                 0.25, seed=seed, split_index=0)
+    data = Dataset(np.column_stack([data.features, noise]), data.targets)
+    return carve(data, fraction, seed=seed, split_index=0) if fraction else (data, None)
 
 
-@pytest.mark.parametrize("member_by_member", [False, True])
-def test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, member_by_member):
-    # Four groups on their own rows, members stopping at uneven epochs, so
-    # the stack's groups shrink at different times.  Validation forwards the
-    # stack in one call on its members' rows stacked, or, with no stack
-    # fitting STACK_FORWARD_BYTES, member by member on its group's own copy.
-    if member_by_member:
-        monkeypatch.setattr("pireg.network.STACK_FORWARD_BYTES", 0)
-    cfg = stack_config(hidden=(16,), members=3, batch_size=12, max_epochs=120, patience=3,
-                       learning_rate=0.05)
-    groups = [(*group_rows(seed), 10 * seed) for seed in (3, 4, 5, 6)]
-    outcomes = assert_groups_train_like_each_alone(cfg, groups)
-    epochs = [h.epochs_run for _, histories in outcomes for h in histories]
-    assert len(set(epochs)) > 3 and max(epochs) < 120
+def strided_table(n=90, width=5, seed=4):
+    # Features as load_delimited returns them: a row-major view of a matrix
+    # whose last column is the target, on scales far from unit.
+    rng = np.random.default_rng(seed)
+    scales = np.geomspace(1e-2, 1e3, width)
+    matrix = np.column_stack([rng.standard_normal((n, width)) * scales + 3.0 * scales,
+                              np.zeros(n)])
+    x = matrix[:, :-1]
+    matrix[:, -1] = np.sin(x[:, 0] / scales[0]) + 0.1 * rng.standard_normal(n)
+    return Dataset(x, matrix[:, -1].copy())
 
 
-@pytest.mark.parametrize("variant", ["gaussian_nll", "interval_only"])
-def test_groups_without_validation_train_like_each_group_alone(variant):
-    cfg = stack_config(variant, hidden=(8,), members=2, batch_size=25, max_epochs=30,
-                       patience=4)
-    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2, 3)]
-    assert_groups_train_like_each_alone(cfg, groups)
+@dataclasses.dataclass(frozen=True)
+class Layout:
+    """One ``train_ensemble`` call: its configuration, a (data seed, base
+    seed) pair per group, the groups' rows and how the trainer reads them,
+    the ``STACK_FORWARD_BYTES`` side of validation, and the worker count."""
+    config: ExperimentConfig
+    seeds: tuple = (3,)
+    base_seeds: tuple = (11,)
+    rows: int = 40
+    features: int = 1
+    valid: float = 0.0  # the share of each group's rows carved for validation
+    member_by_member: bool = False
+    workers: int = 1
+    normalized: bool = False  # rows of a strided_table read through NormalizedRows
+    overflow: tuple = ()  # (group, "train" or "valid"): sine rows scaled by 1e300
+
+    def groups(self):
+        # Each group's (rows the trainer reads, the oracle's copy, validation rows, base seed).
+        for g, (seed, base_seed) in enumerate(zip(self.seeds, self.base_seeds, strict=True)):
+            if self.normalized:  # as bench._prepare_split hands a split to the trainer
+                table = strided_table(self.rows, self.features, seed)
+                stats = fit_normalize(table)
+                rows, valid = carve_validation(np.arange(self.rows), self.valid, seed, 0)
+                rows = np.random.default_rng(seed).permutation(rows)
+                valid = None if valid is None else apply_normalize(table, stats, valid)
+                yield (NormalizedRows(table, stats, rows), apply_normalize(table, stats, rows),
+                       valid, base_seed)
+                continue
+            train, valid = group_rows(seed, self.rows, self.features, self.valid)
+            if (g, "train") in self.overflow:
+                train = Dataset(train.features * 1e300, train.targets)
+            if (g, "valid") in self.overflow:
+                valid = Dataset(valid.features * 1e300, valid.targets)
+            yield train, train, valid, base_seed
 
 
-def test_a_diverging_group_fails_alone():
+located = operator.attrgetter("member", "epoch", "batch_index", "args")
+
+
+def check_layout(layout):
+    """Train ``layout`` through ``train_ensemble``, one group in the
+    one-group form, and require of each group what ``sequential_ensemble``
+    gives: equal stack bytes and histories, or its lowest failing member's
+    error, located alike and with no cause.  Returns the outcomes, each
+    fork's chunk sizes (None where nothing forks) and the members alone."""
+    config, groups = layout.config, list(layout.groups())
+    rows, copies, valids, base_seeds = map(list, zip(*groups))
+    side = 0 if layout.member_by_member else STACK_FORWARD_BYTES
+    with fork_over(layout.workers) as chunks, np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch("pireg.network.STACK_FORWARD_BYTES", side):
+        try:
+            outcomes = (train_ensemble(config, rows, valids, base_seeds) if len(groups) > 1
+                        else [train_ensemble(config, rows[0], valids[0], base_seeds[0])])
+        except TrainingDiverged as exc:  # the one-group form raises its group's error
+            outcomes = [exc]
+        wants = [sequential_ensemble(config, *group) for group in zip(copies, valids, base_seeds)]
+    for got, want in zip(outcomes, wants, strict=True):
+        errors = [o for o in want if isinstance(o, TrainingDiverged)]
+        if errors:
+            assert isinstance(got, TrainingDiverged) and got.__cause__ is None, got
+            assert located(got) == located(errors[0])
+        else:
+            (stack, histories), (models, want_histories) = got, zip(*want)
+            want_flat = np.stack([m.flat for m in models])
+            assert stack.flat.shape == want_flat.shape
+            assert stack.flat.tobytes() == want_flat.tobytes()
+            assert histories == list(want_histories)
+    if training._blas_threads() is None:
+        return outcomes, None, wants
+    total = len(groups) * config.ensemble_size
+    k = min(layout.workers, total)
+    assert chunks == ([] if k == 1 else [np.diff([total * i // k for i in range(k + 1)]).tolist()])
+    return outcomes, chunks, wants
+
+
+@st.composite
+def layouts(draw):
+    groups, rows = draw(st.integers(1, 4)), draw(st.integers(8, 30))
+    seeds = st.lists(st.integers(0, 99), min_size=groups, max_size=groups).map(tuple)
+    # Joint members at these rates, with no early stop, diverge after a
+    # number of epochs that depends on their seeds, so that a higher member
+    # often diverges first; at 1e74 some gaussian_nll members fail at once.
+    diverge = draw(st.booleans())
+    config = stack_config(
+        "joint" if diverge else draw(st.sampled_from(VARIANTS)), (8,),
+        draw(st.integers(3 if diverge else 1, 5)), batch_size=draw(st.integers(4, rows)),
+        max_epochs=draw(st.integers(8, 15) if diverge else st.integers(1, 12)),
+        patience=15 if diverge else draw(st.integers(0, 3)),
+        learning_rate=draw(st.sampled_from([1e53, 1.5e53, 8e52] if diverge else [0.05, 1e74])))
+    return Layout(config, seeds=draw(seeds), base_seeds=draw(seeds), rows=rows,
+                  features=draw(st.integers(1, 3)), valid=draw(st.sampled_from([0.0, 0.25])),
+                  member_by_member=draw(st.booleans()), workers=draw(st.integers(1, 3)),
+                  normalized=draw(st.booleans()))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(layouts())
+def test_any_layout_trains_like_its_members_one_after_another(layout):
+    for want in check_layout(layout)[2]:
+        struck = [(o.epoch, math.inf if o.batch_index is None else o.batch_index)
+                  for o in want if isinstance(o, TrainingDiverged)]
+        if struck and min(struck) < struck[0]:
+            event("a higher member diverges first")
+
+
+def pinned(name, expect=None, **fields):
+    # A table row: fields of Layout, and stack_config's keywords for the rest.
+    layout = {k: fields.pop(k) for k in list(fields) if k in Layout.__dataclass_fields__}
+    return pytest.param(Layout(stack_config(**fields), **layout), expect or {}, id=name)
+
+
+# At 8e52 a member's steps overflow its network after a number of epochs
+# that depends on its seed.
+DIVERGES = dict(hidden=(8,), members=5, max_epochs=15, patience=15, learning_rate=8e52,
+                decay=1.0)
+# Carved splits of sine rows beside a noise column.
+SPLITS = dict(rows=70, features=2, valid=0.25, hidden=(16,), batch_size=12, patience=3,
+              learning_rate=0.05)
+# Each row's checks beyond check_layout: "chunks", the chunk sizes of its
+# one fork; "epochs", each returned member's epochs_run; "stops", at least
+# this many distinct stop epochs, all before max_epochs; "differ", members
+# all distinct; "last_batch", an epoch's last batch size; "diverge", the
+# epoch each member of group 0 diverges at alone (None: never), the lowest
+# such member failing the group; "fails", failing groups and message parts.
+PINNED = [
+    pinned("one-member", hidden=(8,), members=1, max_epochs=10, base_seeds=(100,)),
+    pinned("offset-seeds", {"differ": True}, hidden=(8,), members=3, max_epochs=8,
+           base_seeds=(50,)),
+    pinned("history-without-validation", {"epochs": [15]}, hidden=(8,), members=1,
+           max_epochs=15, base_seeds=(4,)),
+    # Rows that overflow the first product at once.
+    pinned("epoch-and-batch", {"fails": {0: "member 0: diverged at epoch 1, batch 0"}},
+           rows=12, overflow=((0, "train"),), hidden=(8,), members=1, base_seeds=(0,)),
+    pinned("member-index", {"fails": {0: "member 0: diverged at epoch 1, batch 0"}}, rows=12,
+           overflow=((0, "train"),), hidden=(4,), members=2, batch_size=4, max_epochs=5,
+           learning_rate=0.01, base_seeds=(0,)),
+    pinned("full-batch", {"epochs": [80] * 3}, hidden=(32,), members=3, batch_size=40,
+           max_epochs=80, patience=80),
+    # Nine batch losses an epoch take numpy's unrolled pairwise summation,
+    # which a mean over anything but a contiguous row would reorder.
+    pinned("uneven-stops", {"last_batch": 4, "stops": 2}, rows=70, valid=0.25, hidden=(16, 8),
+           members=5, batch_size=6, max_epochs=150, patience=3, learning_rate=0.05),
+    *(pinned(variant, variant=variant, rows=60, features=3, valid=0.2, members=3,
+             batch_size=17, max_epochs=50, patience=5)
+      for variant in ["gaussian_nll", "decoupled", "midpoint", "interval_only"]),
+    # Members 3, 2 and 4 leave the stack in that order.
+    pinned("diverge-8e+52", {"diverge": [None, None, 8, 5, 10]}, **DIVERGES),
+    # The loss itself turns non-finite.
+    pinned("diverge-3.5e+53", {"diverge": [1, 2, 1, 1, 1]},
+           **dict(DIVERGES, learning_rate=3.5e53)),
+    pinned("validation-diverges", {"fails": {0: "member 0: non-finite validation loss"}},
+           valid=0.25, overflow=((0, "valid"),), members=3),
+    # Four groups whose members stop at uneven epochs, so that the stack's
+    # groups shrink at different times; over 3 workers groups 1 and 2
+    # straddle two chunks each.
+    *(pinned(f"groups-{side}{over}", dict(chunks, stops=4), seeds=(3, 4, 5, 6),
+             base_seeds=(30, 40, 50, 60), member_by_member=side == "member_by_member",
+             workers=workers, members=3, max_epochs=120, **SPLITS)
+      for workers, over, chunks in [(1, "", {}), (3, "-over-3", {"chunks": [4, 4, 4]})]
+      for side in ["one_call", "member_by_member"]),
+    *(pinned(f"groups-no-validation-{variant}", seeds=(1, 2, 3), base_seeds=(1, 2, 3), rows=50,
+             variant=variant, hidden=(8,), members=2, batch_size=25, max_epochs=30, patience=4)
+      for variant in ["gaussian_nll", "interval_only"]),
     # Group 1's validation rows overflow every member's head, and group 3's
-    # training rows overflow at the first batch; groups 0 and 2 train on as
-    # if alone, and each failing group reports the error it raises alone.
-    cfg = stack_config(hidden=(8,), members=3, batch_size=20, max_epochs=25, patience=4)
-    groups = [(*group_rows(seed, width=1), seed) for seed in (7, 8, 9, 10)]
-    train, valid, base = groups[1]
-    groups[1] = (train, Dataset(valid.features * 1e300, valid.targets), base)
-    train, valid, base = groups[3]
-    groups[3] = (Dataset(train.features * 1e300, train.targets), valid, base)
-    outcomes = assert_groups_train_like_each_alone(cfg, groups)
-    assert [isinstance(o, TrainingDiverged) for o in outcomes] == [False, True, False, True]
-    assert "non-finite validation loss" in str(outcomes[1])
-    assert "diverged at epoch 1, batch 0" in str(outcomes[3])
+    # training rows overflow at the first batch.  Over 3 workers group 1
+    # fails in the parent and in the first child, group 3 in the second.
+    *(pinned(f"group-fails{over}", dict(chunks, fails={1: "non-finite validation loss",
+                                                       3: "diverged at epoch 1, batch 0"}),
+             seeds=(7, 8, 9, 10), base_seeds=(7, 8, 9, 10), rows=70, valid=0.25,
+             overflow=((1, "valid"), (3, "train")), workers=workers, hidden=(8,), members=3,
+             batch_size=20, max_epochs=25, patience=4)
+      for workers, over, chunks in [(1, "", {}), (3, "-over-3", {"chunks": [4, 4, 4]})]),
+    # A group split between chunks trains its members j in each chunk, with
+    # no validation, with the stack validated in one call, or member by member.
+    *(pinned(f"{side}-{count}x{members}-over-{workers}", {"chunks": chunks, "stops": 2},
+             seeds=tuple(range(3, 3 + count)), base_seeds=tuple(range(30, 30 + 10 * count, 10)),
+             member_by_member=side == "member_by_member", workers=workers, members=members,
+             max_epochs=60, **dict(SPLITS, **no_validation))
+      for side, no_validation in [("none", {"rows": 52, "valid": 0.0}), ("one_call", {}),
+                                  ("member_by_member", {})]
+      for (count, members, workers), chunks in [((1, 5, 2), [2, 3]), ((1, 5, 3), [1, 2, 2]),
+                                                ((3, 2, 2), [3, 3])]),
+    *(pinned(name, {"chunks": chunks, "diverge": epochs}, base_seeds=(base_seed,),
+             workers=workers, **DIVERGES)
+      for name, workers, base_seed, chunks, epochs in [
+          # The parent's members train through; the child's fail, 3 before 2.
+          ("child-fails", 2, 11, [2, 3], [None, None, 8, 5, 10]),
+          ("parent-fails", 2, 27, [2, 3], [9, 8, None, None, None]),
+          # Both fail, member 2 in the child three epochs before member 1.
+          ("higher-member-fails-first", 2, 8, [2, 3], [None, 8, 5, None, None]),
+          # Member 3 fails in the second child three epochs before member 2
+          # in the first.
+          ("two-children-fail", 3, 11, [1, 2, 2], [None, None, 8, 5, 10])]),
+    # 68 training rows of batch 9: seven full batches and a partial one of 5.
+    *(pinned(f"normalized-{variant}", {"last_batch": 5, "stops": 2}, normalized=True,
+             seeds=(4,), base_seeds=(21,), rows=80, features=5, valid=0.15, variant=variant,
+             hidden=(16,), members=4, batch_size=9, max_epochs=120, patience=2,
+             learning_rate=0.05)
+      for variant in ["joint", "gaussian_nll"]),
+    pinned("normalized-no-validation", normalized=True, seeds=(4,), base_seeds=(21,), rows=50,
+           features=2, hidden=(8,), members=2, batch_size=50, max_epochs=30, patience=30),
+]
+
+
+@pytest.mark.parametrize("layout, expect", PINNED)
+def test_a_pinned_layout_trains_like_its_members_one_after_another(layout, expect):
+    outcomes, chunks, wants = check_layout(layout)
+    assert chunks is None or "chunks" not in expect or chunks == [expect["chunks"]]
+    fails = expect.get("fails", {})
+    if "diverge" in expect:
+        assert [getattr(o, "epoch", None) for o in wants[0]] == expect["diverge"]
+        j, epoch = next((j, e) for j, e in enumerate(expect["diverge"]) if e is not None)
+        fails = {0: f"member {j}: diverged at epoch {epoch},"}
+    errors = {g: str(o) for g, o in enumerate(outcomes) if isinstance(o, TrainingDiverged)}
+    assert errors.keys() == fails.keys()
+    assert all(fails[g] in errors[g] for g in fails)
+    epochs = [h.epochs_run for g, o in enumerate(outcomes) if g not in errors for h in o[1]]
+    assert epochs == expect.get("epochs", epochs)
+    opt = layout.config.optimizer
+    if "stops" in expect:
+        assert len(set(epochs)) >= expect["stops"] and max(epochs) < opt.max_epochs
+    if "differ" in expect:
+        assert len({row.tobytes() for row in outcomes[0][0].flat}) == layout.config.ensemble_size
+    if "last_batch" in expect:
+        assert next(layout.groups())[1].n % opt.batch_size == expect["last_batch"]
 
 
 def test_no_groups_train_to_no_outcomes():
@@ -531,64 +576,9 @@ def test_groups_must_hold_equally_many_rows():
         train_ensemble(cfg, [train, train], [None], [1, 2])
 
 
-def test_stacked_validation_divergence_raises_the_sequential_error():
-    data = sine_train()
-    valid = Dataset(data.features * 1e300, data.targets)
-    cfg = stack_config(members=3)
-    got = raised(train_ensemble, cfg, data, valid, 11)
-    assert got == raised(sequential_ensemble, cfg, data, valid, 11)
-    assert got[0] == 0 and got[2] is None
-    assert "non-finite validation loss" in got[3]
-
-
 # ---------------------------------------------------------------------------
 # Training rows normalized batch by batch against a normalized copy.
 # ---------------------------------------------------------------------------
-
-
-def strided_table(n=90, width=5, seed=4):
-    # Features as load_delimited returns them: a row-major view of a matrix
-    # whose last column is the target, on scales far from unit.
-    rng = np.random.default_rng(seed)
-    scales = np.geomspace(1e-2, 1e3, width)
-    matrix = np.column_stack([rng.standard_normal((n, width)) * scales + 3.0 * scales,
-                              np.zeros(n)])
-    x = matrix[:, :-1]
-    matrix[:, -1] = np.sin(x[:, 0] / scales[0]) + 0.1 * rng.standard_normal(n)
-    return Dataset(x, matrix[:, -1].copy())
-
-
-def assert_rows_train_like_the_copy(config, dataset, fit_rows, valid_fraction):
-    stats = fit_normalize(dataset, fit_rows)
-    train_rows, valid_rows = carve_validation(fit_rows, valid_fraction, 7, 0)
-    valid = None if valid_rows is None else apply_normalize(dataset, stats, valid_rows)
-    rows = NormalizedRows(dataset, stats, train_rows)
-    copy = apply_normalize(dataset, stats, train_rows)
-    stack, histories = train_ensemble(config, rows, valid, 21)
-    want_stack, want_histories = train_ensemble(config, copy, valid, 21)
-    assert stack.flat.tobytes() == want_stack.flat.tobytes()
-    assert histories == want_histories
-    return histories
-
-
-@pytest.mark.parametrize("variant", ["joint", "gaussian_nll"])
-def test_normalized_rows_train_like_a_normalized_copy(variant):
-    # 68 training rows of batch 9: seven full batches and a partial one of 5;
-    # validation scored every epoch, members stopping at different epochs.
-    dataset = strided_table()
-    fit_rows = np.random.default_rng(1).permutation(dataset.n)[:80]
-    cfg = stack_config(variant, hidden=(16,), members=4, batch_size=9, max_epochs=120,
-                       patience=2, learning_rate=0.05)
-    assert len(carve_validation(fit_rows, 0.15, 7, 0)[0]) == 68
-    histories = assert_rows_train_like_the_copy(cfg, dataset, fit_rows, 0.15)
-    assert len({h.epochs_run for h in histories}) > 1
-    assert max(h.epochs_run for h in histories) < 120
-
-
-def test_normalized_rows_without_validation_train_like_a_normalized_copy():
-    dataset = strided_table(n=50, width=2)
-    cfg = stack_config(hidden=(8,), members=2, batch_size=50, max_epochs=30, patience=30)
-    assert_rows_train_like_the_copy(cfg, dataset, np.arange(50)[::-1], 0.0)
 
 
 def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
@@ -613,117 +603,27 @@ def test_run_split_reports_like_a_normalized_training_copy(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("member_by_member", [False, True])
-def test_forked_groups_train_like_each_group_alone(monkeypatch, forked_chunks, workers,
-                                                   member_by_member):
-    # Four groups of three members: at 3 workers groups 1 and 2 straddle two
-    # chunks each.
-    chunks = forked_chunks(workers)
-    test_groups_in_one_stack_train_like_each_group_alone(monkeypatch, member_by_member)
-    assert chunks == ([] if workers == 1 else [[4, 4, 4]])
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_a_forked_diverging_group_fails_alone(forked_chunks, workers):
-    # Groups 1 and 3 fail.  At 3 workers the chunks hold members 0-3, 4-7
-    # and 8-11: group 1 (members 3-5) fails in the parent and in the first
-    # child, group 3 (members 9-11) in the second child, so their errors come
-    # back through the pipes and join.
-    chunks = forked_chunks(workers)
-    test_a_diverging_group_fails_alone()
-    assert chunks == ([] if workers == 1 else [[4, 4, 4]])
-
-
-# (groups, members per group, workers): the member count of each chunk.
-STRADDLED = {(1, 5, 2): [2, 3], (1, 5, 3): [1, 2, 2], (3, 2, 2): [3, 3]}
-
-
-@pytest.mark.parametrize("layout", list(STRADDLED),
-                         ids=[f"{g}x{m}-over-{k}" for g, m, k in STRADDLED])
-@pytest.mark.parametrize("validation", ["none", "one_call", "member_by_member"])
-def test_straddled_groups_train_like_in_process(monkeypatch, forked_chunks, layout, validation):
-    # A group split between chunks trains its members j in each chunk, and
-    # their outcomes join into the stack and histories one process gives, with
-    # no validation, with the stack validated in one call, or member by
-    # member.
-    if validation == "member_by_member":
-        monkeypatch.setattr("pireg.network.STACK_FORWARD_BYTES", 0)
-    count, members, workers = layout
-    cfg = stack_config(hidden=(16,), members=members, batch_size=12, max_epochs=60,
-                       patience=3, learning_rate=0.05)
-    rows = [group_rows(seed) for seed in range(3, 3 + count)]
-    args = ([train for train, _ in rows], [None if validation == "none" else valid
-                                           for _, valid in rows],
-            [10 * seed for seed in range(3, 3 + count)])
-    want = train_in_process(cfg, *args)
-    chunks = forked_chunks(workers)
-    got = train_ensemble(cfg, *args)
-    assert chunks == [STRADDLED[layout]]
-    for (stack, histories), (want_stack, want_histories) in zip(got, want, strict=True):
-        assert stack.flat.shape == (members, want_stack.flat.shape[1])
-        assert stack.flat.tobytes() == want_stack.flat.tobytes()
-        assert histories == want_histories
-    epochs = {h.epochs_run for _, histories in got for h in histories}
-    assert len(epochs) > 1 and max(epochs) < 60
-
-
-@pytest.mark.parametrize("workers, base_seed, epochs, member", [
-    # Chunks [0, 1] and [2, 3, 4]: the parent's members train through and
-    # the child's fail, its member 3 before member 2.
-    pytest.param(2, 11, [None, None, 8, 5, 10], 2, id="child-fails"),
-    # The parent's members fail and the child's train through.
-    pytest.param(2, 27, [9, 8, None, None, None], 0, id="parent-fails"),
-    # Both fail, member 2 in the child three epochs before member 1.
-    pytest.param(2, 8, [None, 8, 5, None, None], 1, id="higher-member-fails-first"),
-    # Chunks [0], [1, 2] and [3, 4]: both children's members fail, member 3
-    # in the second child three epochs before member 2 in the first.
-    pytest.param(3, 11, [None, None, 8, 5, 10], 2, id="two-children-fail"),
-])
-def test_a_straddled_group_raises_its_lowest_failing_members_error(forked_chunks, workers,
-                                                                   base_seed, epochs, member):
-    # Steps this large overflow a member's network after a number of epochs
-    # that depends on its seed.
-    data = sine_train()
-    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
-                       learning_rate=8e52, decay=1.0)
-    assert diverging_epochs(cfg, data, base_seed) == epochs
-    want = raised(train_in_process, cfg, data, None, base_seed)
-    assert want == raised(sequential_ensemble, cfg, data, None, base_seed)
-    chunks = forked_chunks(workers)
-    got = raised(train_ensemble, cfg, data, None, base_seed)
-    assert chunks == [STRADDLED[1, 5, workers]]
-    assert got == want and got[:2] == (member, epochs[member])
-    # The error carries its cause's text and no cause, which a fork would
-    # drop in transit: the same error in process and forked.
-    assert [diverged(train, cfg, data, None, base_seed).__cause__
-            for train in (train_in_process, train_ensemble)] == [None, None]
-
-
-def test_work_below_the_threshold_trains_in_process(monkeypatch, forked_chunks):
+def test_work_below_the_threshold_trains_in_process(forked_chunks):
     chunks = forked_chunks(2)
     cfg = stack_config(hidden=(8,), members=2, batch_size=25, max_epochs=10)
-    groups = [(sine_train(n=50, seed=seed), None, seed) for seed in (1, 2, 3)]
-    monkeypatch.setattr(training, "FORK_MIN_WORK", 3 * 2 * 10 * 50 + 1)
-    assert_groups_train_like_each_alone(cfg, groups)
-    monkeypatch.setattr(training, "FORK_MIN_WORK", 3 * 2 * 10 * 50)
-    assert_groups_train_like_each_alone(cfg, groups)
-    assert chunks == [[3, 3]]
+    data = [sine_train(n=50, seed=seed) for seed in (1, 2, 3)]
+    runs = []
+    for work in (3 * 2 * 10 * 50 + 1, 3 * 2 * 10 * 50):
+        with mock.patch.object(training, "FORK_MIN_WORK", work):
+            runs.append([(stack.flat.tobytes(), histories) for stack, histories
+                         in train_ensemble(cfg, data, [None] * 3, [1, 2, 3])])
+    assert chunks == [[3, 3]] and runs[0] == runs[1]
 
 
-def test_a_stack_whose_products_threaded_blas_would_split_forks(forked_chunks):
+def test_a_stack_whose_products_threaded_blas_would_split_forks():
     # Batches of 300 rows through a 60 x 64 layer are 1,152,000 multiply-adds
     # a member, above the 2**19 at which two processes each running OpenBLAS
     # threads once lost seconds; at one thread a process, the stack forks
-    # and trains as it does in one process.
-    cfg = stack_config(hidden=(64,), members=3, batch_size=300, max_epochs=4)
-    train, valid = group_rows(5, n=600, width=60)
-    want_stack, want_histories = train_in_process(cfg, train, valid, 9)
-    chunks = forked_chunks(2)
-    stack, histories = train_ensemble(cfg, train, valid, 9)
-    assert chunks == [[1, 2]]
-    assert stack.flat.tobytes() == want_stack.flat.tobytes()
-    assert histories == want_histories
+    # and trains as its members do one after another.
+    _, chunks, _ = check_layout(Layout(
+        stack_config(hidden=(64,), members=3, batch_size=300, max_epochs=4),
+        seeds=(5,), base_seeds=(9,), rows=600, features=60, valid=0.25, workers=2))
+    assert chunks is None or chunks == [[1, 2]]
 
 
 @pytest.fixture
@@ -769,17 +669,10 @@ def test_members_train_at_one_blas_thread_in_the_parent_and_in_children(
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("diverges", [False, True], ids=["returns", "diverges"])
-def test_the_callers_blas_threads_are_back_after_training(forked_chunks, blas_threads, workers,
-                                                          diverges):
-    # At 8e52 members 2, 3 and 4 diverge, so the call raises member 2's error.
-    chunks = forked_chunks(workers)
-    cfg = stack_config(hidden=(8,), members=5, max_epochs=15, patience=15,
-                       learning_rate=8e52 if diverges else 0.02, decay=1.0)
-    if diverges:
-        assert raised(train_ensemble, cfg, sine_train(), None, 11)[0] == 2
-    else:
-        train_ensemble(cfg, sine_train(), None, 11)
-    assert chunks == ([] if workers == 1 else [[2, 3]])
+def test_the_callers_blas_threads_are_back_after_training(blas_threads, workers, diverges):
+    config = stack_config(**dict(DIVERGES, learning_rate=8e52 if diverges else 0.02))
+    outcomes, _, _ = check_layout(Layout(config, workers=workers))
+    assert getattr(outcomes[0], "member", None) == (2 if diverges else None)
     assert blas_threads() == 2
 
 
