@@ -30,8 +30,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fork_over(k):
     """Inside the block ``train_ensemble`` forks k processes at any work
     size, and the yielded list records the member count of each chunk of
-    each fork; without OpenBLAS thread controls nothing forks.  Unlike a
-    fixture, it patches and restores once per Hypothesis example."""
+    each fork; without OpenBLAS thread controls nothing forks, and with k
+    None it forks as unpatched.  Unlike a fixture, it patches and restores
+    once per Hypothesis example."""
     chunks = []
     real = training._train_forked
 
@@ -39,7 +40,8 @@ def fork_over(k):
         chunks.append([len(part) for part in parts])
         return real(config, shape, parts)
 
-    with mock.patch.multiple(training, _cpus=lambda: k, FORK_MIN_WORK=0, _train_forked=spy):
+    forced = {} if k is None else dict(_cpus=lambda: k, FORK_MIN_WORK=0)
+    with mock.patch.multiple(training, _train_forked=spy, **forced):
         yield chunks
 
 

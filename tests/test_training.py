@@ -6,7 +6,7 @@ the members one after another, each alone through the single-model path of
 ``backward``, ``adam_step`` and ``loss_value``.  ``check_layout`` trains a
 ``Layout`` through ``train_ensemble`` and requires of every group what the
 oracle gives, bit for bit; a Hypothesis property draws 80 layouts, and a
-table pins 38 hand-picked ones, each with its own extra checks.
+table pins 41 hand-picked ones, each with its own extra checks.
 """
 
 import dataclasses
@@ -346,7 +346,7 @@ class Layout:
     features: int = 1
     valid: float = 0.0  # the share of each group's rows carved for validation
     member_by_member: bool = False
-    workers: int = 1
+    workers: int | None = 1  # None: as many as the trainer picks unpatched
     normalized: bool = False  # rows of a strided_table read through NormalizedRows
     overflow: tuple = ()  # (group, "train" or "valid"): sine rows scaled by 1e300
 
@@ -404,7 +404,7 @@ def check_layout(layout):
     if training._blas_threads() is None:
         return outcomes, None, wants
     total = len(groups) * config.ensemble_size
-    k = min(layout.workers, total)
+    k = min(layout.workers or training._workers(config, total, copies[0].n), total)
     assert chunks == ([] if k == 1 else [np.diff([total * i // k for i in range(k + 1)]).tolist()])
     return outcomes, chunks, wants
 
@@ -447,11 +447,12 @@ def pinned(name, expect=None, **fields):
 
 # At 8e52 a member's steps overflow its network after a number of epochs
 # that depends on its seed.
-DIVERGES = dict(hidden=(8,), members=5, max_epochs=15, patience=15, learning_rate=8e52,
-                decay=1.0)
+DIVERGES = dict(hidden=(8,), members=5, max_epochs=15, patience=15, learning_rate=8e52, decay=1.0)
 # Carved splits of sine rows beside a noise column.
 SPLITS = dict(rows=70, features=2, valid=0.25, hidden=(16,), batch_size=12, patience=3,
               learning_rate=0.05)
+# (workers, id suffix, checks) for four groups of three members.
+WORKERS = [(None, "", {}), (1, "-over-1", {}), (3, "-over-3", {"chunks": [4, 4, 4]})]
 # Each row's checks beyond check_layout: "chunks", the chunk sizes of its
 # one fork; "epochs", each returned member's epochs_run; "stops", at least
 # this many distinct stop epochs, all before max_epochs; "differ", members
@@ -487,12 +488,11 @@ PINNED = [
     pinned("validation-diverges", {"fails": {0: "member 0: non-finite validation loss"}},
            valid=0.25, overflow=((0, "valid"),), members=3),
     # Four groups whose members stop at uneven epochs, so that the stack's
-    # groups shrink at different times; over 3 workers groups 1 and 2
-    # straddle two chunks each.
+    # groups shrink at different times, on each of WORKERS.
     *(pinned(f"groups-{side}{over}", dict(chunks, stops=4), seeds=(3, 4, 5, 6),
              base_seeds=(30, 40, 50, 60), member_by_member=side == "member_by_member",
              workers=workers, members=3, max_epochs=120, **SPLITS)
-      for workers, over, chunks in [(1, "", {}), (3, "-over-3", {"chunks": [4, 4, 4]})]
+      for workers, over, chunks in WORKERS
       for side in ["one_call", "member_by_member"]),
     *(pinned(f"groups-no-validation-{variant}", seeds=(1, 2, 3), base_seeds=(1, 2, 3), rows=50,
              variant=variant, hidden=(8,), members=2, batch_size=25, max_epochs=30, patience=4)
@@ -505,7 +505,7 @@ PINNED = [
              seeds=(7, 8, 9, 10), base_seeds=(7, 8, 9, 10), rows=70, valid=0.25,
              overflow=((1, "valid"), (3, "train")), workers=workers, hidden=(8,), members=3,
              batch_size=20, max_epochs=25, patience=4)
-      for workers, over, chunks in [(1, "", {}), (3, "-over-3", {"chunks": [4, 4, 4]})]),
+      for workers, over, chunks in WORKERS),
     # A group split between chunks trains its members j in each chunk, with
     # no validation, with the stack validated in one call, or member by member.
     *(pinned(f"{side}-{count}x{members}-over-{workers}", {"chunks": chunks, "stops": 2},
