@@ -16,7 +16,10 @@ checkout's ``src``:
   multi-column normalization is covered too;
 * ``scripts/sine_demo.py``;
 * ``pireg report`` on the ``bench_sine`` and ``sweep_alpha_sine`` reports,
-  its stdout saved as ``<run>_report.txt``.
+  its stdout saved as ``<run>_report.txt``;
+* ``pireg --help`` and each verb's ``--help``, their stdout saved as
+  ``help_pireg.txt`` and ``help_<verb>.txt``, at ``COLUMNS=80``, since
+  argparse wraps help to the terminal's width.
 
 Every run uses its default seed.  The ``seconds`` and ``total_seconds``
 fields of JSON reports are wall-clock times, so they are set to null and
@@ -66,6 +69,9 @@ RUNS = [
 ]
 # Runs whose JSON report ``pireg report`` prints, into ``<run>_report.txt``.
 PRINTED = ("bench_sine", "sweep_alpha_sine")
+# (name, CLI arguments) of each help text, saved as ``<name>.txt``.
+VERBS = ("train", "bench", "sweep-alpha", "sweep-hparam", "gen-data", "report")
+HELPS = [("help_pireg", ["--help"]), *[(f"help_{verb}", [verb, "--help"]) for verb in VERBS]]
 
 
 TABLE, TABLE_ROWS, TABLE_FEATURES = "table.csv", 3000, 11
@@ -115,8 +121,9 @@ def fingerprint():
 
 
 def run_digests(out, names=None):
-    """Run the named runs (by default all) into directory ``out``; return
-    {file path relative to ``out``: sha256} over the files they wrote."""
+    """Run the named runs and help texts (by default all) into directory
+    ``out``; return {file path relative to ``out``: sha256} over the files
+    they wrote."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # Runs start in ``out``, so the report's config holds the table's
@@ -130,6 +137,11 @@ def run_digests(out, names=None):
                 with open(out / f"{name}_report.txt", "wb") as fh:
                     subprocess.run([sys.executable, *CLI, "report", f"{name}.json"],
                                    env=env, cwd=out, check=True, stdout=fh)
+    for name, args in HELPS:
+        if names is None or name in names:
+            with open(out / f"{name}.txt", "wb") as fh:
+                subprocess.run([sys.executable, *CLI, *args], env={**env, "COLUMNS": "80"},
+                               cwd=out, check=True, stdout=fh)
     return {path.relative_to(out).as_posix(): _digest(path)
             for path in sorted(out.rglob("*")) if path.is_file() and path.name != TABLE}
 

@@ -22,7 +22,7 @@ from .config import DataSpec, ExperimentConfig, config_to_dict
 from .data import (Dataset, NormalizedRows, NormStats, apply_normalize, denormalize_targets,
                    fit_normalize, generate, load_delimited, split)
 from .ensemble import EnsembleOutput, aggregate_gaussian, aggregate_pi
-from .errors import ConfigError, PiregError, TrainingDiverged
+from .errors import ConfigError, DataError, PiregError, TrainingDiverged
 from .losses import gaussian_link, interval_link
 from .metrics import METRIC_NAMES, MetricsRecord, aggregate_splits, metrics_record
 from .network import forward
@@ -61,11 +61,10 @@ def ensemble_predict(stack, features, variant: str, alpha: float) -> EnsembleOut
 
 
 def _curve_samples(history, cap=CURVE_SAMPLE_CAP):
+    """Up to ``cap`` evenly spaced epochs of a history, first and last included."""
     total = len(history.train_loss)
-    if total <= cap:
-        idxs = range(total)
-    else:
-        idxs = sorted(set(np.linspace(0, total - 1, cap).astype(int).tolist()))
+    # Not np.unique, whose first call imports numpy.ma (about 1 MB of peak RSS).
+    idxs = sorted(set(np.linspace(0, total - 1, min(total, cap)).astype(int).tolist()))
     return [[float(i + 1), history.train_loss[i], history.val_loss[i]] for i in idxs]
 
 
@@ -166,7 +165,9 @@ def _run_splits(config: ExperimentConfig, dataset: Dataset, started: float) -> R
             failed[p.index] = exc
     errors = [f"split {i}: {failed[i]}" for i in sorted(failed)]
     if not splits:
-        raise TrainingDiverged("every split failed: " + "; ".join(errors))
+        data_only = all(isinstance(exc, DataError) for exc in failed.values())
+        raise (DataError if data_only else TrainingDiverged)(
+            "every split failed: " + "; ".join(errors))
     return RunReport(
         kind="benchmark",
         version=REPORT_VERSION,

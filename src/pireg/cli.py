@@ -40,18 +40,12 @@ DEFAULT_WEIGHTS = "0.1,0.5,0.99"
 DEFAULT_PENALTIES = "1,4,15,40"
 
 
-def _floats(text):
+def _comma_list(text, kind=float):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _ints(text):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _int_or_name(text):
@@ -75,8 +69,9 @@ _CONFIG_FLAGS = (
     ("--data-n", "data.n", int, None, "generator sample count"),
     ("--noise-scale", "data.noise_scale", float, None, None),
     ("--skew-alpha", "data.skew_alpha", float, None, None),
-    ("--hidden", "model.hidden_sizes", None, _ints, "comma-separated hidden layer sizes"),
-    ("--head-bias", "model.head_bias", None, _floats, "initial upper,lower head biases"),
+    ("--hidden", "model.hidden_sizes", None, lambda text: _comma_list(text, int),
+     "comma-separated hidden layer sizes"),
+    ("--head-bias", "model.head_bias", None, _comma_list, "initial upper,lower head biases"),
     ("--alpha", "loss.alpha", float, None, "target miscoverage"),
     ("--coverage-penalty", "loss.coverage_penalty", float, None, None),
     ("--soften", "loss.soften", float, None, None),
@@ -165,30 +160,25 @@ def _finish(report, base) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    config = _resolve(args)
-    config = dataclasses.replace(
-        config, splits=dataclasses.replace(config.splits, count=1))
-    base = _out_base(args, config, "train")
-    return _finish(run_benchmark(config), base)
-
-
 def _cmd_bench(args) -> int:
+    """``bench``, and ``train``: a bench on one split."""
     config = _resolve(args)
-    base = _out_base(args, config, "bench")
+    if args.command == "train":
+        config = dataclasses.replace(config, splits=dataclasses.replace(config.splits, count=1))
+    base = _out_base(args, config, args.command)
     return _finish(run_benchmark(config), base)
 
 
 def _cmd_sweep_alpha(args) -> int:
     config = _resolve(args, ALPHA_SWEEP_VARIANTS, ALPHA_SWEEP_FIELDS)
-    alphas = _floats(args.alphas)
+    alphas = _comma_list(args.alphas)
     base = _out_base(args, config, "alpha_sweep")
     return _finish(run_alpha_sweep(config, alphas), base)
 
 
 def _cmd_sweep_hparam(args) -> int:
     config = _resolve(args, HPARAM_SWEEP_VARIANTS, HPARAM_SWEEP_FIELDS)
-    weights, penalties = _floats(args.interval_weights), _floats(args.coverage_penalties)
+    weights, penalties = _comma_list(args.interval_weights), _comma_list(args.coverage_penalties)
     base = _out_base(args, config, "hparam_sweep")
     return _finish(run_hyperparam_sweep(config, weights, penalties), base)
 
@@ -218,13 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "training, benchmarking, sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train one ensemble on a single split")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("bench", help="multi-split benchmark")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_bench)
+    for verb, help_text in (("train", "train one ensemble on a single split"),
+                            ("bench", "multi-split benchmark")):
+        p = sub.add_parser(verb, help=help_text)
+        _add_config_flags(p)
+        p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep-alpha", help="sweep the miscoverage target")
     _add_config_flags(p)

@@ -297,14 +297,16 @@ def _moments(values, tag):
     its square underflows, which leaves it tiny against any std.  An
     infinite std leaves a value non-finite exactly when its difference from
     the mean overflows, and rounding is monotone, so the column's least and
-    greatest values, standardized, are the only ones to check.
+    greatest values, standardized, are the only ones to check.  Numpy's
+    overflow warnings are silenced, since each outcome is checked here.
     """
-    mean, std = np.mean(values, axis=0), np.std(values, axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    if not np.isfinite(std).all():
-        ends = np.array([values.min(axis=0), values.max(axis=0)])
-        if not np.isfinite(_standardized(ends, None, mean, std)).all():
-            raise _non_finite(tag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = np.mean(values, axis=0), np.std(values, axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        if not np.isfinite(std).all():
+            ends = np.array([values.min(axis=0), values.max(axis=0)])
+            if not np.isfinite(_standardized(ends, None, mean, std)).all():
+                raise _non_finite(tag)
     return mean, std
 
 

@@ -70,24 +70,15 @@ def mpiw(lower, upper) -> float:
     return float(np.mean(upper - lower))
 
 
-def rmse(y_hat, y) -> float:
-    y_hat, y = _nonempty(y_hat, y)
-    return float(np.sqrt(np.mean((y_hat - y) ** 2)))
-
-
-def mae(y_hat, y) -> float:
-    y_hat, y = _nonempty(y_hat, y)
-    return float(np.mean(np.abs(y_hat - y)))
-
-
 def metrics_record(y, lower, upper, value) -> MetricsRecord:
     """All four metrics for one prediction set."""
     y, lower, upper, value = _nonempty(y, lower, upper, value)
+    error = value - y
     return MetricsRecord(
         picp=picp(y, lower, upper),
         mpiw=mpiw(lower, upper),
-        rmse=rmse(value, y),
-        mae=mae(value, y),
+        rmse=float(np.sqrt(np.mean(error ** 2))),
+        mae=float(np.mean(np.abs(error))),
         n=int(y.shape[0]),
     )
 

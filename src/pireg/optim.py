@@ -51,7 +51,7 @@ def init_adam(model: FeedForwardModel, spec: OptimizerSpec) -> AdamState:
 
 
 def adam_step(state: AdamState, model: FeedForwardModel, grads: FeedForwardModel):
-    """One bias-corrected Adam update, in place; returns (model, state).
+    """One bias-corrected Adam update of ``model`` and ``state``, in place.
 
     update = lr * m_hat / (sqrt(v_hat) + eps), with the usual 1 - beta^t
     corrections.  Raises on non-finite gradients rather than poisoning the
@@ -75,4 +75,3 @@ def adam_step(state: AdamState, model: FeedForwardModel, grads: FeedForwardModel
     v *= BETA2
     v += (1.0 - BETA2) * (g * g)
     p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
-    return model, state

@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import pireg.training as training
 from pireg.bench import (
     CURVE_SAMPLE_CAP,
+    _curve_samples,
     ensemble_predict,
     load_dataset,
     run_alpha_sweep,
@@ -32,7 +34,7 @@ from pireg.metrics import METRIC_NAMES, aggregate_splits, metrics_record
 from pireg.network import FeedForwardModel, init_model
 from pireg.report import (REPORT_VERSION, RunReport, SplitResult, emit_report, format_report,
                           load_report)
-from pireg.training import carve_validation, train_ensemble
+from pireg.training import TrainingHistory, carve_validation, train_ensemble
 
 
 def tiny_config(**kwargs):
@@ -273,7 +275,8 @@ def test_split_whose_normalized_rows_overflow_is_recorded(monkeypatch):
                   for i in range(4)]
     assert holds_both == [True, True, False, True]
     monkeypatch.setattr(bench_mod, "load_dataset", lambda spec, seed: dataset)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         report = bench_mod.run_benchmark(cfg)
     assert report.partial and [s.split_index for s in report.splits] == [2]
     assert report.errors == [f"split {i}: non-finite values in dataset 'overflow'"
@@ -383,6 +386,17 @@ def _oracle_curve(history, cap=CURVE_SAMPLE_CAP):
     idxs = (range(total) if total <= cap
             else sorted(set(np.linspace(0, total - 1, cap).astype(int).tolist())))
     return [[float(i + 1), history.train_loss[i], history.val_loss[i]] for i in idxs]
+
+
+@pytest.mark.parametrize("total", [1, 2, 49, 50, 51, 1270])
+def test_curve_samples_match_the_oracle(total):
+    # Up to the cap linspace steps by exactly 1.0, so one path gives the
+    # oracle's epochs, and its JSON, on both sides of the cap.
+    history = TrainingHistory(train_loss=[0.5 * i for i in range(total)],
+                              val_loss=[1.0 / (i + 1) for i in range(total)], epochs_run=total)
+    got, want = _curve_samples(history), _oracle_curve(history)
+    assert got == want and json.dumps(got) == json.dumps(want)
+    assert len(got) == min(total, CURVE_SAMPLE_CAP)
 
 
 def oracle_split(config, dataset, split_index):

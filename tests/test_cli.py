@@ -230,7 +230,8 @@ def test_catalog_name_applies_defaults(tmp_path):
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
     assert main(["train", *FAST]) == EXIT_OK
-    assert (tmp_path / "sine_train.json").exists()
+    assert main(["bench", *FAST]) == EXIT_OK
+    assert (tmp_path / "sine_train.json").exists() and (tmp_path / "sine_bench.json").exists()
 
 
 def test_no_predictions_flag(tmp_path):
@@ -302,6 +303,12 @@ def test_data_errors_exit_three(tmp_path, capsys):
     for table, message in ((not_utf8, "not UTF-8 text"), (narrow_header, "header has 2 names")):
         assert main(["bench", *FAST, "--data-path", str(table)]) == EXIT_DATA
         assert message in capsys.readouterr().err
+    # Every split failing on its data is a data error, not a divergence.
+    assert main(["bench", "--name", "sine", "--data-n", "1", "--splits", "2",
+                 "--out", str(tmp_path / "one_row")]) == EXIT_DATA
+    one_row = "cannot split a dataset of 1 row(s)"
+    assert capsys.readouterr().err == (f"data error: every split failed: split 0: {one_row}; "
+                                       f"split 1: {one_row}\n")
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
     assert main(["report", str(bad)]) == EXIT_DATA

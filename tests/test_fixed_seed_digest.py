@@ -1,7 +1,8 @@
 """Reruns two of ``scripts/fixed_seed_digest.py``'s runs against the digest
 checked in beside it: a multi-split ``gaussian_nll`` bench and the bench on
 the script's widely scaled 3,000 x 12 table, about 4 s together.  Their
-reports, CSV tables and predictions must hash as the file says.  Under
+reports, CSV tables and predictions must hash as the file says, and so
+must every ``--help`` text the script saves.  Under
 another fingerprint (Python, numpy, BLAS, CPU model) the test skips, since
 another BLAS may round differently without any defect.
 
@@ -50,7 +51,7 @@ def expected_digests(script, names):
     if differ:
         pytest.skip("digest made under another fingerprint: " + "; ".join(
             f"{key} {prints.get(key)!r}, here {here.get(key)!r}" for key in differ))
-    assert set(names) <= {name for name, _ in script.RUNS}
+    assert set(names) <= {name for name, _ in script.RUNS + script.HELPS}
     return {path: digest for path, digest in expected.items() if path.startswith(names)}
 
 
@@ -59,6 +60,15 @@ def test_subset_matches_the_checked_in_digest(tmp_path):
     subset = expected_digests(script, SUBSET)
     assert len(subset) == 8
     assert script.run_digests(tmp_path, SUBSET) == subset
+
+
+def test_help_texts_match_the_checked_in_digest(tmp_path):
+    # Every --help text, at the script's fixed width, as the file says.
+    script = _script()
+    names = tuple(name for name, _ in script.HELPS)
+    helps = expected_digests(script, names)
+    assert len(helps) == len(script.VERBS) + 1
+    assert script.run_digests(tmp_path, names) == helps
 
 
 # Run in a child limited to one CPU: prints how many CPUs it may use and the

@@ -14,8 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pireg.data import NormStats, denormalize_targets
 from pireg.errors import ShapeError
 from pireg.metrics import (METRIC_NAMES, MetricsRecord, MetricSummary,
-                           aggregate_splits, mae, metrics_record, mpiw, picp,
-                           rmse)
+                           aggregate_splits, metrics_record, mpiw, picp)
 
 
 def loop_picp(y, lower, upper):
@@ -54,12 +53,17 @@ def test_mpiw_examples():
     assert mpiw([0.0, 1.0], [1.0 + 2.5, 3.0 + 2.5]) == pytest.approx(base + 2.5)
 
 
+def point_errors(value, y):
+    # metrics_record's (rmse, mae) of ``value``; the interval plays no part.
+    rec = metrics_record(y, y, y, value)
+    return rec.rmse, rec.mae
+
+
 def test_point_error_examples():
     y = np.zeros(2)
     pred = np.array([3.0, -4.0])
-    assert rmse(pred, y) == pytest.approx(math.sqrt(12.5))
-    assert mae(pred, y) == pytest.approx(3.5)
-    assert rmse(y, y) == 0.0 and mae(y, y) == 0.0
+    assert point_errors(pred, y) == pytest.approx((math.sqrt(12.5), 3.5))
+    assert point_errors(y, y) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -73,8 +77,9 @@ def test_metrics_match_brute_force_loops(seed):
     value = rng.normal(size=n)
     assert picp(y, lower, upper) == pytest.approx(loop_picp(y, lower, upper), rel=1e-12)
     assert mpiw(lower, upper) == pytest.approx(loop_mpiw(lower, upper), rel=1e-12)
-    assert rmse(value, y) == pytest.approx(loop_rmse(value, y), rel=1e-12)
-    assert mae(value, y) == pytest.approx(loop_mae(value, y), rel=1e-12)
+    rec = metrics_record(y, lower, upper, value)
+    assert rec.rmse == pytest.approx(loop_rmse(value, y), rel=1e-12)
+    assert rec.mae == pytest.approx(loop_mae(value, y), rel=1e-12)
 
 
 def test_empty_inputs_are_rejected():
@@ -83,7 +88,7 @@ def test_empty_inputs_are_rejected():
     with pytest.raises(ShapeError):
         mpiw([], [])
     with pytest.raises(ShapeError):
-        rmse([], [])
+        metrics_record([], [], [], [])
     with pytest.raises(ShapeError):
         picp([0.0, 1.0], [0.0], [1.0])
 
