@@ -14,6 +14,11 @@ checkout's ``src``:
   on a 3,000 x 12 table (11 features whose scales span seven orders of
   magnitude, target last) that this script writes from a fixed seed, so
   multi-column normalization is covered too;
+* ``pireg bench --name msd --data-path large_table.csv --splits 1
+  --max-epochs 12`` on a 6,000 x 21 table written the same way, larger
+  than ``PARSE_SPLIT_BYTES`` and wide enough that its 5 members form a
+  heavy stack (``HEAVY_STEP_WORK``), so that the two-process read and the
+  heavy stack's chunks are covered where they run;
 * ``scripts/sine_demo.py``;
 * ``pireg report`` on the ``bench_sine`` and ``sweep_alpha_sine`` reports,
   its stdout saved as ``<run>_report.txt``;
@@ -65,6 +70,8 @@ RUNS = [
     ("sweep_alpha_sine", [*CLI, "sweep-alpha", "--name", "sine", "--alphas", "0.05,0.1,0.2"]),
     ("bench_table", [*CLI, "bench", "--name", "msd", "--data-path", "table.csv", "--splits",
                      "2", "--max-epochs", "30"]),
+    ("bench_large_table", [*CLI, "bench", "--name", "msd", "--data-path", "large_table.csv",
+                           "--splits", "1", "--max-epochs", "12"]),
     ("sine_demo", [str(ROOT / "scripts" / "sine_demo.py")]),
 ]
 # Runs whose JSON report ``pireg report`` prints, into ``<run>_report.txt``.
@@ -75,19 +82,22 @@ HELPS = [("help_pireg", ["--help"]), *[(f"help_{verb}", [verb, "--help"]) for ve
 
 
 TABLE, TABLE_ROWS, TABLE_FEATURES = "table.csv", 3000, 11
+# (file name, rows, features, seed) of each table written before the runs.
+TABLES = [(TABLE, TABLE_ROWS, TABLE_FEATURES, 20_240_314),
+          ("large_table.csv", 6000, 20, 20_261_020)]
 
 
-def _write_table(path):
+def _write_table(path, rows, width, seed):
     # Correlated features, each scaled and shifted by its own power of ten,
     # and a target that depends non-linearly on a few of them.
-    rng = np.random.default_rng(20_240_314)
-    latent = rng.standard_normal((TABLE_ROWS, 4))
-    mixing = rng.standard_normal((4, TABLE_FEATURES))
-    scales = np.geomspace(1e-3, 1e4, TABLE_FEATURES)
-    features = (latent @ mixing + 0.3 * rng.standard_normal((TABLE_ROWS, TABLE_FEATURES)))
+    rng = np.random.default_rng(seed)
+    latent = rng.standard_normal((rows, 4))
+    mixing = rng.standard_normal((4, width))
+    scales = np.geomspace(1e-3, 1e4, width)
+    features = (latent @ mixing + 0.3 * rng.standard_normal((rows, width)))
     features = features * scales + 10.0 * scales
     target = np.sin(latent[:, 0]) + 0.5 * latent[:, 1] * latent[:, 2] + 0.2 * np.abs(
-        rng.standard_normal(TABLE_ROWS))
+        rng.standard_normal(rows))
     np.savetxt(path, np.column_stack([features, target]), fmt="%.17g", delimiter=",")
 
 
@@ -128,7 +138,8 @@ def run_digests(out, names=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # Runs start in ``out``, so the report's config holds the table's
     # relative path, the same on every run.
-    _write_table(out / TABLE)
+    for name, *table in TABLES:
+        _write_table(out / name, *table)
     for name, args in RUNS:
         if names is None or name in names:
             subprocess.run([sys.executable, *args, "--out", str(out / name)],
@@ -143,7 +154,8 @@ def run_digests(out, names=None):
                 subprocess.run([sys.executable, *CLI, *args], env={**env, "COLUMNS": "80"},
                                cwd=out, check=True, stdout=fh)
     return {path.relative_to(out).as_posix(): _digest(path)
-            for path in sorted(out.rglob("*")) if path.is_file() and path.name != TABLE}
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name not in {name for name, *_ in TABLES}}
 
 
 def read_digest(path=DIGEST):

@@ -12,6 +12,7 @@ phase is recorded and the others go on.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -108,11 +109,20 @@ def run_split(config: ExperimentConfig, dataset: Dataset, prepared: _Prepared, t
     started = time.perf_counter()
     stack, histories = trained
     stats = prepared.stats
-    test = apply_normalize(dataset, stats, prepared.test_rows)
-    ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
-    normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
-    denormalized = metrics_record(*(denormalize_targets(a, stats) for a in
-                                    (test.targets, ens.lower, ens.upper, ens.value)))
+    # Every score is checked for non-finite values below, so numpy's own
+    # overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        test = apply_normalize(dataset, stats, prepared.test_rows)
+        ens = ensemble_predict(stack, test.features, config.loss.variant, config.loss.alpha)
+        normalized = metrics_record(test.targets, ens.lower, ens.upper, ens.value)
+        denormalized = metrics_record(*(denormalize_targets(a, stats) for a in
+                                        (test.targets, ens.lower, ens.upper, ens.value)))
+    # A held-out row far outside the training rows' range can overflow the
+    # network or an error's square; the split then has no scores.
+    if not all(math.isfinite(getattr(record, name)) for record in (normalized, denormalized)
+               for name in METRIC_NAMES):
+        raise DataError(f"non-finite held-out predictions or scores in dataset "
+                        f"{dataset.source_tag!r}")
 
     predictions = None
     if config.store_predictions:

@@ -30,9 +30,12 @@ A stack's members, every group's in group order, form one list, and that
 list spreads over the CPUs this process may use: it splits into contiguous
 chunks of near-equal member count, one per CPU, and the calling process
 trains the first chunk while a forked child trains each other one through
-the same code.  Each chunk gives one outcome per member, and the outcomes,
-in member order, are the ones one stack gives, bit for bit, since a member
-trains alike in any stack.
+the same code.  A heavy stack, whose members' steps reach HEAVY_STEP_WORK,
+splits into chunks of at most members // CPUs members instead, so 5 on 2
+CPUs train as 1 + 2 + 2 in three processes that the CPUs time-slice, and
+neither CPU idles while the other finishes a larger chunk.  Each chunk
+gives one outcome per member, and the outcomes, in member order, are the
+ones one stack gives, bit for bit, since a member trains alike in any stack.
 
 Every call trains at one BLAS thread in every process, and the caller
 gets its own thread count back once every child has been joined.  Two
@@ -42,12 +45,12 @@ cores), and the number of threads that ran a product moves its last bits,
 so a pinned run has the same bits on any CPU count.  The pin calls,
 through ctypes, the thread controls of the OpenBLAS this process has
 loaded; forked children inherit it.  Training forks when its work reaches
-FORK_MIN_WORK, the stack has more than one member, more than one CPU is
-allowed (a platform without os.sched_getaffinity, which every platform
-that cannot fork lacks, counts as one), no other Python thread is alive,
-and the controls were found in an OpenBLAS built with pthreads or without
-threads, which survives a fork.  Anything else trains in process, as
-``taskset -c 0`` does, and unpinned where no controls were found.
+FORK_MIN_WORK, the stack has more than one member, forking is safe by the
+check the loader makes too (``data._fork_safe``: more than one CPU allowed,
+os.fork present, no other Python thread alive), and the controls were found
+in an OpenBLAS built with pthreads or without threads, which survives a
+fork.  Anything else trains in process, as ``taskset -c 0`` does, and
+unpinned where no controls were found.
 """
 
 from __future__ import annotations
@@ -68,10 +71,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, NormalizedRows
+from .data import Dataset, NormalizedRows, _cpus, _fork_safe
 from .errors import ShapeError, TrainingDiverged
 from .losses import initial_head
-from .network import FeedForwardModel, backward, init_model, loss_value
+from .network import FeedForwardModel, _parameter_count, backward, init_model, loss_value
 from .optim import adam_step, init_adam
 
 
@@ -159,7 +162,7 @@ def train_ensemble(config: ExperimentConfig, train: Union[_Rows, Sequence[_Rows]
     size = config.ensemble_size
     members = [(g, t, v, seed + j, j) for g, (t, v, seed) in enumerate(groups)
                for j in range(size)]
-    k = _workers(config, len(members), shape[0])
+    k = _workers(config, len(members), *shape[:2])
     bounds = [len(members) * i // k for i in range(k + 1)]
     chunks = [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with _one_blas_thread():
@@ -197,10 +200,15 @@ def _group(results):
 # 149,850, -11.7 and -70.4 at 200,070.  Forking wins clearly only above the
 # bound, and no smaller one was better in both sets.
 FORK_MIN_WORK = 150_000
-
-
-def _cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# A stack is heavy, and trains in chunks of at most members // cpus members,
+# when one member's step, batch rows x parameters, reaches this.  Five
+# members on 2 CPUs in chunks of 1 + 2 + 2 against 2 + 3, one hidden layer,
+# 10 batches an epoch, medians of 8 alternating pairs: 90 features and 100
+# units +13.4% at 1.88M, -4.5% at 3.76M, -10.6% at 6.58M, -16.5% at 9.40M
+# (msd); 10 features and 200 units +10.7% at 0.56M, -6.7% at 0.84M, -17.4%
+# at 1.40M, -13.0% at 2.80M.  The bound sits at the first shape's crossover;
+# a light stack, as every sine stack is (about 50,000), loses by more chunks.
+HEAVY_STEP_WORK = 2_000_000
 
 
 @functools.cache
@@ -260,16 +268,25 @@ def _one_blas_thread():
                 put(_pins[1])
 
 
-def _workers(config, members, rows):
+def _workers(config, members, rows, dim):
     # How many processes train ``members`` members on ``rows`` training rows
-    # each: one per CPU this process may use, at most one per member, and
-    # only one when forking cannot pay or is unsafe.  At one BLAS thread per
-    # process (_one_blas_thread) the matrix products' size does not matter.
+    # of ``dim`` features each: one per CPU this process may use, at most one
+    # per member, and only one when forking cannot pay or is unsafe.  A heavy
+    # stack splits into chunks of at most members // cpus members, which
+    # the CPUs time-slice, so that an uneven split leaves no CPU idle while
+    # the larger chunk finishes.  At one BLAS thread per process
+    # (_one_blas_thread) the matrix products' size does not matter otherwise.
     work = members * config.optimizer.max_epochs * rows
-    if (members < 2 or work < FORK_MIN_WORK or threading.active_count() > 1
+    cpus = _cpus()
+    if (members < 2 or work < FORK_MIN_WORK or not _fork_safe(cpus)
             or _blas_threads() is None):
         return 1
-    return min(members, _cpus())
+    head = initial_head(config.loss.variant, config.model.head_bias)
+    step = min(config.optimizer.batch_size, rows) * _parameter_count(
+        [dim, *config.model.hidden_sizes, len(head)])
+    if step >= HEAVY_STEP_WORK:
+        return -(-members // max(members // cpus, 1))
+    return min(members, cpus)
 
 
 def _train_forked(config, shape, chunks):

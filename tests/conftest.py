@@ -28,9 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @contextlib.contextmanager
 def fork_over(k):
-    """Inside the block ``train_ensemble`` forks k processes at any work
-    size, and the yielded list records the member count of each chunk of
-    each fork; without OpenBLAS thread controls nothing forks, and with k
+    """Inside the block ``train_ensemble`` forks over k CPUs at any work
+    size (k processes, or more for a heavy stack), and the yielded list
+    records the member count of each chunk of each fork; without OpenBLAS thread controls nothing forks, and with k
     None it forks as unpatched.  Unlike a fixture, it patches and restores
     once per Hypothesis example."""
     chunks = []

@@ -283,6 +283,37 @@ def test_split_whose_normalized_rows_overflow_is_recorded(monkeypatch):
                              for i in (0, 1, 3)]
 
 
+@pytest.mark.parametrize("scale, message", [
+    # The held-out row standardizes to a non-finite value.
+    (1.0, "non-finite values in dataset"),
+    # It standardizes to a finite one that overflows the network: NaN predictions.
+    (2.0, "non-finite held-out predictions or scores in dataset"),
+    # The predictions stay finite, and the errors' squares overflow.
+    (10.0, "non-finite held-out predictions or scores in dataset"),
+])
+def test_a_split_that_cannot_score_its_held_out_rows_is_a_located_data_error(
+        tmp_path, capsys, scale, message):
+    # Split 13 of 17 holds out the row with the 1.7e308 cell; the other
+    # splits train on it, and their statistics are still usable.
+    from pireg.cli import EXIT_OK, main
+
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((60, 3)) * scale
+    table[5, 1] = 1.7e308
+    path = tmp_path / "t.csv"
+    np.savetxt(path, table, delimiter=",", fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["bench", "--name", "t", "--data-path", str(path), "--max-epochs", "5",
+                     "--splits", "17", "--out", str(tmp_path / "t")])
+    assert code == EXIT_OK
+    report = load_report(tmp_path / "t.json")
+    assert report.errors == [f"split 13: {message} {str(path)!r}"]
+    assert [s.split_index for s in report.splits] == [i for i in range(17) if i != 13]
+    out, err = capsys.readouterr()
+    assert f"error: split 13: {message}" in out and err == ""
+
+
 def test_run_split_seeds_members_by_split(tiny_report):
     a, b = tiny_report.splits
     assert a.normalized != b.normalized  # different membership and member seeds

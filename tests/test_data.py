@@ -553,6 +553,120 @@ def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the two-process read
+
+
+@pytest.fixture
+def read_in_two(monkeypatch):
+    """``load_delimited`` of any size parsed in two processes, as on two
+    CPUs; the list records whether each two-process read gave a matrix
+    (True) or refused the table to the whole-file read (False)."""
+    ran = []
+    real = pireg.data._read_in_two
+
+    def spy(*args):
+        matrix = real(*args)
+        ran.append(matrix is not None)
+        return matrix
+
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 0)
+    monkeypatch.setattr(pireg.data, "_cpus", lambda: 2)
+    monkeypatch.setattr(pireg.data, "_read_in_two", spy)
+    return ran
+
+
+def _cut(data):
+    # Where _read_in_two splits a table's bytes: after the first newline
+    # from the middle byte on.
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+def _two_part_table(rows=120, header="", newline="\n", final=True, blank_at_cut=False):
+    # Rows of 4 columns.  With blank_at_cut, six blank lines between two
+    # halves of equal bytes, the second the first's rows reversed, so that
+    # the cut falls inside them.
+    rng = np.random.default_rng(12)
+    lines = [",".join(f"{v:.17g}" for v in row) for row in rng.standard_normal((rows, 4))]
+    if blank_at_cut:
+        half = lines[:rows // 2]
+        lines = half + [""] * 6 + half[::-1]
+    text = newline.join(([header] if header else []) + lines) + (newline if final else "")
+    return text.encode("utf-8")
+
+
+CLEAN_IN_TWO = {
+    "plain": _two_part_table(),
+    "header": _two_part_table(header="a,b,c,y"),
+    "bom, header": b"\xef\xbb\xbf" + _two_part_table(header="a,b,c,y"),
+    "bom, no header": b"\xef\xbb\xbf" + _two_part_table(),
+    "crlf": _two_part_table(header="a,b,c,y", newline="\r\n"),
+    "no final newline": _two_part_table(final=False),
+    "blank lines at the cut": _two_part_table(blank_at_cut=True),
+    "crlf blank lines at the cut": _two_part_table(newline="\r\n", blank_at_cut=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLEAN_IN_TWO))
+def test_a_table_read_in_two_processes_loads_as_read_whole(tmp_path, monkeypatch, read_in_two,
+                                                           case):
+    data = CLEAN_IN_TWO[case]
+    path = tmp_path / "two.csv"
+    path.write_bytes(data)
+    if "blank" in case:  # blank lines end the head and open the tail
+        assert data[:_cut(data)].endswith((b"\n\n", b"\r\n\r\n"))
+        assert data[_cut(data):].startswith((b"\n", b"\r\n"))
+    target = "y" if "header" in case and "no header" not in case else -1
+    got = _outcome(load_delimited, path, ",", target)
+    assert read_in_two == [True]
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    assert got == _outcome(load_delimited, path, ",", target)
+    assert got[0] == "loaded" and got[1] == (120, 3)
+
+
+def _spoiled(part, fault):
+    # A two-part table with the first cell of the 11th line before the cut,
+    # or after it, replaced, and that line's number.  Both lie past the
+    # bytes that header detection decodes.
+    data = _two_part_table(rows=1000)
+    lines = data.split(b"\n")
+    i = data[:_cut(data)].count(b"\n") + (-11 if part == "head" else 10)
+    cell = {"bad cell": b"oops", "non-finite cell": b"inf", "non-utf-8 byte": b"\xff"}[fault]
+    lines[i] = cell + lines[i][lines[i].index(b","):]
+    return b"\n".join(lines), i + 1
+
+
+@pytest.mark.parametrize("part", ["head", "tail"])
+@pytest.mark.parametrize("fault", ["bad cell", "non-finite cell", "non-utf-8 byte"])
+def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypatch, read_in_two,
+                                                                part, fault):
+    data, row = _spoiled(part, fault)
+    path = tmp_path / "two.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as got:
+        load_delimited(path)
+    # Numpy parses inf, so only the finiteness check after the read refuses it.
+    assert read_in_two == [fault == "non-finite cell"]
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    with pytest.raises(DataError) as want:
+        load_delimited(path)
+    assert str(got.value) == str(want.value)
+    assert fault == "non-utf-8 byte" or f"at row {row}, column 0" in str(got.value)
+
+
+def test_the_two_process_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,
+                                                                            read_in_two):
+    # The memory bound above, whichever read a 6 MB table takes by default.
+    test_load_holds_the_parsed_matrix_and_small_temporaries(tmp_path)
+    assert read_in_two == [True]
+
+
+def test_the_whole_file_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,
+                                                                           monkeypatch):
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)
+    test_load_holds_the_parsed_matrix_and_small_temporaries(tmp_path)
+
+
+# ---------------------------------------------------------------------------
 # normalization
 
 
@@ -640,6 +754,19 @@ def test_fit_normalize_refuses_stats_that_leave_a_fit_row_non_finite(case):
         else:
             stats = fit_normalize(data, rows)
             assert np.isfinite(apply_normalize(data, stats, rows).features).all()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 500])
+def test_fit_normalize_sums_continue_across_row_chunks(monkeypatch, chunk_rows):
+    # The two tests above with row chunks of a few rows, so that every
+    # column sum runs on through many chunks, the refusals' min and max too.
+    monkeypatch.setattr(pireg.data, "STAT_CHUNK_ROWS", chunk_rows)
+    for width in (2, 9, 90):
+        for selected in (False, True):
+            for layout in ("contiguous", "strided"):
+                test_fit_normalize_blocks_match_whole_matrix_bitwise(width, selected, layout)
+    for case in OVERFLOW_CASES:
+        test_fit_normalize_refuses_stats_that_leave_a_fit_row_non_finite(case)
 
 
 def test_already_standardized_data_gets_identity_stats():

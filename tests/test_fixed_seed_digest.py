@@ -12,7 +12,9 @@ one call, the second member by member, so the subset pins the bits of
 both paths.  Both train their members over forked workers, a split's
 members divided between them, at one BLAS thread per process.  The table
 bench's batch products are large enough for OpenBLAS to thread them, so
-it is also rerun with one CPU allowed, and must keep its bits."""
+it is also rerun with one CPU allowed, and must keep its bits; so must the
+large-table bench, whose table two processes parse and whose heavy stack
+trains in three, which one CPU does in one."""
 
 import importlib.util
 import json
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pireg.data as data
 import pireg.training as training
 from pireg.cli import _resolve, build_parser
 from pireg.data import Dataset, split
@@ -33,6 +36,8 @@ from pireg.training import build_model, carve_validation
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fixed_seed_digest.py"
 # No other run's name begins with one of these, so a path's prefix names its run.
 SUBSET = ("bench_flat_skew_gaussian_nll", "bench_table")
+# The runs rerun with one CPU allowed.
+ONE_CPU = ("bench_table", "bench_large_table")
 
 
 def _script():
@@ -72,7 +77,7 @@ def test_help_texts_match_the_checked_in_digest(tmp_path):
 
 
 # Run in a child limited to one CPU: prints how many CPUs it may use and the
-# digests of the table bench, which its own children run.
+# digests of the ONE_CPU runs, which its own children run.
 ON_ONE_CPU = """
 import importlib.util, json, os, sys
 from pathlib import Path
@@ -80,25 +85,33 @@ spec = importlib.util.spec_from_file_location("fixed_seed_digest", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
 print(json.dumps([len(os.sched_getaffinity(0)),
-                  script.run_digests(Path(sys.argv[2]), ("bench_table",))]))
+                  script.run_digests(Path(sys.argv[2]), tuple(sys.argv[3:]))]))
 """
 
 
 def test_the_table_bench_keeps_its_digest_on_one_cpu(tmp_path):
     # OpenBLAS sizes its thread pool by the CPUs a process may use, and a
     # product's bits depend on how many threads ran it; the trainer's pin to
-    # one thread must make that count not matter.
+    # one thread must make that count not matter, and one CPU must give the
+    # bits that the large table's two processes and three chunks give.
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is missing on this platform")
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
         pytest.skip("only one CPU is allowed, so the digest test above already ran on one")
-    table = expected_digests(_script(), ("bench_table",))
-    assert len(table) == 4
-    proc = subprocess.run([sys.executable, "-c", ON_ONE_CPU, str(SCRIPT), str(tmp_path)],
-                          preexec_fn=lambda: os.sched_setaffinity(0, cpus[:1]),
+    tables = expected_digests(_script(), ONE_CPU)
+    assert len(tables) == 8
+    proc = subprocess.run([sys.executable, "-c", ON_ONE_CPU, str(SCRIPT), str(tmp_path),
+                           *ONE_CPU], preexec_fn=lambda: os.sched_setaffinity(0, cpus[:1]),
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [1, table]
+    assert json.loads(proc.stdout) == [1, tables]
+
+
+def test_the_large_table_bench_keeps_its_digest_where_it_forks(tmp_path):
+    script = _script()
+    large = expected_digests(script, ("bench_large_table",))
+    assert len(large) == 4
+    assert script.run_digests(tmp_path, ("bench_large_table",)) == large
 
 
 def split_rows(script, argv):
@@ -106,7 +119,8 @@ def split_rows(script, argv):
     # and validation rows, as zero datasets of the run's width.
     args = build_parser().parse_args(argv)
     config = _resolve(args)
-    n, dim = (script.TABLE_ROWS, script.TABLE_FEATURES) if args.data_path else (config.data.n, 1)
+    tables = {name: (rows, width) for name, rows, width, _ in script.TABLES}
+    n, dim = tables[args.data_path] if args.data_path else (config.data.n, 1)
     train, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
                      config.seed, 0)
     train, valid = carve_validation(train, config.optimizer.validation_fraction, config.seed, 0)
@@ -141,7 +155,7 @@ def training_workers(script, argv, splits=None):
     # split count or of ``splits`` splits, on 2 CPUs.
     config, (train, _) = split_rows(script, argv)
     members = (splits or config.splits.count) * config.ensemble_size
-    return training._workers(config, members, train.n)
+    return training._workers(config, members, train.n, train.dim)
 
 
 def test_subset_trains_over_forked_workers(monkeypatch):
@@ -156,3 +170,16 @@ def test_subset_trains_over_forked_workers(monkeypatch):
     script = _script()
     assert [training_workers(script, run_argv(script, name)) for name in SUBSET] == [2, 2]
     assert training_workers(script, ["train", "--name", "sine"], splits=1) == 2
+
+
+def test_the_large_table_is_read_in_two_and_trains_as_a_heavy_stack(monkeypatch, tmp_path):
+    # Its 5 members of 1,000-row batches through 21 x 100 x 3 units are
+    # 2,403,000 multiply-adds a step, so on 2 CPUs they train as 1 + 2 + 2.
+    script = _script()
+    name, *table = script.TABLES[1]
+    script._write_table(tmp_path / name, *table)
+    assert (tmp_path / name).stat().st_size >= data.PARSE_SPLIT_BYTES
+    if training._blas_threads() is None:
+        pytest.skip("training forks only with OpenBLAS thread controls, not found here")
+    monkeypatch.setattr(training, "_cpus", lambda: 2)
+    assert training_workers(script, run_argv(script, "bench_large_table")) == 3

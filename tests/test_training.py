@@ -6,7 +6,7 @@ the members one after another, each alone through the single-model path of
 ``backward``, ``adam_step`` and ``loss_value``.  ``check_layout`` trains a
 ``Layout`` through ``train_ensemble`` and requires of every group what the
 oracle gives, bit for bit; a Hypothesis property draws 80 layouts, and a
-table pins 41 hand-picked ones, each with its own extra checks.
+table pins 46 hand-picked ones, each with its own extra checks.
 """
 
 import dataclasses
@@ -347,6 +347,7 @@ class Layout:
     valid: float = 0.0  # the share of each group's rows carved for validation
     member_by_member: bool = False
     workers: int | None = 1  # None: as many as the trainer picks unpatched
+    heavy: bool = False  # HEAVY_STEP_WORK patched to 0, so that the stack is heavy
     normalized: bool = False  # rows of a strided_table read through NormalizedRows
     overflow: tuple = ()  # (group, "train" or "valid"): sine rows scaled by 1e300
 
@@ -382,13 +383,17 @@ def check_layout(layout):
     config, groups = layout.config, list(layout.groups())
     rows, copies, valids, base_seeds = map(list, zip(*groups))
     side = 0 if layout.member_by_member else STACK_FORWARD_BYTES
+    heavy = 0 if layout.heavy else training.HEAVY_STEP_WORK
+    total = len(groups) * config.ensemble_size
     with fork_over(layout.workers) as chunks, np.errstate(over="ignore", invalid="ignore"), \
-            mock.patch("pireg.network.STACK_FORWARD_BYTES", side):
+            mock.patch("pireg.network.STACK_FORWARD_BYTES", side), \
+            mock.patch.object(training, "HEAVY_STEP_WORK", heavy):
         try:
             outcomes = (train_ensemble(config, rows, valids, base_seeds) if len(groups) > 1
                         else [train_ensemble(config, rows[0], valids[0], base_seeds[0])])
         except TrainingDiverged as exc:  # the one-group form raises its group's error
             outcomes = [exc]
+        k = training._workers(config, total, copies[0].n, copies[0].dim)
         wants = [sequential_ensemble(config, *group) for group in zip(copies, valids, base_seeds)]
     for got, want in zip(outcomes, wants, strict=True):
         errors = [o for o in want if isinstance(o, TrainingDiverged)]
@@ -403,8 +408,6 @@ def check_layout(layout):
             assert histories == list(want_histories)
     if training._blas_threads() is None:
         return outcomes, None, wants
-    total = len(groups) * config.ensemble_size
-    k = min(layout.workers or training._workers(config, total, copies[0].n), total)
     assert chunks == ([] if k == 1 else [np.diff([total * i // k for i in range(k + 1)]).tolist()])
     return outcomes, chunks, wants
 
@@ -516,17 +519,29 @@ PINNED = [
                                   ("member_by_member", {})]
       for (count, members, workers), chunks in [((1, 5, 2), [2, 3]), ((1, 5, 3), [1, 2, 2]),
                                                 ((3, 2, 2), [3, 3])]),
+    # A heavy stack of 5 members on 2 CPUs trains in chunks of at most
+    # 5 // 2 members, three processes time-sliced over the two CPUs.
+    *(pinned(f"heavy-{side}-1x5-over-2", {"chunks": [1, 2, 2], "stops": 2}, heavy=True,
+             seeds=(3,), base_seeds=(30,), member_by_member=side == "member_by_member",
+             workers=2, members=5, max_epochs=60, **dict(SPLITS, **no_validation))
+      for side, no_validation in [("none", {"rows": 52, "valid": 0.0}), ("one_call", {}),
+                                  ("member_by_member", {})]),
+    # Two groups of 3 members make chunks of at most 6 // 2, as a light stack does.
+    pinned("heavy-2x3-over-2", {"chunks": [3, 3], "stops": 2}, heavy=True, seeds=(3, 4),
+           base_seeds=(30, 40), workers=2, members=3, max_epochs=60, **SPLITS),
     *(pinned(name, {"chunks": chunks, "diverge": epochs}, base_seeds=(base_seed,),
-             workers=workers, **DIVERGES)
-      for name, workers, base_seed, chunks, epochs in [
+             workers=workers, heavy=heavy, **DIVERGES)
+      for name, workers, heavy, base_seed, chunks, epochs in [
           # The parent's members train through; the child's fail, 3 before 2.
-          ("child-fails", 2, 11, [2, 3], [None, None, 8, 5, 10]),
-          ("parent-fails", 2, 27, [2, 3], [9, 8, None, None, None]),
+          ("child-fails", 2, False, 11, [2, 3], [None, None, 8, 5, 10]),
+          ("parent-fails", 2, False, 27, [2, 3], [9, 8, None, None, None]),
           # Both fail, member 2 in the child three epochs before member 1.
-          ("higher-member-fails-first", 2, 8, [2, 3], [None, 8, 5, None, None]),
+          ("higher-member-fails-first", 2, False, 8, [2, 3], [None, 8, 5, None, None]),
           # Member 3 fails in the second child three epochs before member 2
           # in the first.
-          ("two-children-fail", 3, 11, [1, 2, 2], [None, None, 8, 5, 10])]),
+          ("two-children-fail", 3, False, 11, [1, 2, 2], [None, None, 8, 5, 10]),
+          # The same on 2 CPUs, the stack heavy.
+          ("heavy-two-children-fail", 2, True, 11, [1, 2, 2], [None, None, 8, 5, 10])]),
     # 68 training rows of batch 9: seven full batches and a partial one of 5.
     *(pinned(f"normalized-{variant}", {"last_batch": 5, "stops": 2}, normalized=True,
              seeds=(4,), base_seeds=(21,), rows=80, features=5, valid=0.15, variant=variant,
@@ -727,7 +742,7 @@ def test_without_blas_controls_a_stack_trains_in_process_unpinned(monkeypatch, t
     want_stack, want_histories = train_ensemble(cfg, data, None, 100)
     assert chunks == [[2, 3]]
     monkeypatch.setattr(training, "_blas_threads", lambda: None)
-    assert training._workers(cfg, 5, data.n) == 1
+    assert training._workers(cfg, 5, data.n, data.dim) == 1
     records = record_blas_threads(monkeypatch, blas_threads, tmp_path / "threads")
     stack, histories = train_ensemble(cfg, data, None, 100)
     assert chunks == [[2, 3]] and records() == [(os.getpid(), 2)]
