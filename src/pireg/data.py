@@ -23,6 +23,7 @@ table-sized copy beside the dataset.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -186,8 +187,10 @@ def _vectorized_read(path, delimiter, skiprows):
 # +3.0 ms at 0.97 MB, +0.1 at 1.45 MB, -1.8, -1.5 and +2.4 at 1.94 MB, +1.3
 # at 2.42 MB, -5.5 at 2.90 MB, -14.0 at 7.74 MB; rows of 12 columns at 17
 # digits +1.1 and +0.5 ms at 0.47 MB, -0.5 at 0.71 MB, -1.7 and -1.9 at 0.94
-# MB, -4.4 at 1.41 MB.  The bound is where msd-shaped rows stop losing in
-# some set; narrower rows gain from about 0.7 MB.
+# MB, -4.4 at 1.41 MB.  Narrower rows gain from about 0.7 MB; msd-shaped
+# rows are mixed at 1.94 MB, still lose 1.3 ms at 2.42 MB and gain clearly
+# from 2.90 MB.  The bound lies between the two shapes' crossovers, where
+# either moves by a few ms at most.  Measured on 2 CPUs only.
 PARSE_SPLIT_BYTES = 2 << 20
 # Bytes of text parsed per np.loadtxt call on the two-process path: the
 # parsing runs as fast as one whole-file call, and the temporaries stay a
@@ -206,6 +209,49 @@ def _fork_safe(cpus):
     # than one, os.fork present, and no other Python thread alive, whose locks
     # a child would inherit held.  The loader and the trainer both ask.
     return cpus > 1 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+@contextlib.contextmanager
+def _forked(body, *args):
+    """A forked child that runs ``body(send, *args)``, SIGINT ignored, where
+    ``send`` is the writing end of a pipe.  Yields the reading end and a
+    function that waits for the child and gives its exit code (-N for signal
+    N): 0 once ``body`` returns, 1 if it raises.  Leaving the block kills a
+    child not yet waited for, reaps it and closes the pipe; an OSError from
+    os.pipe or os.fork leaves nothing open.  The loader and the trainer both
+    fork through it.
+    """
+    receive, send = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(receive)
+        os.close(send)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(receive)
+            body(send, *args)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(send)
+    codes = []
+
+    def wait():
+        if not codes:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        return codes[0]
+
+    try:
+        yield receive, wait
+    finally:
+        if not codes:
+            os.kill(pid, signal.SIGKILL)
+        wait()
+        os.close(receive)
 
 
 def _blocks(path, delimiter, start, stop, skiprows):
@@ -264,10 +310,10 @@ def _read_in_two(path, delimiter, skiprows):
     middle byte, the child the rest, each in blocks.  The parent's rows go
     straight into one matrix, allocated once from the line count, and the
     child's rows are read from a pipe into their place after them.  None
-    when the table is smaller than PARSE_SPLIT_BYTES, forking is unsafe, the
-    first part has no rows, or either part refuses a block (numpy raises,
-    or the widths differ); the caller then reads the whole file, with the
-    same outcome.
+    when the table is smaller than PARSE_SPLIT_BYTES, forking is unsafe or
+    fails, the first part has no rows, or either part refuses a block (numpy
+    raises, or the widths differ); the caller then reads the whole file,
+    with the same outcome.
     """
     size = os.path.getsize(path)
     if size < PARSE_SPLIT_BYTES or not _fork_safe(_cpus()):
@@ -278,50 +324,33 @@ def _read_in_two(path, delimiter, skiprows):
         cut = fh.tell()
     if cut >= size:
         return None
-    receive, send = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(receive)
-        _parse_tail(send, path, delimiter, cut, size)
-    os.close(send)
     try:
-        with open(receive, "rb") as pipe:
-            try:
-                matrix, n = _parse_part(path, delimiter, 0, cut, skiprows, _line_count(path))
-            except (ValueError, TypeError):
-                return None
-            # The child's (rows, width), -1 rows if it refused, then its rows.
+        with _forked(_parse_tail, path, delimiter, cut, size) as (receive, _), \
+                open(receive, "rb", closefd=False) as pipe:
+            matrix, n = _parse_part(path, delimiter, 0, cut, skiprows, _line_count(path))
+            # The child's (rows, width), then its rows; nothing if it refused.
             # A buffered pipe's readinto fills the array unless the pipe ends.
             tail = np.empty(2, dtype=np.int64)
             if matrix is None or pipe.readinto(tail) < tail.nbytes:
                 return None
             count, width = tail.tolist()
-            if count < 0 or (count and width != matrix.shape[1]) or n + count > len(matrix):
+            if (count and width != matrix.shape[1]) or n + count > len(matrix):
                 return None
             rows = matrix[n:n + count]
             return matrix[:n + count] if pipe.readinto(rows) == rows.nbytes else None
-    finally:
-        os.kill(pid, signal.SIGKILL)  # a no-op once the child has sent its rows
-        os.waitpid(pid, 0)
+    except (OSError, ValueError, TypeError):  # no pipe or fork, or a refused block
+        return None
 
 
 def _parse_tail(send, path, delimiter, start, stop):
     # The forked child's part of _read_in_two: sends its (rows, width) and
-    # its rows, or (-1, 0) if it refuses a block, and exits.
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with open(send, "wb") as pipe:
-            try:
-                part, n = _parse_part(path, delimiter, start, stop, 0,
-                                      _line_count(path, start))
-            except (ValueError, TypeError):
-                part, n = None, -1
-            pipe.write(np.array([n, 0 if part is None else part.shape[1]],
-                                dtype=np.int64).tobytes())
-            if part is not None:
-                pipe.write(part[:n].data)
-    finally:
-        os._exit(0)
+    # its rows, or, when it refuses a block, raises before sending anything.
+    part, n = _parse_part(path, delimiter, start, stop, 0, _line_count(path, start))
+    with open(send, "wb") as pipe:
+        pipe.write(np.array([n, 0 if part is None else part.shape[1]],
+                            dtype=np.int64).tobytes())
+        if part is not None:
+            pipe.write(part[:n].data)
 
 
 def _check_width(path, width):

@@ -62,7 +62,6 @@ import itertools
 import math
 import os
 import pickle
-import signal
 import threading
 import traceback
 from dataclasses import dataclass, field
@@ -71,7 +70,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, NormalizedRows, _cpus, _fork_safe
+from .data import Dataset, NormalizedRows, _cpus, _fork_safe, _forked
 from .errors import ShapeError, TrainingDiverged
 from .losses import initial_head
 from .network import FeedForwardModel, _parameter_count, backward, init_model, loss_value
@@ -208,6 +207,8 @@ FORK_MIN_WORK = 150_000
 # (msd); 10 features and 200 units +10.7% at 0.56M, -6.7% at 0.84M, -17.4%
 # at 1.40M, -13.0% at 2.80M.  The bound sits at the first shape's crossover;
 # a light stack, as every sine stack is (about 50,000), loses by more chunks.
+# Measured on 2 CPUs only: more CPUs, where 5 heavy members on 4 train in 5
+# processes of some 80 MB resident each, are untested in time and memory.
 HEAVY_STEP_WORK = 2_000_000
 
 
@@ -290,45 +291,29 @@ def _workers(config, members, rows, dim):
 
 
 def _train_forked(config, shape, chunks):
-    # The first chunk trains here while a forked child trains each other one;
-    # the members' outcomes come back in member order.  No child outlives this
-    # call.
-    # multiprocessing is imported here, so that only a run that forks pays for
-    # it (about 9 ms).
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for chunk in chunks[1:]:
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_train_child, args=(send, config, chunk, shape))
-            child.start()
-            send.close()  # so that a child that dies without sending ends recv
-            children.append((child, receive))
+    # The first chunk trains here while a forked child (data._forked) trains
+    # each other one; the members' outcomes come back in member order.  No
+    # child outlives this call.
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(_forked(_train_child, config, chunk, shape))
+                    for chunk in chunks[1:]]
         outcomes = _train_members(config, chunks[0], shape)
-        for child, receive in children:
+        for receive, wait in children:
             try:
-                got, error = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"a training worker exited with code {child.exitcode} "
+                with open(receive, "rb", closefd=False) as pipe:
+                    got, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"a training worker exited with code {wait()} "
                                    f"before sending its outcomes") from None
             if error is not None:
                 raise error
             outcomes += got
         return outcomes
-    finally:
-        for child, receive in children:
-            child.terminate()
-            child.join()
-            receive.close()
 
 
 def _train_child(send, config, members, shape):
     # A forked child's body: send back (outcomes, None), or (None, the
     # exception), carried as its traceback text when it does not pickle.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         reply = (_train_members(config, members, shape), None)
     except BaseException as exc:  # raised again in the parent
@@ -337,8 +322,8 @@ def _train_child(send, config, members, shape):
         except Exception:
             exc = RuntimeError("a training worker raised:\n" + traceback.format_exc())
         reply = (None, exc)
-    send.send(reply)
-    send.close()
+    with open(send, "wb") as pipe:
+        pickle.dump(reply, pipe)
 
 
 def _shape(groups):

@@ -3,10 +3,12 @@
 The acceptance module records one PASS/FAIL line per criterion; this hook
 replays them in the terminal summary so the verdict survives pytest's
 output capture.  ``fork_over`` and the ``forked_chunks`` fixture let the
-trainer's and the benchmark's tests train over forked workers at any size.
+trainer's and the benchmark's tests train over forked workers at any size;
+``assert_no_child_left`` and ``open_descriptors`` check what forking left.
 """
 
 import contextlib
+import os
 import sys
 from unittest import mock
 
@@ -53,3 +55,16 @@ def forked_chunks():
         pytest.skip("training forks only with OpenBLAS thread controls, not found here")
     with contextlib.ExitStack() as stack:
         yield lambda k: stack.enter_context(fork_over(k))
+
+
+def assert_no_child_left():
+    """Every child this process forked has been reaped: waitpid finds none,
+    running or exited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """This process's open file descriptors (Linux), or None where the
+    system does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None

@@ -7,9 +7,12 @@ cell-by-cell csv parse kept here as it was before the vectorized loader.
 """
 
 import csv
+import errno
 import math
+import os
 import statistics
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +35,8 @@ from pireg.data import (
 )
 from pireg.errors import ConfigError, DataError, ShapeError
 from pireg.metrics import picp
+
+from conftest import assert_no_child_left, open_descriptors
 
 
 def phi(x):
@@ -651,6 +656,27 @@ def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypa
         load_delimited(path)
     assert str(got.value) == str(want.value)
     assert fault == "non-utf-8 byte" or f"at row {row}, column 0" in str(got.value)
+
+
+@pytest.mark.parametrize("refused", ["pipe", "fork"])
+def test_a_refused_fork_reads_the_table_whole(tmp_path, monkeypatch, read_in_two, refused):
+    # os.pipe or os.fork failing (EAGAIN under a process limit, ENOMEM) sends
+    # the table to the whole-file read and leaves no descriptor open.
+    path = tmp_path / "two.csv"
+    path.write_bytes(CLEAN_IN_TWO["header"])
+    before = open_descriptors()
+
+    def refuse():
+        raise OSError(errno.EAGAIN, "no process for you")
+
+    with mock.patch.object(os, refused, refuse):
+        got = _outcome(load_delimited, path, ",", "y")
+    assert read_in_two == [False]
+    assert open_descriptors() == before
+    assert_no_child_left()
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    assert got == _outcome(load_delimited, path, ",", "y")
+    assert got[0] == "loaded"
 
 
 def test_the_two_process_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,

@@ -10,8 +10,8 @@ table pins 46 hand-picked ones, each with its own extra checks.
 """
 
 import dataclasses
+import errno
 import math
-import multiprocessing
 import operator
 import os
 import re
@@ -36,7 +36,7 @@ from pireg.network import STACK_FORWARD_BYTES, FeedForwardModel, backward, forwa
 from pireg.optim import adam_step, init_adam
 from pireg.training import TrainingHistory, build_model, carve_validation, train_ensemble
 
-from conftest import fork_over
+from conftest import assert_no_child_left, fork_over, open_descriptors
 
 
 def train_single(config, train, valid, seed):
@@ -393,7 +393,6 @@ def check_layout(layout):
                         else [train_ensemble(config, rows[0], valids[0], base_seeds[0])])
         except TrainingDiverged as exc:  # the one-group form raises its group's error
             outcomes = [exc]
-        k = training._workers(config, total, copies[0].n, copies[0].dim)
         wants = [sequential_ensemble(config, *group) for group in zip(copies, valids, base_seeds)]
     for got, want in zip(outcomes, wants, strict=True):
         errors = [o for o in want if isinstance(o, TrainingDiverged)]
@@ -408,6 +407,13 @@ def check_layout(layout):
             assert histories == list(want_histories)
     if training._blas_threads() is None:
         return outcomes, None, wants
+    if layout.workers is None:  # as many as the trainer picks unpatched
+        with mock.patch.object(training, "HEAVY_STEP_WORK", heavy):
+            k = training._workers(config, total, copies[0].n, copies[0].dim)
+    elif layout.heavy:  # chunks of at most total // workers members
+        k = -(-total // max(total // layout.workers, 1))
+    else:
+        k = min(layout.workers, total)
     assert chunks == ([] if k == 1 else [np.diff([total * i // k for i in range(k + 1)]).tolist()])
     return outcomes, chunks, wants
 
@@ -784,7 +790,7 @@ def test_no_worker_outlives_a_raising_train_ensemble(monkeypatch, forked_chunks,
         train_failing_chunk(monkeypatch, fail, lambda: KeyError("boom"), busy)
     assert time.perf_counter() - started < 30
     assert chunks == [[2, 2, 2]]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_a_child_raises_its_error_in_the_parent_with_sigint_ignored(monkeypatch, forked_chunks):
@@ -793,7 +799,7 @@ def test_a_child_raises_its_error_in_the_parent_with_sigint_ignored(monkeypatch,
         train_failing_chunk(monkeypatch, 2, lambda: LookupError(signal.getsignal(signal.SIGINT)))
     assert err.value.args == (signal.SIG_IGN,)
     assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_an_unpicklable_child_error_comes_back_as_its_traceback(monkeypatch, forked_chunks):
@@ -811,7 +817,28 @@ def test_a_child_that_dies_without_an_answer_fails_the_call(monkeypatch, forked_
     with pytest.raises(RuntimeError, match="exited with code 7"):
         train_failing_chunk(monkeypatch, 3, lambda: os._exit(7) if os.getpid() != parent
                             else RuntimeError("trained in the parent"))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_a_failed_fork_raises_and_leaves_no_worker_or_descriptor(monkeypatch, forked_chunks):
+    # The second of two forks fails (EAGAIN, as under a process limit): the
+    # first child is killed and reaped, and no pipe stays open.
+    forked_chunks(3)
+    real, forks = os.fork, []
+
+    def fork():
+        if forks:
+            raise OSError(errno.EAGAIN, "no process for you")
+        forks.append(os.getpid())
+        return real()
+
+    before = open_descriptors()
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="no process for you"):
+        train_failing_chunk(monkeypatch, 0, None)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert open_descriptors() == before
 
 
 def test_a_forked_training_diverged_keeps_its_location(monkeypatch, forked_chunks):
