@@ -459,31 +459,28 @@ def _non_finite(tag):
 
 
 def _standardized(values, rows, mean, std):
-    """``values[rows]`` (every row when ``rows`` is None) as a new standardized
-    array: gathered, then centered and divided in place, the same IEEE
-    operations per element as ``(x - mean) / std``.  Every normalized value,
-    feature or target, whole table or training batch, comes from here.
+    """``values[rows]`` as a new standardized array: gathered, then centered
+    and divided in place, the same IEEE operations per element as
+    ``(x - mean) / std``.  Every normalized value, feature or target, whole
+    table or training batch, comes from here.
     """
-    if rows is None:
-        out = values - mean
-    else:
-        # A fancy-index gather; np.take would first copy a strided or
-        # column-major matrix whole into row-major order.
-        out = values[rows]
-        out -= mean
+    # A fancy-index gather; np.take would first copy a strided or
+    # column-major matrix whole into row-major order.
+    out = values[rows]
+    out -= mean
     out /= std
     return out
 
 
 def _row_chunks(values, rows):
-    # ``values[rows]`` (every row when ``rows`` is None), STAT_CHUNK_ROWS
-    # rows at a time, each chunk a new array led, after the first, by the
-    # row before it, free for a running total.  The gather indexes; np.take
-    # would first copy a strided matrix whole.
-    n = len(values) if rows is None else len(rows)
-    for start in range(0, n, STAT_CHUNK_ROWS):
-        part = slice(max(start - 1, 0), start + STAT_CHUNK_ROWS)
-        yield values[part].copy() if rows is None else values[rows[part]]
+    # ``values[rows]``, STAT_CHUNK_ROWS rows at a time, each chunk a new
+    # array led, after the first, by the row before it, free for a running
+    # total.  A lone column, or the 1-D targets, is one chunk: numpy sums a
+    # single column pairwise, so it must be reduced whole.  The gather
+    # indexes; np.take would first copy a strided matrix whole.
+    step = len(rows) if values.ndim == 1 or values.shape[1] == 1 else STAT_CHUNK_ROWS
+    for start in range(0, len(rows), step):
+        yield values[rows[max(start - 1, 0):start + step]]
 
 
 def _column_sums(chunks):
@@ -504,9 +501,9 @@ def _moments(values, rows, tag):
     bit ``np.mean`` and ``np.std`` of the gathered rows, refused with a
     DataError when they would standardize any of them to a non-finite number.
 
-    Two or more columns are reduced a row chunk at a time, one pass per
-    moment, so no copy of the selected rows exists whole.  A single column,
-    which numpy sums pairwise instead, is gathered and reduced whole.
+    Every width is reduced by the same running sums over ``_row_chunks``, one
+    pass per moment, so no copy of two or more selected columns exists
+    whole; a lone column, or the targets, is a single chunk.
 
     With finite inputs a finite std implies finite standardized values: the
     mean is then finite too, no difference from it overflows (its square
@@ -517,23 +514,18 @@ def _moments(values, rows, tag):
     greatest values, standardized, are the only ones to check.  Numpy's
     overflow warnings are silenced, since each outcome is checked here.
     """
-    whole = values.ndim == 1 or values.shape[1] == 1
-    if whole:
-        values, rows = (values if rows is None else values[rows]), None
     with np.errstate(over="ignore", invalid="ignore"):
-        if whole:
-            mean, std = np.mean(values, axis=0), np.std(values, axis=0)
-        else:
-            n = len(values) if rows is None else len(rows)
-            mean = _column_sums(_row_chunks(values, rows)) / n
-            squares = ((chunk - mean) ** 2 for chunk in _row_chunks(values, rows))
-            std = np.sqrt(_column_sums(squares) / n)
+        mean = _column_sums(_row_chunks(values, rows)) / len(rows)
+        # Each chunk is a new gather, so it is centered and squared in place.
+        squares = (np.square(np.subtract(chunk, mean, out=chunk), out=chunk)
+                   for chunk in _row_chunks(values, rows))
+        std = np.sqrt(_column_sums(squares) / len(rows))
         std = np.where(std == 0.0, 1.0, std)
         if not np.isfinite(std).all():
-            chunks = [values] if whole else _row_chunks(values, rows)
+            chunks = _row_chunks(values, rows)
             lows, highs = zip(*((c.min(axis=0), c.max(axis=0)) for c in chunks))
             ends = np.array([np.min(lows, axis=0), np.max(highs, axis=0)])
-            if not np.isfinite(_standardized(ends, None, mean, std)).all():
+            if not np.isfinite((ends - mean) / std).all():
                 raise _non_finite(tag)
     return mean, std
 
@@ -543,13 +535,17 @@ def fit_normalize(dataset: Dataset, rows=None) -> NormStats:
 
     ``rows``, an index array, selects the rows (in that order) the statistics
     are fit on; by default every row.  The result is ``np.mean``/``np.std``
-    of the selected rows, bit for bit, and no copy of them exists whole
-    (see ``_moments``).
+    of the selected rows, bit for bit; the targets and a lone feature column
+    are gathered whole, wider features a chunk of rows at a time (see
+    ``_moments``).  An empty selection raises a DataError.
 
     Statistics that would standardize one of the selected rows, features or
     target, to a non-finite value raise a DataError, as that normalized
     copy would: the trainer reads those rows batch by batch, never whole.
     """
+    rows = np.arange(dataset.n) if rows is None else rows
+    if not len(rows):
+        raise DataError(f"no rows to fit standardization on in dataset {dataset.source_tag!r}")
     fmean, fstd = _moments(dataset.features, rows, dataset.source_tag)
     tmean, tstd = _moments(dataset.targets, rows, dataset.source_tag)
     return NormStats(fmean, fstd, float(tmean), float(tstd))
@@ -561,6 +557,7 @@ def apply_normalize(dataset: Dataset, stats: NormStats, rows=None) -> Dataset:
     ``rows``, an index array, selects and orders the rows copied; by default
     every row.
     """
+    rows = np.arange(dataset.n) if rows is None else rows
     return Dataset(
         _standardized(dataset.features, rows, stats.feature_mean, stats.feature_std),
         _standardized(dataset.targets, rows, stats.target_mean, stats.target_std),

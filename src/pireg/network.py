@@ -176,8 +176,6 @@ def backward(model, features, targets, cfg: LossConfig):
     """
     x = _check_features(model, features)
     y = np.asarray(targets, dtype=float)
-    if x.shape[-2] < 1:
-        raise ShapeError("batch must be non-empty")
     if x.shape[:-1] != y.shape:
         raise ShapeError(f"{x.shape[:-1]} rows but {y.shape} targets")
 

@@ -50,7 +50,8 @@ check the loader makes too (``data._fork_safe``: more than one CPU allowed,
 os.fork present, no other Python thread alive), and the controls were found
 in an OpenBLAS built with pthreads or without threads, which survives a
 fork.  Anything else trains in process, as ``taskset -c 0`` does, and
-unpinned where no controls were found.
+unpinned where no controls were found; so does a call whose pipe or fork
+the system refuses, once the children already started are reaped.
 """
 
 from __future__ import annotations
@@ -293,10 +294,16 @@ def _workers(config, members, rows, dim):
 def _train_forked(config, shape, chunks):
     # The first chunk trains here while a forked child (data._forked) trains
     # each other one; the members' outcomes come back in member order.  No
-    # child outlives this call.
+    # child outlives this call.  A refused pipe or fork (EAGAIN, ENOMEM)
+    # kills and reaps the children already started and trains every member
+    # here, with the same outcomes: a member trains alike in any chunk.
     with contextlib.ExitStack() as stack:
-        children = [stack.enter_context(_forked(_train_child, config, chunk, shape))
-                    for chunk in chunks[1:]]
+        try:
+            children = [stack.enter_context(_forked(_train_child, config, chunk, shape))
+                        for chunk in chunks[1:]]
+        except OSError:
+            stack.close()
+            return _train_members(config, [m for chunk in chunks for m in chunk], shape)
         outcomes = _train_members(config, chunks[0], shape)
         for receive, wait in children:
             try:

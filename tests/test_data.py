@@ -599,6 +599,14 @@ def _two_part_table(rows=120, header="", newline="\n", final=True, blank_at_cut=
     return text.encode("utf-8")
 
 
+def _long_last_line(rows=120):
+    # Rows of 4 columns, the last longer than all the others together, so
+    # that it holds the middle byte and the table has no second part.
+    short = b"0,1,2,3\n" * (rows - 1)
+    cell = b"1." + b"0" * (len(short) // 4) + b"1"
+    return short + b",".join([cell] * 4) + b"\n"
+
+
 CLEAN_IN_TWO = {
     "plain": _two_part_table(),
     "header": _two_part_table(header="a,b,c,y"),
@@ -608,6 +616,7 @@ CLEAN_IN_TWO = {
     "no final newline": _two_part_table(final=False),
     "blank lines at the cut": _two_part_table(blank_at_cut=True),
     "crlf blank lines at the cut": _two_part_table(newline="\r\n", blank_at_cut=True),
+    "middle byte in the last line": _long_last_line(),
 }
 
 
@@ -622,31 +631,56 @@ def test_a_table_read_in_two_processes_loads_as_read_whole(tmp_path, monkeypatch
         assert data[_cut(data):].startswith((b"\n", b"\r\n"))
     target = "y" if "header" in case and "no header" not in case else -1
     got = _outcome(load_delimited, path, ",", target)
-    assert read_in_two == [True]
+    # A table whose middle byte lies in its last line is read whole.
+    assert read_in_two == [case != "middle byte in the last line"]
     monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
     assert got == _outcome(load_delimited, path, ",", target)
     assert got[0] == "loaded" and got[1] == (120, 3)
 
 
+WIDER = ("wider row at a block boundary", "ragged widths across the cut")
+
+
 def _spoiled(part, fault):
-    # A two-part table with the first cell of the 11th line before the cut,
-    # or after it, replaced, and that line's number.  Both lie past the
-    # bytes that header detection decodes.
+    # A two-part table with the 11th line before the cut, or after it,
+    # spoiled: its first cell replaced, or split in two; or with the first
+    # cell split on every line of that part.  Gives the table and the
+    # location the error names.  A split keeps each line's bytes, and so the
+    # cut.  All lie past the bytes that header detection decodes, except a
+    # wider head, whose first line sets the width.
     data = _two_part_table(rows=1000)
     lines = data.split(b"\n")
-    i = data[:_cut(data)].count(b"\n") + (-11 if part == "head" else 10)
-    cell = {"bad cell": b"oops", "non-finite cell": b"inf", "non-utf-8 byte": b"\xff"}[fault]
-    lines[i] = cell + lines[i][lines[i].index(b","):]
-    return b"\n".join(lines), i + 1
+    head = data[:_cut(data)].count(b"\n")
+    i = head + (-11 if part == "head" else 10)
+
+    def split(line):
+        return b"0," + b"0" * (line.index(b",") - 2) + line[line.index(b","):]
+
+    if fault == "ragged widths across the cut":
+        for j in range(head) if part == "head" else range(head, len(lines) - 1):
+            lines[j] = split(lines[j])
+        where = f"row {head + 1} has {4 if part == 'head' else 5} cells"
+    elif fault == "wider row at a block boundary":
+        lines[i] = split(lines[i])
+        where = f"row {i + 1} has 5 cells, expected 4"
+    else:
+        cell = {"bad cell": b"oops", "non-finite cell": b"inf", "non-utf-8 byte": b"\xff"}[fault]
+        lines[i] = cell + lines[i][lines[i].index(b","):]
+        where = "" if fault == "non-utf-8 byte" else f"at row {i + 1}, column 0"
+    spoiled = b"\n".join(lines)
+    assert fault not in WIDER or _cut(spoiled) == _cut(data)
+    return spoiled, where
 
 
 @pytest.mark.parametrize("part", ["head", "tail"])
-@pytest.mark.parametrize("fault", ["bad cell", "non-finite cell", "non-utf-8 byte"])
+@pytest.mark.parametrize("fault", ["bad cell", "non-finite cell", "non-utf-8 byte", *WIDER])
 def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypatch, read_in_two,
                                                                 part, fault):
-    data, row = _spoiled(part, fault)
+    data, where = _spoiled(part, fault)
     path = tmp_path / "two.csv"
     path.write_bytes(data)
+    if fault == "wider row at a block boundary":  # each line a block of its own
+        monkeypatch.setattr(pireg.data, "PARSE_BLOCK_BYTES", 1)
     with pytest.raises(DataError) as got:
         load_delimited(path)
     # Numpy parses inf, so only the finiteness check after the read refuses it.
@@ -655,7 +689,7 @@ def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypa
     with pytest.raises(DataError) as want:
         load_delimited(path)
     assert str(got.value) == str(want.value)
-    assert fault == "non-utf-8 byte" or f"at row {row}, column 0" in str(got.value)
+    assert where in str(got.value)
 
 
 @pytest.mark.parametrize("refused", ["pipe", "fork"])
@@ -806,6 +840,17 @@ def test_constant_targets_get_unit_std():
     stats = fit_normalize(Dataset(np.array([[0.0], [1.0]]), np.array([7.0, 7.0])))
     assert stats.target_std == 1.0
     assert stats.target_mean == 7.0
+
+
+@pytest.mark.parametrize("width, n, rows", [(2, 0, None), (1, 0, None), (2, 3, [])])
+def test_fit_normalize_on_no_rows_is_a_located_data_error(width, n, rows):
+    # Refused before any reduction runs, so numpy warns of nothing.
+    data = Dataset(np.ones((n, width)), np.ones(n), source_tag="none")
+    rows = None if rows is None else np.array(rows, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="no rows to fit standardization on in dataset 'none'"):
+            fit_normalize(data, rows)
 
 
 def unnormalized_features(dataset, stats):

@@ -205,9 +205,13 @@ def test_duplicating_rows_preserves_gradients_when_coverage_is_met():
 
 
 def test_backward_rejects_bad_batches():
+    # An empty batch, lone model or stack, passes the forward pass and is
+    # refused by the loss, for the loss value and the gradient alike.
     model = init_model([2, 4, 3], seed=0, head_bias=INTERVAL_BIAS)
-    with pytest.raises(ShapeError):
-        backward(model, np.zeros((0, 2)), np.zeros(0), LossConfig())
+    for net, rows in ((model, (0,)), (stack_of((2, 4, 3), 2), (2, 0))):
+        for call in (backward, loss_value):
+            with pytest.raises(ShapeError, match="batch must be non-empty"):
+                call(net, np.zeros(rows + (2,)), np.zeros(rows), LossConfig())
     with pytest.raises(ShapeError):
         backward(model, np.zeros((3, 2)), np.zeros(4), LossConfig())
 
