@@ -7,12 +7,12 @@ prediction does not sit at the center of the optimal interval.
 validates them.  Tabular ingestion reads plain delimited numeric text (one
 row per sample, optional header) which covers the usual regression
 benchmark files once exported to CSV.  A clean numeric table is parsed by
-one vectorized ``np.loadtxt`` read, or, from PARSE_SPLIT_BYTES on, by two
-processes at once, each half in blocks; input that read refuses (quoted cells,
-all-empty rows, ``float``-only spellings such as ``1_0``, or any faulty
-cell) takes a cell-by-cell csv parse that accepts it or raises a located
-error.  The loaded features are row-major, a view of the parsed matrix
-when the target is its first or last column.
+numpy in blocks, by this process alone or, from PARSE_SPLIT_BYTES on, by two
+processes at once, one half each; input a block refuses (quoted cells,
+all-empty rows, ``float``-only spellings such as ``1_0``, CR-only line ends,
+or any faulty cell) takes a cell-by-cell csv parse that accepts it or raises
+a located error.  The loaded features are row-major, a view of the parsed
+matrix when the target is its first or last column.
 
 Standardization is fit on a split's training rows (``fit_normalize``) and
 applied by one arithmetic path, either as a copy of selected rows
@@ -152,33 +152,58 @@ def _header(path, delimiter):
 
 
 def _vectorized_read(path, delimiter, skiprows):
-    """The whole table parsed by numpy, or None when numpy refuses it.
+    """The table parsed by numpy in blocks, or None when numpy refuses it.
 
     A refusal (a cell numpy cannot convert, ragged or blank-but-not-empty
-    lines, no rows, a non-finite value, or a newline delimiter, which numpy
-    rejects with a TypeError) sends the caller to the cell-by-cell
+    lines, more lines than newlines, no rows, or a newline delimiter, which
+    numpy rejects with a TypeError) sends the caller to the cell-by-cell
     parse, which either locates the fault or accepts what only ``float``
     reads.  Undecodable text is an error on both paths, so it is raised here.
 
-    A table of PARSE_SPLIT_BYTES or more is parsed in two processes where
-    forking is safe (``_fork_safe``), by ``_read_in_two``; anything that
-    path refuses is read again whole, which gives today's outcome.
+    Every part goes by ``_parse_part`` into one matrix, allocated once from
+    the line counts.  From PARSE_SPLIT_BYTES on, where forking is safe
+    (``_fork_safe``) and the system grants the pipe and the fork, a forked
+    child parses the lines after the first line boundary past the middle
+    byte; it sends its line count, then its (rows, width) and its rows,
+    which are read into their place.  Otherwise this process parses it all.
     """
+    cut = size = os.path.getsize(path)
+    if size >= PARSE_SPLIT_BYTES and _fork_safe(_cpus()):
+        with open(path, "rb") as fh:
+            fh.seek(size // 2)
+            fh.readline()
+            cut = fh.tell()
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.ExitStack() as stack:
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            matrix = _read_in_two(path, delimiter, skiprows)
-            if matrix is None:
-                matrix = np.loadtxt(path, delimiter=delimiter, comments=None,
-                                    encoding="utf-8-sig", ndmin=2, skiprows=skiprows,
-                                    dtype=float)
+            if cut < size:
+                try:
+                    fd, _ = stack.enter_context(_forked(_parse_tail, path, delimiter, cut, size))
+                    pipe = stack.enter_context(open(fd, "rb", closefd=False))
+                except OSError:  # no pipe or fork
+                    cut = size
+            capacity = _line_count(path, 0, cut)
+            if cut < size:  # 0 if the child died first; its (rows, width) is missing too
+                capacity += int.from_bytes(pipe.read(8), "little")
+            matrix, n = _parse_part(path, delimiter, 0, cut, skiprows, capacity)
+            if cut < size:
+                # Fewer than two numbers, as from a child that refused a
+                # block, fail to unpack.  A buffered pipe's readinto fills
+                # the rows unless the pipe ends.
+                count, width = np.frombuffer(pipe.read(16), dtype=np.int64).tolist()
+                if count:
+                    if matrix is None:  # the head holds no rows
+                        matrix = np.empty((capacity, width))
+                    rows = matrix[n:n + count]
+                    if (width != matrix.shape[1] or n + count > capacity
+                            or pipe.readinto(rows) < rows.nbytes):
+                        raise ValueError("the tail does not fit the head")
+                    n += count
     except UnicodeDecodeError:
         raise
     except (ValueError, TypeError):
         return None
-    if matrix.shape[0] == 0 or not np.isfinite(matrix).all():
-        return None
-    return matrix
+    return None if matrix is None else matrix[:n]
 
 
 # Tables of at least this many bytes are parsed in two processes.  The
@@ -192,9 +217,8 @@ def _vectorized_read(path, delimiter, skiprows):
 # from 2.90 MB.  The bound lies between the two shapes' crossovers, where
 # either moves by a few ms at most.  Measured on 2 CPUs only.
 PARSE_SPLIT_BYTES = 2 << 20
-# Bytes of text parsed per np.loadtxt call on the two-process path: the
-# parsing runs as fast as one whole-file call, and the temporaries stay a
-# small part of the matrix.
+# Bytes of text parsed per np.loadtxt call: the parsing runs as fast as one
+# whole-file call, and the temporaries stay a small part of the matrix.
 PARSE_BLOCK_BYTES = 1 << 16
 
 
@@ -256,9 +280,9 @@ def _forked(body, *args):
 
 def _blocks(path, delimiter, start, stop, skiprows):
     # The lines of bytes [start, stop) of the table, stop a line boundary or
-    # the end, parsed as np.loadtxt parses the whole file, about
-    # PARSE_BLOCK_BYTES at a time: the first block skips ``skiprows`` lines
-    # and, at the start of the file, a byte-order mark.
+    # the end, parsed by np.loadtxt about PARSE_BLOCK_BYTES at a time: the
+    # first block skips ``skiprows`` lines and, at the start of the file, a
+    # byte-order mark.
     with open(path, "rb") as fh:
         fh.seek(start)
         pos, encoding = start, "utf-8-sig" if start == 0 else "utf-8"
@@ -275,13 +299,14 @@ def _blocks(path, delimiter, start, stop, skiprows):
             encoding, skiprows = "utf-8", 0
 
 
-def _line_count(path, start=0):
-    # An upper bound on the lines from byte ``start`` on: newlines plus one.
+def _line_count(path, start, stop):
+    # An upper bound on the lines in bytes [start, stop): newlines plus one.
     lines, buffer = 1, bytearray(1 << 20)
     with open(path, "rb", buffering=0) as fh:
         fh.seek(start)
-        while got := fh.readinto(buffer):
-            lines += buffer.count(b"\n", 0, got)
+        while start < stop and (got := fh.readinto(buffer)):
+            lines += buffer.count(b"\n", 0, min(got, stop - start))
+            start += got
     return lines
 
 
@@ -303,53 +328,17 @@ def _parse_part(path, delimiter, start, stop, skiprows, capacity):
     return matrix, n
 
 
-def _read_in_two(path, delimiter, skiprows):
-    """The table parsed by this process and a forked child at once, or None.
-
-    The parent parses the lines up to the first line boundary past the
-    middle byte, the child the rest, each in blocks.  The parent's rows go
-    straight into one matrix, allocated once from the line count, and the
-    child's rows are read from a pipe into their place after them.  None
-    when the table is smaller than PARSE_SPLIT_BYTES, forking is unsafe or
-    fails, the first part has no rows, or either part refuses a block (numpy
-    raises, or the widths differ); the caller then reads the whole file,
-    with the same outcome.
-    """
-    size = os.path.getsize(path)
-    if size < PARSE_SPLIT_BYTES or not _fork_safe(_cpus()):
-        return None
-    with open(path, "rb") as fh:
-        fh.seek(size // 2)
-        fh.readline()
-        cut = fh.tell()
-    if cut >= size:
-        return None
-    try:
-        with _forked(_parse_tail, path, delimiter, cut, size) as (receive, _), \
-                open(receive, "rb", closefd=False) as pipe:
-            matrix, n = _parse_part(path, delimiter, 0, cut, skiprows, _line_count(path))
-            # The child's (rows, width), then its rows; nothing if it refused.
-            # A buffered pipe's readinto fills the array unless the pipe ends.
-            tail = np.empty(2, dtype=np.int64)
-            if matrix is None or pipe.readinto(tail) < tail.nbytes:
-                return None
-            count, width = tail.tolist()
-            if (count and width != matrix.shape[1]) or n + count > len(matrix):
-                return None
-            rows = matrix[n:n + count]
-            return matrix[:n + count] if pipe.readinto(rows) == rows.nbytes else None
-    except (OSError, ValueError, TypeError):  # no pipe or fork, or a refused block
-        return None
-
-
 def _parse_tail(send, path, delimiter, start, stop):
-    # The forked child's part of _read_in_two: sends its (rows, width) and
-    # its rows, or, when it refuses a block, raises before sending anything.
-    part, n = _parse_part(path, delimiter, start, stop, 0, _line_count(path, start))
+    # The forked child's part of _vectorized_read: sends its line count before
+    # it parses, then its (rows, width), width 0 without rows, and its rows;
+    # a block it refuses raises, which ends the pipe after the count.
+    capacity = _line_count(path, start, stop)
     with open(send, "wb") as pipe:
-        pipe.write(np.array([n, 0 if part is None else part.shape[1]],
-                            dtype=np.int64).tobytes())
-        if part is not None:
+        pipe.write(capacity.to_bytes(8, "little"))
+        pipe.flush()
+        part, n = _parse_part(path, delimiter, start, stop, 0, capacity)
+        pipe.write(np.array([n, n and part.shape[1]], dtype=np.int64).tobytes())
+        if n:
             pipe.write(part[:n].data)
 
 
@@ -385,18 +374,19 @@ def load_delimited(path, target_column=-1, delimiter=","):
     first row has any non-numeric cell, and must have one name per column.
 
     A clean numeric table (plain ASCII numbers, blank lines allowed) is
-    parsed by one ``np.loadtxt`` call.  Anything numpy refuses, or that
-    gives no rows or a non-finite value, is parsed again cell by cell with
-    ``csv`` and ``float``: that path accepts quoted cells, all-empty rows
-    and ``float`` spellings such as ``1_0``, and rejects ragged rows,
-    non-numeric cells and non-finite values with located errors.
+    parsed once by numpy, in blocks (``_vectorized_read``).  Anything numpy
+    refuses, or that gives no rows or a non-finite value, is parsed again
+    cell by cell with ``csv`` and ``float``: that path accepts quoted cells,
+    all-empty rows, CR-only line ends and ``float`` spellings such as
+    ``1_0``, and rejects ragged rows, non-numeric cells and non-finite
+    values with located errors.
     """
     rows = None
     try:
         header = _header(path, delimiter)
         skip = int(header is not None)
         matrix = _vectorized_read(path, delimiter, skip)
-        if matrix is None:
+        if matrix is None or not np.isfinite(matrix).all():
             rows = _read_records(path, delimiter, skip)
     except FileNotFoundError:
         raise DataError(f"no such data file: {path}") from None

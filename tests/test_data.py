@@ -6,8 +6,10 @@ statistics from the stdlib statistics module, and delimited tables from a
 cell-by-cell csv parse kept here as it was before the vectorized loader.
 """
 
+import contextlib
 import csv
 import errno
+import io
 import math
 import os
 import statistics
@@ -458,6 +460,7 @@ LOADER_CORPUS = [
     ("padded cells", " 1 , 2\t,3 \n 4,5 , 6\n", ",", 0),
     ("crlf", "x,y\r\n1,2\r\n3,4\r\n", ",", "y"),
     ("cr only", "1,2\r3,4\r", ",", -1),
+    ("cr only, several blocks", _msd_shaped_text(200).replace("\n", "\r"), ",", -1),
     ("no final eol", "1,2\n3,4", ",", -1),
     ("bom on numeric first row", "\ufeff1,2\n3,4\n", ",", -1),
     ("bom on header", "\ufeffa,b\n1,2\n", ",", "b"),
@@ -564,25 +567,35 @@ def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, monkeypatch):
 @pytest.fixture
 def read_in_two(monkeypatch):
     """``load_delimited`` of any size parsed in two processes, as on two
-    CPUs; the list records whether each two-process read gave a matrix
-    (True) or refused the table to the whole-file read (False)."""
-    ran = []
-    real = pireg.data._read_in_two
+    CPUs; the list records whether each numpy read forked a child and gave
+    a matrix (True), or read the table in one process or refused it to the
+    cell-by-cell read (False)."""
+    ran, forks = [], []
+    real_read, real_fork = pireg.data._vectorized_read, pireg.data._forked
+
+    @contextlib.contextmanager
+    def fork(*args):
+        with real_fork(*args) as child:
+            forks.append(child)
+            yield child
 
     def spy(*args):
-        matrix = real(*args)
-        ran.append(matrix is not None)
+        forks.clear()
+        ran.append(False)
+        matrix = real_read(*args)
+        ran[-1] = bool(forks) and matrix is not None
         return matrix
 
     monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 0)
     monkeypatch.setattr(pireg.data, "_cpus", lambda: 2)
-    monkeypatch.setattr(pireg.data, "_read_in_two", spy)
+    monkeypatch.setattr(pireg.data, "_forked", fork)
+    monkeypatch.setattr(pireg.data, "_vectorized_read", spy)
     return ran
 
 
 def _cut(data):
-    # Where _read_in_two splits a table's bytes: after the first newline
-    # from the middle byte on.
+    # Where the two-process read splits a table's bytes: after the first
+    # newline from the middle byte on.
     return data.index(b"\n", len(data) // 2) + 1
 
 
@@ -607,6 +620,14 @@ def _long_last_line(rows=120):
     return short + b",".join([cell] * 4) + b"\n"
 
 
+def _cr_only_head(rows=120, head=61):
+    # Rows of 4 columns, the first ``head`` ended by CR alone and the last
+    # of them by a newline: the head holds the middle byte, fits the matrix
+    # the newlines size, and leaves too few rows for the tail's.
+    lines = _two_part_table(rows).split(b"\n")[:-1]
+    return b"\r".join(lines[:head]) + b"\n" + b"\n".join(lines[head:]) + b"\n"
+
+
 CLEAN_IN_TWO = {
     "plain": _two_part_table(),
     "header": _two_part_table(header="a,b,c,y"),
@@ -617,23 +638,30 @@ CLEAN_IN_TWO = {
     "blank lines at the cut": _two_part_table(blank_at_cut=True),
     "crlf blank lines at the cut": _two_part_table(newline="\r\n", blank_at_cut=True),
     "middle byte in the last line": _long_last_line(),
+    "header longer than the rows": _two_part_table(
+        header="a" * len(_two_part_table()) + ",b,c,y"),
+    "cr-only lines in the head": _cr_only_head(),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLEAN_IN_TWO))
-def test_a_table_read_in_two_processes_loads_as_read_whole(tmp_path, monkeypatch, read_in_two,
-                                                           case):
+def test_a_table_read_in_two_processes_loads_as_read_in_one(tmp_path, monkeypatch, read_in_two,
+                                                             case):
     data = CLEAN_IN_TWO[case]
     path = tmp_path / "two.csv"
     path.write_bytes(data)
     if "blank" in case:  # blank lines end the head and open the tail
         assert data[:_cut(data)].endswith((b"\n\n", b"\r\n\r\n"))
         assert data[_cut(data):].startswith((b"\n", b"\r\n"))
+    if "longer" in case or "cr-only" in case:  # the head's lines end in one newline
+        assert data[:_cut(data)].count(b"\n") == 1
     target = "y" if "header" in case and "no header" not in case else -1
     got = _outcome(load_delimited, path, ",", target)
-    # A table whose middle byte lies in its last line is read whole.
-    assert read_in_two == [case != "middle byte in the last line"]
-    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    # A table whose middle byte lies in its last line is read in one process;
+    # one whose rows outnumber its lines is read cell by cell.
+    assert read_in_two == [case not in ("middle byte in the last line",
+                                        "cr-only lines in the head")]
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the one-process read
     assert got == _outcome(load_delimited, path, ",", target)
     assert got[0] == "loaded" and got[1] == (120, 3)
 
@@ -674,8 +702,8 @@ def _spoiled(part, fault):
 
 @pytest.mark.parametrize("part", ["head", "tail"])
 @pytest.mark.parametrize("fault", ["bad cell", "non-finite cell", "non-utf-8 byte", *WIDER])
-def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypatch, read_in_two,
-                                                                part, fault):
+def test_a_fault_in_either_part_raises_as_the_one_process_read(tmp_path, monkeypatch,
+                                                                 read_in_two, part, fault):
     data, where = _spoiled(part, fault)
     path = tmp_path / "two.csv"
     path.write_bytes(data)
@@ -685,7 +713,7 @@ def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypa
         load_delimited(path)
     # Numpy parses inf, so only the finiteness check after the read refuses it.
     assert read_in_two == [fault == "non-finite cell"]
-    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the one-process read
     with pytest.raises(DataError) as want:
         load_delimited(path)
     assert str(got.value) == str(want.value)
@@ -693,9 +721,10 @@ def test_a_fault_in_either_part_raises_as_the_whole_file_read(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("refused", ["pipe", "fork"])
-def test_a_refused_fork_reads_the_table_whole(tmp_path, monkeypatch, read_in_two, refused):
+def test_a_refused_fork_reads_the_table_in_one_process(tmp_path, monkeypatch, read_in_two,
+                                                       refused):
     # os.pipe or os.fork failing (EAGAIN under a process limit, ENOMEM) sends
-    # the table to the whole-file read and leaves no descriptor open.
+    # the table to the one-process read and leaves no descriptor open.
     path = tmp_path / "two.csv"
     path.write_bytes(CLEAN_IN_TWO["header"])
     before = open_descriptors()
@@ -708,9 +737,57 @@ def test_a_refused_fork_reads_the_table_whole(tmp_path, monkeypatch, read_in_two
     assert read_in_two == [False]
     assert open_descriptors() == before
     assert_no_child_left()
-    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the whole-file read
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the one-process read
     assert got == _outcome(load_delimited, path, ",", "y")
     assert got[0] == "loaded"
+
+
+def _quoted(data):
+    # Every cell of a table in double quotes, which numpy refuses.
+    return b"".join(b'"' + line.replace(b",", b'","') + b'"\n' for line in data.splitlines())
+
+
+@pytest.mark.parametrize("case", ["bad cell in the tail", "quoted cells"])
+def test_a_refused_table_is_parsed_once_per_path(tmp_path, monkeypatch, read_in_two, case):
+    # Each part goes through _parse_part at most once, here or in the child,
+    # the caller's part always; then the cell-by-cell read runs once, and
+    # numpy parses nothing but blocks.  Both processes append to one log.
+    data = _spoiled("tail", "bad cell")[0] if case == "bad cell in the tail" \
+        else _quoted(_two_part_table())
+    path = tmp_path / "two.csv"
+    path.write_bytes(data)
+    want = _outcome(cell_by_cell_load, path, ",", -1)
+    log = tmp_path / "calls.log"
+    real_part, real_records, real_loadtxt = (pireg.data._parse_part, pireg.data._read_records,
+                                             np.loadtxt)
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def parse_part(path, delimiter, start, stop, *rest):
+        note(f"part {start} {stop}")
+        return real_part(path, delimiter, start, stop, *rest)
+
+    def read_records(*args):
+        note("records")
+        return real_records(*args)
+
+    def loadtxt(text, *args, **kwargs):
+        if not isinstance(text, io.TextIOWrapper):
+            note("whole file")
+        return real_loadtxt(text, *args, **kwargs)
+
+    monkeypatch.setattr(pireg.data, "_parse_part", parse_part)
+    monkeypatch.setattr(pireg.data, "_read_records", read_records)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    got = _outcome(load_delimited, path, ",", -1)
+    assert got == want
+    assert got[0] == ("error" if case == "bad cell in the tail" else "loaded")
+    assert read_in_two == [False]
+    calls = log.read_text().splitlines()
+    head, tail = f"part 0 {_cut(data)}", f"part {_cut(data)} {len(data)}"
+    assert calls[-1] == "records" and sorted(calls[:-1]) in ([head], sorted([head, tail]))
 
 
 def test_the_two_process_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,
@@ -720,9 +797,9 @@ def test_the_two_process_read_holds_the_parsed_matrix_and_small_temporaries(tmp_
     assert read_in_two == [True]
 
 
-def test_the_whole_file_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,
-                                                                           monkeypatch):
-    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)
+def test_the_one_process_read_holds_the_parsed_matrix_and_small_temporaries(tmp_path,
+                                                                            monkeypatch):
+    monkeypatch.setattr(pireg.data, "PARSE_SPLIT_BYTES", 1 << 62)  # the one-process read
     test_load_holds_the_parsed_matrix_and_small_temporaries(tmp_path)
 
 
