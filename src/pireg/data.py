@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .report import _replacing
 
 
 @dataclass
@@ -133,21 +134,25 @@ def _parse_cell(text, row, col, path):
     return value
 
 
-def _is_numeric_row(cells):
-    for cell in cells:
+def _records(path, delimiter):
+    # (record number, stripped cells) per csv record; a record csv refuses is a DataError.
+    number = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            float(cell)
-        except ValueError:
-            return False
-    return True
+            for number, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+                yield number, [c.strip() for c in cells]
+        except csv.Error as exc:
+            raise DataError(f"{path}: unreadable record at row {number + 1}: {exc}") from None
 
 
 def _header(path, delimiter):
     """The first csv record, stripped, when it is non-blank and not numeric."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        cells = [c.strip() for c in next(csv.reader(fh, delimiter=delimiter), [])]
-    if any(cells) and not _is_numeric_row(cells):
-        return cells
+    cells = next(_records(path, delimiter), (0, []))[1]
+    try:
+        for cell in cells:
+            float(cell)
+    except ValueError:
+        return cells if any(cells) else None
     return None
 
 
@@ -350,12 +355,7 @@ def _check_width(path, width):
 def _read_records(path, delimiter, skip):
     """Cell-by-cell read of the records after the first ``skip``, blank ones
     dropped: (record number, stripped cells) pairs, all of one width."""
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line_no, cells in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
-            cells = [c.strip() for c in cells]
-            if line_no > skip and any(cells):
-                rows.append((line_no, cells))
+    rows = [(n, cells) for n, cells in _records(path, delimiter) if n > skip and any(cells)]
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0][1])
@@ -609,9 +609,9 @@ def split(dataset: Dataset, test_fraction: float, seed, split_index: int
 
 
 def save_delimited(dataset: Dataset, path, delimiter=","):
-    """Write features plus a final target column, with a header line."""
+    """Write features plus a final target column, with a header line, whole or not at all."""
     names = dataset.feature_names or [f"x{j}" for j in range(dataset.dim)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(list(names) + ["y"])
         for row, target in zip(dataset.features, dataset.targets):

@@ -8,8 +8,8 @@ ensemble_size members, one per split of a benchmark, each group with its
 own training rows of a common size, validation copy and base seed; each
 batch gather and validation pass reads every member's rows from its own
 group.  Member j of a group keeps everything it would have trained alone:
-its init seed base_seed + j, its own shuffle stream, its best-score
-snapshot, patience counter and history.  Every per-member quantity is
+its init seed base_seed + j, its own shuffle stream, its best score, best
+epoch and best parameters, and its history.  Every per-member quantity is
 computed by the same arithmetic as for a single model, so the result is
 bit-identical to training the members one after another, group by group.
 
@@ -17,10 +17,12 @@ Each epoch shuffles every member's rows with its own seeded stream, walks
 the batches, then scores the validation set in one ``loss_value`` call,
 each member reading its own group's copy; ``network.forward`` alone
 decides whether the stack meets those rows in one pass or member by
-member.  The best-validation parameters are kept and restored at the end,
-so each member's row of the returned stack is its early-stopping winner,
-not its last iterate.  A member whose batch loss, gradient or validation
-score is non-finite fails alone: it records its own error with the
+member.  Each epoch's training losses and scores form one row of a log
+over the members, and a member's history is its column.  The
+best-validation parameters are kept and restored at the end, so each
+member's row of the returned stack is its early-stopping winner, not its
+last iterate.  A member whose batch loss, gradient or validation score is
+non-finite fails alone: it records its own error with the
 member/epoch/batch context attached, leaves the stack, and everyone else
 trains on.  A group's error is its lowest failing member's, the one its
 members raise trained one after another, since no member's bits depend on
@@ -351,10 +353,8 @@ def _train_members(config, members, shape):
     stack = FeedForwardModel(models[0].layer_sizes, np.stack([m.flat for m in models]))
     state = init_adam(stack, opt)
     shuffles = [np.random.default_rng([seed, 1]) for *_, seed, _ in members]
-    histories = [TrainingHistory() for _ in members]
     best_flat = stack.flat.copy()
-    best = [np.inf] * len(members)
-    bad = [0] * len(members)
+    best, best_epoch = [np.inf] * len(members), [0] * len(members)
     active = list(range(len(members)))  # the member in each stack row
     errors = [None] * len(members)
 
@@ -368,6 +368,8 @@ def _train_members(config, members, shape):
     # contiguous row, so its epoch mean sums in the order a lone model's would.
     perm = np.empty((len(members), n), dtype=np.intp)
     losses = np.empty((len(members), len(starts)))
+    # Per epoch, a (training loss, score) row over the members, unread once one leaves.
+    log = np.empty((1, 2, len(members)))
     # Every loss, gradient and validation score is checked for non-finite
     # values below, so numpy's own warnings about them would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,31 +403,28 @@ def _train_members(config, members, shape):
                                    config.loss)
             else:
                 score = epoch_loss
+            if epoch > len(log):  # doubled, as max_epochs has no upper bound
+                log = np.concatenate([log, np.empty_like(log)])
+            log[epoch - 1][:, active] = epoch_loss, score
             rows = []
-            epoch_losses, scores = epoch_loss.tolist(), score.tolist()
-            for k, m in enumerate(active):
-                if not math.isfinite(scores[k]):
-                    fail(m, f"non-finite validation loss {scores[k]!r} at epoch {epoch}", epoch)
+            for k, (m, value) in enumerate(zip(active, score.tolist())):
+                if not math.isfinite(value):
+                    fail(m, f"non-finite validation loss {value!r} at epoch {epoch}", epoch)
                     continue
-                history = histories[m]
-                history.train_loss.append(epoch_losses[k])
-                history.val_loss.append(scores[k])
-                history.epochs_run = epoch
-                if scores[k] < best[m]:
-                    best[m] = scores[k]
+                if value < best[m]:
+                    best[m], best_epoch[m] = value, epoch
                     best_flat[m] = stack.flat[k]
-                    bad[m] = 0
-                else:
-                    bad[m] += 1
-                    if bad[m] > opt.patience:
-                        continue
+                elif epoch - best_epoch[m] > opt.patience:
+                    continue
                 rows.append(k)
             if len(rows) < len(active):
                 active, stack = _keep(stack, state, active, rows)
             state.learning_rate *= opt.decay
 
-    return [errors[m] if errors[m] is not None else
-            (FeedForwardModel(stack.layer_sizes, best_flat[m:m + 1]), histories[m])
+    # Member m left the stack patience + 1 epochs after its best, or ran to the last epoch.
+    epochs = [min(e + opt.patience + 1, epoch) for e in best_epoch]
+    return [errors[m] or (FeedForwardModel(stack.layer_sizes, best_flat[m:m + 1]),
+                          TrainingHistory(*log[:epochs[m], :, m].T.tolist(), epochs[m]))
             for m in range(len(members))]
 
 

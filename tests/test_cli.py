@@ -300,7 +300,15 @@ def test_data_errors_exit_three(tmp_path, capsys):
     not_utf8.write_bytes(b"1,2\n3,\xff\n")
     narrow_header = tmp_path / "narrow.csv"
     narrow_header.write_text("a,b\n1,2,3\n", encoding="utf-8")
-    for table, message in ((not_utf8, "not UTF-8 text"), (narrow_header, "header has 2 names")):
+    # A cell, quoted or not, and a header name over csv's field size limit.
+    long_cell, long_quoted, long_name = (tmp_path / f"{n}.csv" for n in ("cell", "quoted", "name"))
+    long_cell.write_text("a,b\n1,2\n3," + "1" * 200_000 + "\n", encoding="utf-8")
+    long_quoted.write_text('a,b\n1,2\n3,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+    long_name.write_text("a," + "b" * 140_000 + "\n1,2\n3,4\n", encoding="utf-8")
+    for table, message in ((not_utf8, "not UTF-8 text"), (narrow_header, "header has 2 names"),
+                           (long_cell, "unreadable record at row 3: field larger than"),
+                           (long_quoted, "unreadable record at row 3: field larger than"),
+                           (long_name, "unreadable record at row 1: field larger than")):
         assert main(["bench", *FAST, "--data-path", str(table)]) == EXIT_DATA
         assert message in capsys.readouterr().err
     # Every split failing on its data is a data error, not a divergence.

@@ -286,6 +286,24 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert loaded.feature_names == ["u", "v", "w"]
 
 
+def test_save_delimited_cut_off_midway_leaves_the_previous_file_or_none(tmp_path):
+    previous = "x0,y\n1.0,2.0\n"
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text(previous, encoding="utf-8")
+    data = Dataset(np.zeros((10, 1)), np.zeros(10), feature_names=["x0"])
+
+    def rows():  # five rows, then an interrupt, as from Ctrl-C during gen-data
+        yield from np.zeros((5, 1))
+        raise KeyboardInterrupt
+
+    for path in (kept, absent):
+        data.features = rows()
+        with pytest.raises(KeyboardInterrupt):
+            save_delimited(data, path)
+    assert kept.read_text(encoding="utf-8") == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
 def test_loaded_targets_do_not_pin_the_parsed_matrix(tmp_path):
     # The vectorized read, then the cell-by-cell parse (quoted cells).
     for name, text in (("clean.csv", "1,2,3\n4,5,6\n"), ("quoted.csv", '"1",2,3\n4,5,6\n')):

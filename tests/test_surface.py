@@ -4,8 +4,8 @@ The ``pireg`` namespace re-exports nothing, and every public top-level
 function and class in ``src/pireg`` has a caller outside ``tests/``: it is
 named in another part of ``src/pireg`` or in ``scripts/``, ``perfbench/``
 or ``README.md``.  Likewise every dataclass field is read outside
-``tests/``, unless its record is written out whole.  Test oracles belong in
-``tests/``.
+``tests/``, unless its record is written out whole, and every name a
+module imports is read.  Test oracles belong in ``tests/``.
 """
 
 import ast
@@ -43,10 +43,14 @@ def _statement_names():
     return out
 
 
-def _caller_words():
+def _caller_texts():
     paths = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
              ROOT / "README.md"]
-    return set().union(*(re.findall(r"\w+", p.read_text(encoding="utf-8")) for p in paths))
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
+def _caller_words():
+    return set().union(*(re.findall(r"\w+", text) for text in _caller_texts()))
 
 
 def test_every_public_definition_has_a_caller_outside_tests():
@@ -66,6 +70,26 @@ def test_every_public_definition_has_a_caller_outside_tests():
                 continue
             unused.append(f"{path.name}:{stmt.name}")
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_every_import_in_src_is_read():
+    # A name a module imports is read in that module, or read through it as
+    # pireg.<module>.<name> by scripts/, perfbench/ or README.md.
+    outside = set().union(*(re.findall(r"pireg\.\w+\.\w+", text) for text in _caller_texts()))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and f"pireg.{path.stem}.{name}" not in outside:
+                    unread.append(f"{path.name}:{name}")
+    assert unread == [], f"imports nothing reads: {unread}"
 
 
 def _written_whole():

@@ -582,6 +582,20 @@ def test_a_pinned_layout_trains_like_its_members_one_after_another(layout, expec
         assert next(layout.groups())[1].n % opt.batch_size == expect["last_batch"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_histories_hold_python_numbers(workers):
+    # A numpy scalar would compare and encode alike, but pickles to about
+    # twice the bytes over a forked child's pipe.
+    train, valid = group_rows(5)
+    with fork_over(workers) as chunks:
+        _, histories = train_ensemble(stack_config(members=3, max_epochs=8, patience=1),
+                                      train, valid, 7)
+    assert chunks == ([[1, 2]] if workers == 2 and training._blas_threads() else [])
+    for history in histories:
+        assert type(history.epochs_run) is int
+        assert {type(v) for v in history.train_loss + history.val_loss} == {float}
+
+
 def test_no_groups_train_to_no_outcomes():
     assert train_ensemble(stack_config(members=2), [], [], []) == []
 
