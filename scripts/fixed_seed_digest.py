@@ -16,9 +16,9 @@ checkout's ``src``:
   multi-column normalization is covered too;
 * ``pireg bench --name msd --data-path large_table.csv --splits 1
   --max-epochs 12`` on a 6,000 x 21 table written the same way, larger
-  than ``PARSE_SPLIT_BYTES`` and wide enough that its 5 members form a
-  heavy stack (``HEAVY_STEP_WORK``), so that the two-process read and the
-  heavy stack's chunks are covered where they run;
+  than ``PARSE_SPLIT_BYTES``, whose 5 members' 1,000-row batches through
+  21 x 100 x 3 units form a heavy stack (``HEAVY_STEP_WORK``), so that the
+  two-process read and the heavy stack's chunks are covered where they run;
 * ``scripts/sine_demo.py``;
 * ``pireg report`` on the ``bench_sine`` and ``sweep_alpha_sine`` reports,
   its stdout saved as ``<run>_report.txt``;

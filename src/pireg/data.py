@@ -601,11 +601,14 @@ def split(dataset: Dataset, test_fraction: float, seed, split_index: int
     n = dataset.n
     if n < 2:
         raise DataError(f"cannot split a dataset of {n} row(s)")
-    rng = np.random.default_rng([seed, split_index])
-    perm = rng.permutation(n)
-    n_train = int(math.ceil((1.0 - test_fraction) * n))
-    n_train = min(max(n_train, 1), n - 1)
-    return perm[:n_train], perm[n_train:]
+    return _cut([seed, split_index], n, math.ceil((1.0 - test_fraction) * n))
+
+
+def _cut(key, n, first):
+    # range(n) shuffled by the seed ``key``, cut after ``first`` entries, in [1, n - 1].
+    perm = np.random.default_rng(key).permutation(n)
+    first = min(max(first, 1), n - 1)
+    return perm[:first], perm[first:]
 
 
 def save_delimited(dataset: Dataset, path, delimiter=","):

@@ -78,8 +78,15 @@ def _replacing(path, newline=None):
     """Write to a temp file beside ``path``, then rename it over ``path``.
 
     Readers see the old file or the whole new one, never a partial one; on
-    any failure the temp file is removed and the error propagates.
+    any failure the temp file is removed and the error propagates.  A
+    symlink's target is replaced; a FIFO or other non-regular file is
+    written in place.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", newline=newline, encoding="utf-8")
     try:

@@ -32,12 +32,13 @@ A stack's members, every group's in group order, form one list, and that
 list spreads over the CPUs this process may use: it splits into contiguous
 chunks of near-equal member count, one per CPU, and the calling process
 trains the first chunk while a forked child trains each other one through
-the same code.  A heavy stack, whose members' steps reach HEAVY_STEP_WORK,
-splits into chunks of at most members // CPUs members instead, so 5 on 2
-CPUs train as 1 + 2 + 2 in three processes that the CPUs time-slice, and
-neither CPU idles while the other finishes a larger chunk.  Each chunk
-gives one outcome per member, and the outcomes, in member order, are the
-ones one stack gives, bit for bit, since a member trains alike in any stack.
+the same code.  A heavy stack, whose members' steps (batch rows x
+parameters) reach HEAVY_STEP_WORK, splits into chunks of at most
+members // CPUs members instead, so 5 on 2 CPUs train as 1 + 2 + 2 in three
+processes that the CPUs time-slice, and neither CPU idles while the other
+finishes a larger chunk.  Each chunk gives one outcome per member, and the
+outcomes, in member order, are the ones one stack gives, bit for bit, since
+a member trains alike in any stack.
 
 Every call trains at one BLAS thread in every process, and the caller
 gets its own thread count back once every child has been joined.  Two
@@ -73,10 +74,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, NormalizedRows, _cpus, _fork_safe, _forked
+from .data import Dataset, NormalizedRows, _cpus, _cut, _fork_safe, _forked
 from .errors import ShapeError, TrainingDiverged
 from .losses import initial_head
-from .network import FeedForwardModel, _parameter_count, backward, init_model, loss_value
+from .network import FeedForwardModel, backward, init_model, loss_value
 from .optim import adam_step, init_adam
 
 
@@ -189,30 +190,25 @@ def _group(results):
             list(histories))
 
 
-# Forking pays only above this much work, in members x max_epochs x training
-# rows.  Five groups of five members on 81 rows of sine (one hidden layer of
-# 100, validation every epoch, no early stop), forked over 2 cores against in
-# process, medians of 15 per set: +10.6 ms at 10,125 (5 epochs) and +16.6 ms
-# at 50,625; at 101,250 +20.4 and -26.0 ms, at 151,875 +11.8, -24.7 and
-# -35.9 ms in three sets; -60 to -98 ms at 202,500.  One group of 2 members
-# (chunks of 1 + 1) and of 5 (2 + 3) on the same rows, 9 validation rows,
-# medians of paired differences over 15 and then 25 alternating pairs: 2
-# members -45.8 and +1.4 ms at 99,954, -27.8 and -22.9 at 150,012, -14.4 and
-# -65.3 at 200,070; 5 members -18.5 and -5.0 at 100,035, -4.9 and -25.9 at
-# 149,850, -11.7 and -70.4 at 200,070.  Forking wins clearly only above the
-# bound, and no smaller one was better in both sets.
-FORK_MIN_WORK = 150_000
+# Forking pays only from this much work, in members x max_epochs x training
+# rows.  Sine rows (81 training, 9 validation, 100 units, no early stop) on
+# 2 CPUs, forked minus in process, medians of 15 alternating pairs (pairs the
+# fork won), each timed run after one of its kind: 25 members in 5 groups
+# +1.7 ms at 10,125 (0), +1.1 at 20,250 (7), -7.1 at 40,500 (10), -25.4 at
+# 60,750 (15), -39.4 at 101,250 (12); in plain alternation -14.0, -19.5 and
+# -37.6 ms (15 each) at the last three.  One group of 5 or of 2 members ties
+# from 60,750 to 101,250 (6 to 11 of 15 won).
+FORK_MIN_WORK = 60_000
 # A stack is heavy, and trains in chunks of at most members // cpus members,
 # when one member's step, batch rows x parameters, reaches this.  Five
-# members on 2 CPUs in chunks of 1 + 2 + 2 against 2 + 3, one hidden layer,
-# 10 batches an epoch, medians of 8 alternating pairs: 90 features and 100
-# units +13.4% at 1.88M, -4.5% at 3.76M, -10.6% at 6.58M, -16.5% at 9.40M
-# (msd); 10 features and 200 units +10.7% at 0.56M, -6.7% at 0.84M, -17.4%
-# at 1.40M, -13.0% at 2.80M.  The bound sits at the first shape's crossover;
-# a light stack, as every sine stack is (about 50,000), loses by more chunks.
-# Measured on 2 CPUs only: more CPUs, where 5 heavy members on 4 train in 5
-# processes of some 80 MB resident each, are untested in time and memory.
-HEAVY_STEP_WORK = 2_000_000
+# members on 2 CPUs, one hidden layer, 10 batches an epoch, the share of 10-24
+# alternating pairs in which 1 + 2 + 2 beat 2 + 3: 0-17% at 0.05M-0.15M (1,
+# 9, 13 and 16 features), 75% at 0.35M and 92% at 0.45M (1 feature, 100
+# units), 83-100% at 0.74M-9.4M (70 and 90 features, msd included), but 25%
+# at 0.49M for 45 features.  Batch rows x hidden units sorts them worse: at
+# 100 rows of 100 units, 1 and 9 features lose (14%, 0%) where 70 and 90 win
+# (83%, 100%).  Measured on 2 CPUs only; more are untested in time and memory.
+HEAVY_STEP_WORK = 350_000
 
 
 @functools.cache
@@ -276,19 +272,15 @@ def _workers(config, members, rows, dim):
     # How many processes train ``members`` members on ``rows`` training rows
     # of ``dim`` features each: one per CPU this process may use, at most one
     # per member, and only one when forking cannot pay or is unsafe.  A heavy
-    # stack splits into chunks of at most members // cpus members, which
-    # the CPUs time-slice, so that an uneven split leaves no CPU idle while
-    # the larger chunk finishes.  At one BLAS thread per process
-    # (_one_blas_thread) the matrix products' size does not matter otherwise.
-    work = members * config.optimizer.max_epochs * rows
+    # stack splits into chunks of at most members // cpus members, which the
+    # CPUs time-slice, so that no CPU idles while a larger chunk finishes; at
+    # one BLAS thread a process (_one_blas_thread), no threads contend.
+    opt = config.optimizer
     cpus = _cpus()
-    if (members < 2 or work < FORK_MIN_WORK or not _fork_safe(cpus)
-            or _blas_threads() is None):
+    if (members < 2 or members * opt.max_epochs * rows < FORK_MIN_WORK
+            or not _fork_safe(cpus) or _blas_threads() is None):
         return 1
-    head = initial_head(config.loss.variant, config.model.head_bias)
-    step = min(config.optimizer.batch_size, rows) * _parameter_count(
-        [dim, *config.model.hidden_sizes, len(head)])
-    if step >= HEAVY_STEP_WORK:
+    if min(opt.batch_size, rows) * build_model(config, dim, 0).flat.size >= HEAVY_STEP_WORK:
         return -(-members // max(members // cpus, 1))
     return min(members, cpus)
 
@@ -438,8 +430,5 @@ def carve_validation(rows, fraction: float, seed, split_index: int
     rows = np.asarray(rows)
     if fraction <= 0.0 or len(rows) < 2:
         return rows, None
-    rng = np.random.default_rng([seed, split_index, 101])
-    perm = rng.permutation(len(rows))
-    n_val = max(1, int(round(fraction * len(rows))))
-    n_val = min(n_val, len(rows) - 1)
-    return rows[perm[n_val:]], rows[perm[:n_val]]
+    valid, train = _cut([seed, split_index, 101], len(rows), round(fraction * len(rows)))
+    return rows[train], rows[valid]

@@ -12,7 +12,9 @@ import errno
 import io
 import math
 import os
+import stat
 import statistics
+import threading
 import warnings
 from unittest import mock
 
@@ -302,6 +304,31 @@ def test_save_delimited_cut_off_midway_leaves_the_previous_file_or_none(tmp_path
             save_delimited(data, path)
     assert kept.read_text(encoding="utf-8") == previous
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
+def test_save_delimited_writes_through_a_symlink_and_into_a_fifo(tmp_path):
+    data = Dataset(np.arange(6.0).reshape(3, 2), np.arange(3.0), feature_names=["u", "v"])
+    save_delimited(data, tmp_path / "plain.csv")
+    want = (tmp_path / "plain.csv").read_text(encoding="utf-8")
+    (tmp_path / "target.csv").write_text("stale\n", encoding="utf-8")
+    for target in ("target.csv", "absent.csv"):  # a stale target, and a dangling link
+        link = tmp_path / f"link_to_{target}"
+        link.symlink_to(target)
+        save_delimited(data, link)
+        assert link.is_symlink() and os.readlink(link) == target
+        assert (tmp_path / target).read_text(encoding="utf-8") == want
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    save_delimited(data, fifo)
+    reader.join(timeout=30)
+    assert got == [want] and stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "absent.csv", "fifo", "link_to_absent.csv", "link_to_target.csv", "plain.csv",
+        "target.csv"]
 
 
 def test_loaded_targets_do_not_pin_the_parsed_matrix(tmp_path):

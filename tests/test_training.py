@@ -27,8 +27,9 @@ from hypothesis import event, given, settings, strategies as st
 
 import pireg.training as training
 from pireg.bench import ensemble_predict
-from pireg.config import DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec, SplitPlan
-from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, generate
+from pireg.config import (CATALOG, DataSpec, ExperimentConfig, ModelSpec, OptimizerSpec,
+                          SplitPlan, default_config)
+from pireg.data import Dataset, NormalizedRows, apply_normalize, fit_normalize, generate, split
 from pireg.errors import ShapeError, TrainingDiverged
 from pireg.losses import (VARIANTS, LossConfig, hard_capture, head_loss_and_grad, initial_head,
                           interval_link)
@@ -650,15 +651,74 @@ def test_work_below_the_threshold_trains_in_process(forked_chunks):
     assert chunks == [[3, 3]] and runs[0] == runs[1]
 
 
+# The published (rows, features) of the catalogued UCI tables.
+UCI_SHAPES = {"boston": (506, 13), "concrete": (1_030, 8), "energy": (768, 8),
+              "kin8nm": (8_192, 8), "naval": (11_934, 16), "power": (9_568, 4),
+              "protein": (45_730, 9), "wine": (1_599, 11), "yacht": (308, 6),
+              "msd": (515_345, 90)}
+# The chunk sizes a stack trains in on 1, 2, 3, 4 and 8 CPUs, by its member
+# count and whether it is heavy.
+CUTS = {
+    (5, False): [[5], [2, 3], [1, 2, 2], [1, 1, 1, 2], [1] * 5],
+    (5, True): [[5], [1, 2, 2], [1] * 5, [1] * 5, [1] * 5],
+    (25, False): [[25], [12, 13], [8, 8, 9], [6, 6, 6, 7], [3] * 7 + [4]],
+    (100, False): [[100], [50, 50], [33, 33, 34], [25] * 4, [12, 13] * 4],
+}
+
+
+def catalog_cuts():
+    # Every catalogued run, a UCI table at its published shape, then
+    # perfbench's workloads (perfbench/workloads.py): sine_bench is the sine
+    # entry, sine_ensemble trains 5 members on 100 rows in full batches, and
+    # table_ingest is msd on a 50,000-row table for 3 epochs.  Each as
+    # (config, members, training rows of a split, features, heavy).
+    for name in CATALOG:
+        config = default_config(name)
+        n, dim = UCI_SHAPES[name] if config.data.kind == "file" else (config.data.n, 1)
+        rows, _ = split(Dataset(np.zeros((n, 1)), np.zeros(n)), config.splits.test_fraction,
+                        config.seed, 0)
+        rows, _ = carve_validation(rows, config.optimizer.validation_fraction, config.seed, 0)
+        yield pytest.param(config, config.splits.count * config.ensemble_size, len(rows), dim,
+                           name == "msd", id=name)
+    yield pytest.param(stack_config(hidden=(100,), members=5, batch_size=100, max_epochs=2500),
+                       5, 100, 1, False, id="sine_ensemble")
+    msd = default_config("msd")
+    yield pytest.param(dataclasses.replace(msd, optimizer=dataclasses.replace(
+        msd.optimizer, max_epochs=3)), 5, 40_500, 90, True, id="table_ingest")
+
+
+@pytest.mark.parametrize("config, members, rows, dim, heavy", catalog_cuts())
+def test_every_catalogued_run_and_workload_is_cut_as_measured(monkeypatch, config, members,
+                                                               rows, dim, heavy):
+    # Cuts at 3 or more CPUs follow the rule but are unmeasured in time and memory.
+    if training._blas_threads() is None:
+        pytest.skip("training forks only with OpenBLAS thread controls, not found here")
+
+    def cuts(step_work=training.HEAVY_STEP_WORK):
+        monkeypatch.setattr(training, "HEAVY_STEP_WORK", step_work)
+        sizes = []
+        for cpus in (1, 2, 3, 4, 8):
+            monkeypatch.setattr(training, "_cpus", lambda: cpus)
+            k = training._workers(config, members, rows, dim)
+            sizes.append(np.diff([members * i // k for i in range(k + 1)]).tolist())
+        return sizes
+
+    assert cuts() == CUTS[members, heavy]
+    assert cuts(0 if heavy else math.inf) == CUTS[members, heavy] != cuts(
+        math.inf if heavy else 0)
+
+
 def test_a_stack_whose_products_threaded_blas_would_split_forks():
     # Batches of 300 rows through a 60 x 64 layer are 1,152,000 multiply-adds
     # a member, above the 2**19 at which two processes each running OpenBLAS
-    # threads once lost seconds; at one thread a process, the stack forks
-    # and trains as its members do one after another.
+    # threads once lost seconds; at one thread a process, the stack, a heavy
+    # one, forks and trains as its members do one after another.
+    assert 300 * 4_099 >= training.HEAVY_STEP_WORK
     _, chunks, _ = check_layout(Layout(
         stack_config(hidden=(64,), members=3, batch_size=300, max_epochs=4),
-        seeds=(5,), base_seeds=(9,), rows=600, features=60, valid=0.25, workers=2))
-    assert chunks is None or chunks == [[1, 2]]
+        seeds=(5,), base_seeds=(9,), rows=600, features=60, valid=0.25, workers=2,
+        heavy=True))
+    assert chunks is None or chunks == [[1, 1, 1]]
 
 
 @pytest.fixture
